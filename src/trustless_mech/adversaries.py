@@ -32,7 +32,7 @@ from .chain import ChainState, MessageKind, MinerPolicy
 from .commitments import CommitOpening, make_commitment
 from .contract import MechanismKind, MechanismTag, commit_message, drive, reveal_message
 from .errors import InvariantViolation, ValidationError
-from .school_choice import PreferenceRanking, SchoolSpec, boston, rank_utility
+from .school_choice import PreferenceRanking, SchoolSpec, admission_table, rank_utility
 from .settlement import (
     AgentInput,
     SettlementResult,
@@ -292,30 +292,42 @@ def best_response_ranking(
     others_reports: Sequence[PreferenceRanking],
     schools: Sequence[SchoolSpec],
 ) -> PreferenceRanking:
-    """Exhaustively search every ranking (all ordered subsets of schools) and
-    return one maximizing the student's rank utility, others' reports fixed.
+    """Search every ranking (all ordered subsets of schools) and return one
+    maximizing the student's rank utility under Boston, others' reports fixed.
 
     The truthful ranking wins ties; otherwise the first maximizer in
     enumeration order (shorter rankings first, school order as given) is
     returned, which keeps the search deterministic.
+
+    Each candidate is answered from one run of the others alone
+    (``admission_table``) rather than a full ``boston`` run. This is exact:
+    a student rejected at a school is not among its top ``seats``
+    applicants, so its application changes no one's admission there. By
+    induction over rounds, while the student is unplaced the seats left and
+    the applicants of round ``r`` are those of the others-only run, and the
+    student is admitted at its round-``r`` school iff fewer of that school's
+    round-``r`` applicants in that run outrank it than it has seats left.
+    A candidate's outcome is therefore its first school that admits the
+    student in that school's round, or none.
     """
     if len(schools) > SEARCH_BOUND_SCHOOLS:
         raise SearchBoundExceeded(
             f"{len(schools)} schools exceed the exhaustive search bound "
             f"{SEARCH_BOUND_SCHOOLS}"
         )
+    table = admission_table(student.agent, others_reports, schools)
     ids = [s.school for s in schools]
+    if len(set(ids)) != len(ids):
+        raise ValidationError(f"ranking for {student.agent!r} repeats a school")
+    if any(p.agent == student.agent for p in others_reports):
+        raise ValidationError(f"student {student.agent!r} is also among the other reports")
     n = len(ids)
-    fixed = list(others_reports)
     best_ranking: tuple[str, ...] | None = None
     best_value: int | None = None
     for size in range(n + 1):
         for candidate in permutations(ids, size):
-            outcome = boston(
-                fixed + [PreferenceRanking(agent=student.agent, ranking=candidate)],
-                schools,
-            )
-            value = rank_utility(student, outcome.assignment.get(student.agent), n)
+            assigned = next((s for s, row in zip(candidate, table) if row[s]), None)
+            value = rank_utility(student, assigned, n)
             if best_value is None or value > best_value:
                 best_value, best_ranking = value, candidate
             elif value == best_value and candidate == student.ranking:

@@ -236,6 +236,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ScenarioError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # an unwritable --out, or a report name the filesystem refuses
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2

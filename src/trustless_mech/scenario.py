@@ -86,6 +86,8 @@ def _fail(path: str, problem: str) -> ScenarioError:
 def _validate(s: Scenario) -> None:
     if not s.name or len(s.name.encode()) > 255:
         raise _fail("name", "must be 1..255 encoded bytes")
+    if s.name in (".", "..") or any(c in s.name for c in "/\\\0"):
+        raise _fail("name", "must be one plain path component: it names the report files")
     if not 0 <= s.seed <= U64_MAX:
         raise _fail("seed", "must be an unsigned 64-bit integer")
     if not s.agents:
@@ -153,6 +155,14 @@ def _get(doc: dict, key: str, kind: type, path: str, *, required: bool = True, d
     return value
 
 
+def _get_strings(doc: dict, key: str, path: str, *, required: bool = True) -> list[str] | None:
+    """A list field whose entries must all be strings."""
+    value = _get(doc, key, list, path, required=required)
+    if value is not None and not all(isinstance(item, str) for item in value):
+        raise _fail(f"{path}{key}", "expected a list of strings")
+    return value
+
+
 def _parse_mechanism(doc: dict, path: str = "mechanism.") -> MechanismKind:
     kind_name = _get(doc, "kind", str, path)
     try:
@@ -175,13 +185,15 @@ def _parse_mechanism(doc: dict, path: str = "mechanism.") -> MechanismKind:
             spath = f"{path}schools[{i}]."
             if not isinstance(entry, dict):
                 raise _fail(spath[:-1], "expected an object")
-            out.append(
-                SchoolSpec(
-                    school=_get(entry, "school", str, spath),
-                    capacity=_get(entry, "capacity", int, spath),
-                    priority=tuple(_get(entry, "priority", list, spath, required=False, default=[])),
-                )
-            )
+            school = _get(entry, "school", str, spath)
+            capacity = _get(entry, "capacity", int, spath)
+            if capacity < 0:
+                raise _fail(f"{spath}capacity", "must be nonnegative")
+            priority = _get_strings(entry, "priority", spath, required=False) or []
+            try:
+                out.append(SchoolSpec(school=school, capacity=capacity, priority=tuple(priority)))
+            except ValidationError as exc:
+                raise _fail(f"{spath}priority", str(exc)) from exc
         schools = tuple(out)
 
     priority_mode = None
@@ -211,7 +223,7 @@ def _parse_agents(raw: list, path: str = "agents") -> tuple[AgentSpec, ...]:
         apath = f"{path}[{i}]."
         if not isinstance(entry, dict):
             raise _fail(apath[:-1], "expected an object")
-        ranking = _get(entry, "ranking", list, apath, required=False)
+        ranking = _get_strings(entry, "ranking", apath, required=False)
         out.append(
             AgentSpec(
                 agent=_get(entry, "agent", str, apath),
@@ -254,7 +266,7 @@ def _parse_miner(doc: dict | None) -> MinerPolicy:
         raise _fail(f"{path}mode", f"unknown miner mode {mode_name!r}") from None
     if mode is MinerMode.HONEST:
         return MinerPolicy.honest()
-    targets = _get(doc, "targets", list, path)
+    targets = _get_strings(doc, "targets", path)
     until = _get(doc, "until", int, path)
     return MinerPolicy.censor(set(targets), until)
 

@@ -6,6 +6,7 @@ rationals); the only statistical test is the beacon uniformity chi-square,
 which carries its stated significance level.
 """
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -362,3 +363,20 @@ def test_attack_suite_summary_is_also_deterministic(tmp_path, monkeypatch, capsy
     capsys.readouterr()
     for fname in ["summary.json", "summary.txt"]:
         assert (tmp_path / "sa" / fname).read_bytes() == (tmp_path / "sb" / fname).read_bytes()
+
+
+# sha256 over the attack-suite output files in name order, each framed by
+# its name; recompute only for a change meant to alter report bytes
+ATTACK_SUITE_SHA256 = "dc47c6fec4b9c5e7d006c25023a51e6fddcdd0e6cfe59c97f3c901f101e67acd"
+
+
+def test_attack_suite_output_matches_the_pinned_digest(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "suite"
+    assert main(["attack-suite", "--out", str(out)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256()
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        digest.update(b"\0" + path.relative_to(out).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == ATTACK_SUITE_SHA256

@@ -6,10 +6,14 @@ commit-reveal execution, where the pre-deadline view holds digests only.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
+from itertools import permutations
 from types import MappingProxyType
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustless_mech import (
     AgentInput,
@@ -35,6 +39,7 @@ from trustless_mech import (
 from trustless_mech.adversaries import (
     NOTE_NO_MINER,
     NOTE_SEALED_VIEW,
+    SEARCH_BOUND_SCHOOLS,
     SearchBoundExceeded,
     StrategyMismatch,
 )
@@ -328,24 +333,23 @@ def test_truthful_ranking_wins_ties_in_the_search():
     assert best.ranking == truthful.ranking
 
 
+def brute_force_best_response(student, others, schools):
+    """Reference search: one full ``boston`` run per candidate ranking."""
+    ids = [s.school for s in schools]
+    best_rank, best_val = None, None
+    for size in range(len(ids) + 1):
+        for cand in permutations(ids, size):
+            trial = list(others) + [PreferenceRanking(student.agent, cand)]
+            got = boston(trial, schools).assignment.get(student.agent)
+            val = rank_utility(student, got, len(ids))
+            if best_val is None or val > best_val:
+                best_val, best_rank = val, cand
+            elif val == best_val and cand == student.ranking:
+                best_rank = cand
+    return best_rank, best_val
+
+
 def test_best_response_matches_independent_enumeration():
-    # reimplementation of the exhaustive search, kept deliberately separate
-    from itertools import permutations
-
-    def oracle(student, others, schools):
-        ids = [s.school for s in schools]
-        best_rank, best_val = None, None
-        for size in range(len(ids) + 1):
-            for cand in permutations(ids, size):
-                trial = list(others) + [PreferenceRanking(student.agent, cand)]
-                got = boston(trial, schools).assignment.get(student.agent)
-                val = rank_utility(student, got, len(ids))
-                if best_val is None or val > best_val:
-                    best_val, best_rank = val, cand
-                elif val == best_val and cand == student.ranking:
-                    best_rank = cand
-        return best_rank, best_val
-
     rng = random.Random(61)
     for _ in range(40):
         n_schools = rng.randrange(1, 4)
@@ -364,10 +368,74 @@ def test_best_response_matches_independent_enumeration():
         others = [PreferenceRanking(s, prefs[s]) for s in students[1:]]
 
         got = best_response_ranking(truthful, others, schools)
-        want_ranking, want_value = oracle(truthful, others, schools)
+        want_ranking, want_value = brute_force_best_response(truthful, others, schools)
         assert got.ranking == want_ranking
         achieved = boston(others + [got], schools).assignment.get(target)
         assert rank_utility(truthful, achieved, n_schools) == want_value
+
+
+@st.composite
+def boston_instances(draw):
+    """Schools with random capacities and priorities, students with partial
+    or empty rankings, and a target; ``omit`` is a school whose priority
+    list should leave the target out, or None."""
+    names = [f"s{i}" for i in range(draw(st.integers(1, SEARCH_BOUND_SCHOOLS)))]
+    students = [f"kid{i}" for i in range(draw(st.integers(1, 14)))]
+    schools = [
+        SchoolSpec(name, draw(st.integers(0, 4)), priority=tuple(draw(st.permutations(students))))
+        for name in names
+    ]
+    rankings = {
+        s: tuple(draw(st.permutations(names))[: draw(st.integers(0, len(names)))])
+        for s in students
+    }
+    target = draw(st.sampled_from(students))
+    omit = draw(st.none() | st.sampled_from(names))
+    return schools, rankings, target, omit
+
+
+@settings(max_examples=100, deadline=None)
+@given(boston_instances())
+def test_best_response_matches_brute_force_on_generated_instances(instance):
+    schools, rankings, target, omit = instance
+    truthful = PreferenceRanking(target, rankings[target])
+    others = [PreferenceRanking(s, r) for s, r in rankings.items() if s != target]
+    if omit is not None:
+        schools = [
+            replace(s, priority=tuple(a for a in s.priority if a != target))
+            if s.school == omit else s
+            for s in schools
+        ]
+        with pytest.raises(ValidationError) as brute:
+            brute_force_best_response(truthful, others, schools)
+        with pytest.raises(ValidationError) as fast:
+            best_response_ranking(truthful, others, schools)
+        assert str(fast.value) == str(brute.value)
+        assert f"school {omit!r} has no priority rank for {target!r}" in str(fast.value)
+        return
+    got = best_response_ranking(truthful, others, schools)
+    want_ranking, want_value = brute_force_best_response(truthful, others, schools)
+    assert got.ranking == want_ranking
+    achieved = boston(others + [got], schools).assignment.get(target)
+    assert rank_utility(truthful, achieved, len(schools)) == want_value
+
+
+def test_best_response_counts_admissions_after_the_others_are_placed():
+    # round 2 at X is free only because pal's one-school list ends in round 1
+    schools = [SchoolSpec(name, 1, priority=("pal", "kid")) for name in ("X", "Y")]
+    truthful = PreferenceRanking("kid", ("Y", "X"))
+    best = best_response_ranking(truthful, [PreferenceRanking("pal", ("Y",))], schools)
+    assert best.ranking == truthful.ranking
+
+
+def test_best_response_rejects_a_repeated_school_and_a_repeated_student():
+    schools = [SchoolSpec("s", 1, priority=("kid", "pal"))] * 2
+    with pytest.raises(ValidationError, match="ranking for 'kid' repeats a school"):
+        best_response_ranking(PreferenceRanking("kid", ()), [], schools)
+    with pytest.raises(ValidationError, match="'kid' is also among the other reports"):
+        best_response_ranking(
+            PreferenceRanking("kid", ()), [PreferenceRanking("kid", ("s",))], schools[:1]
+        )
 
 
 def test_search_bound_on_school_count():

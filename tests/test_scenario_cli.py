@@ -1,6 +1,7 @@
 """Scenario files, their validation diagnostics, and the command line."""
 
 import json
+import re
 
 import pytest
 
@@ -156,6 +157,45 @@ def test_unknown_mechanism_kind():
         scenario_from_dict(doc)
 
 
+SCHOOL = ("mechanism", "schools")
+
+
+@pytest.mark.parametrize(
+    "field, keys, value",
+    [
+        ("agents[1].ranking", ("agents", 1, "ranking"), ["north", ["south"]]),
+        ("miner.targets", ("miner",), {"mode": "censor", "targets": [["ann"]], "until": 3}),
+        ("mechanism.schools[1].priority", (*SCHOOL, 1, "priority"), ["ann", ["bo"]]),
+        ("mechanism.schools[1].priority", (*SCHOOL, 1, "priority"), ["ann", "ann"]),
+        ("mechanism.schools[0].capacity", (*SCHOOL, 0, "capacity"), -1),
+    ],
+)
+def test_malformed_lists_and_capacities_name_the_field(field, keys, value):
+    doc = boston_doc()
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    with pytest.raises(ScenarioError, match=re.escape(f"field '{field}'")):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", "..", ".", "nul\0byte"])
+def test_name_must_be_one_plain_path_component(name, tmp_path, monkeypatch, capsys):
+    doc = minimal_doc()
+    doc["name"] = name
+    with pytest.raises(ScenarioError, match="field 'name'"):
+        scenario_from_dict(doc)
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(
+        ["run", str(path), "--out", str(tmp_path / "out" / "r")], tmp_path, monkeypatch, capsys
+    )
+    assert code == 1
+    assert "field 'name'" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_resolved_inputs_are_deterministic_and_distinct():
     scenario = scenario_from_dict(minimal_doc())
     first = scenario.resolved_inputs()
@@ -253,6 +293,19 @@ def test_cli_missing_file_exits_1(tmp_path, monkeypatch, capsys):
     code, _, err = run_cli(["run", "absent.json"], tmp_path, monkeypatch, capsys)
     assert code == 1
     assert "absent.json" in err
+
+
+@pytest.mark.parametrize("name, out", [("probe", "taken"), ("n" * 250, "reports")])
+def test_cli_unwritable_reports_exit_1(name, out, tmp_path, monkeypatch, capsys):
+    # "taken" is a file, not a directory; a 250-byte name is a valid contract
+    # id but makes a report file name longer than 255 bytes
+    doc = minimal_doc()
+    doc["name"] = name
+    (tmp_path / "scenario.json").write_text(json.dumps(doc))
+    (tmp_path / "taken").write_text("")
+    code, _, err = run_cli(["run", "scenario.json", "--out", out], tmp_path, monkeypatch, capsys)
+    assert code == 1
+    assert err.startswith("error: ")
 
 
 def test_cli_attack_suite_shows_sealed_zeros(tmp_path, monkeypatch, capsys):
