@@ -565,7 +565,9 @@ def exact_str(value: Fraction | int) -> str:
     Keeps report numbers bit-stable without floating point: 36/5 prints as
     ``7.2``, 1/3 prints as ``1/3``.
     """
-    f = Fraction(value)
+    if type(value) is int:  # not bool: True still prints as 1 via Fraction
+        return str(value)
+    f = value if isinstance(value, Fraction) else Fraction(value)
     if f.denominator == 1:
         return str(f.numerator)
     den = f.denominator

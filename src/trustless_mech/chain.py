@@ -8,7 +8,7 @@ enough reveal window defeats.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import MechSimError
@@ -104,7 +104,13 @@ class ChainState:
                 f"payload from {msg.sender!r} is {len(msg.payload)} bytes, "
                 f"limit {self.max_payload}"
             )
-        stamped = replace(msg, submitted_at=self.height)
+        stamped = Message(
+            sender=msg.sender,
+            contract_id=msg.contract_id,
+            kind=msg.kind,
+            payload=msg.payload,
+            submitted_at=self.height,
+        )
         self.mempool.append(stamped)
         return stamped
 
@@ -112,8 +118,11 @@ class ChainState:
         """Mine one block: move every non-censored mempool message into it, in order."""
         policy = policy or MinerPolicy.honest()
         new_height = self.height + 1
-        included = [m for m in self.mempool if not policy.censors(m, new_height)]
-        self.mempool = [m for m in self.mempool if policy.censors(m, new_height)]
+        included: list[Message] = []
+        held: list[Message] = []
+        for m in self.mempool:
+            (held if policy.censors(m, new_height) else included).append(m)
+        self.mempool = held
         self.blocks.append(included)
         self.height = new_height
 

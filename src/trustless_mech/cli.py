@@ -118,21 +118,23 @@ def _report_doc(scenario: Scenario, reports: dict[str, ManipulationReport]) -> d
 
 def _write_reports(
     out_dir: Path, scenario: Scenario, reports: dict[str, ManipulationReport]
-) -> tuple[Path, Path]:
+) -> tuple[Path, Path, str]:
+    """Write the JSON and text reports; return both paths and the text."""
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / f"{scenario.name}.report.json"
     txt_path = out_dir / f"{scenario.name}.report.txt"
     doc = _report_doc(scenario, reports)
     json_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    txt_path.write_text(_report_text(scenario, reports))
-    return json_path, txt_path
+    text = _report_text(scenario, reports)
+    txt_path.write_text(text)
+    return json_path, txt_path, text
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     reports = _run_modes(scenario, args.mode)
-    json_path, txt_path = _write_reports(_out_dir(args.out), scenario, reports)
-    sys.stdout.write(_report_text(scenario, reports))
+    json_path, txt_path, text = _write_reports(_out_dir(args.out), scenario, reports)
+    sys.stdout.write(text)
     print(f"wrote {json_path}")
     print(f"wrote {txt_path}")
     return 0

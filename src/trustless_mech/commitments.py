@@ -12,6 +12,7 @@ replaying someone else's digest as their own.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import secrets
 from dataclasses import dataclass
@@ -55,8 +56,14 @@ class CommitOpening:
             )
 
 
+@functools.lru_cache(maxsize=1024)
 def encode_identifier(ident: str) -> bytes:
-    """UTF-8 identifier with a one-byte length prefix (wire limit: 255 bytes)."""
+    """UTF-8 identifier with a one-byte length prefix (wire limit: 255 bytes).
+
+    Cached: a run encodes its contract id once per commitment and once per
+    verified opening. Errors are not cached, so a bad identifier raises on
+    every call.
+    """
     raw = ident.encode("utf-8")
     if not raw:
         raise WireFormatError("identifier must be non-empty")

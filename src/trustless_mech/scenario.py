@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 
@@ -62,8 +63,13 @@ class Scenario:
         Salts come from one hash stream, missing beacon contributions from a
         second, both drawn in agent list order; every agent consumes a salt
         whether or not the mechanism needs anything else, which keeps each
-        agent's draw independent of the others' fields.
+        agent's draw independent of the others' fields. The draws happen once
+        per scenario; each call returns a fresh dict.
         """
+        return dict(self._resolved)
+
+    @cached_property
+    def _resolved(self) -> dict[str, tuple[bytes, AgentInput]]:
         salts = HashStream(self.seed, DOMAIN_SALTS)
         contributions = HashStream(self.seed, DOMAIN_CONTRIBUTIONS)
         out: dict[str, tuple[bytes, AgentInput]] = {}
@@ -141,6 +147,20 @@ def _validate(s: Scenario) -> None:
         if s.adversary.target is not None and s.adversary.target not in seen:
             raise _fail("adversary.target", f"unknown agent {s.adversary.target!r}")
 
+    if s.miner.mode is MinerMode.CENSOR:
+        for target in sorted(s.miner.censor_targets):
+            if target not in seen:
+                raise _fail("miner.targets", f"unknown agent {target!r}")
+        if s.miner.censor_until < 0:
+            raise _fail("miner.until", "must be a nonnegative block height")
+
+
+def _check_keys(doc: dict, known: tuple[str, ...], path: str) -> None:
+    """Reject a key the format does not define, so a misspelling is not dropped."""
+    for key in doc:
+        if key not in known:
+            raise _fail(f"{path}{key}", f"unknown key; expected one of {', '.join(known)}")
+
 
 def _get(doc: dict, key: str, kind: type, path: str, *, required: bool = True, default=None):
     if key not in doc or doc[key] is None:
@@ -164,6 +184,7 @@ def _get_strings(doc: dict, key: str, path: str, *, required: bool = True) -> li
 
 
 def _parse_mechanism(doc: dict, path: str = "mechanism.") -> MechanismKind:
+    _check_keys(doc, ("kind", "ctrs", "schools", "priority_mode", "with_beacon"), path)
     kind_name = _get(doc, "kind", str, path)
     try:
         tag = MechanismTag(kind_name)
@@ -185,6 +206,7 @@ def _parse_mechanism(doc: dict, path: str = "mechanism.") -> MechanismKind:
             spath = f"{path}schools[{i}]."
             if not isinstance(entry, dict):
                 raise _fail(spath[:-1], "expected an object")
+            _check_keys(entry, ("school", "capacity", "priority"), spath)
             school = _get(entry, "school", str, spath)
             capacity = _get(entry, "capacity", int, spath)
             if capacity < 0:
@@ -223,6 +245,7 @@ def _parse_agents(raw: list, path: str = "agents") -> tuple[AgentSpec, ...]:
         apath = f"{path}[{i}]."
         if not isinstance(entry, dict):
             raise _fail(apath[:-1], "expected an object")
+        _check_keys(entry, ("agent", "bid", "valuation", "ranking", "contribution"), apath)
         ranking = _get_strings(entry, "ranking", apath, required=False)
         out.append(
             AgentSpec(
@@ -240,17 +263,16 @@ def _parse_adversary(doc: dict | None) -> LeakStrategy | None:
     if doc is None:
         return None
     path = "adversary."
+    _check_keys(doc, ("kind", "target", "censor_until"), path)
     kind_name = _get(doc, "kind", str, path)
     try:
         kind = LeakStrategyKind(kind_name)
     except ValueError:
         raise _fail(f"{path}kind", f"unknown strategy {kind_name!r}") from None
+    target = _get(doc, "target", str, path, required=False)
+    censor_until = _get(doc, "censor_until", int, path, required=False)
     try:
-        return LeakStrategy(
-            kind=kind,
-            target=_get(doc, "target", str, path, required=False),
-            censor_until=_get(doc, "censor_until", int, path, required=False),
-        )
+        return LeakStrategy(kind=kind, target=target, censor_until=censor_until)
     except ValidationError as exc:
         raise _fail(path[:-1], str(exc)) from exc
 
@@ -259,6 +281,7 @@ def _parse_miner(doc: dict | None) -> MinerPolicy:
     if doc is None:
         return MinerPolicy.honest()
     path = "miner."
+    _check_keys(doc, ("mode", "targets", "until"), path)
     mode_name = _get(doc, "mode", str, path)
     try:
         mode = MinerMode(mode_name)
@@ -274,12 +297,15 @@ def _parse_miner(doc: dict | None) -> MinerPolicy:
 def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
+    _check_keys(
+        doc, ("name", "seed", "mechanism", "schedule", "agents", "adversary", "miner"), ""
+    )
     schedule_doc = _get(doc, "schedule", dict, "")
+    _check_keys(schedule_doc, ("commit_deadline", "reveal_deadline"), "schedule.")
+    commit_deadline = _get(schedule_doc, "commit_deadline", int, "schedule.")
+    reveal_deadline = _get(schedule_doc, "reveal_deadline", int, "schedule.")
     try:
-        schedule = PhaseSchedule(
-            commit_deadline=_get(schedule_doc, "commit_deadline", int, "schedule."),
-            reveal_deadline=_get(schedule_doc, "reveal_deadline", int, "schedule."),
-        )
+        schedule = PhaseSchedule(commit_deadline=commit_deadline, reveal_deadline=reveal_deadline)
     except ValidationError as exc:
         raise _fail("schedule", str(exc)) from exc
     return Scenario(

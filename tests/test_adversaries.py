@@ -36,6 +36,7 @@ from trustless_mech import (
     rank_utility,
     run_with_adversary,
 )
+from trustless_mech import adversaries
 from trustless_mech.adversaries import (
     NOTE_NO_MINER,
     NOTE_SEALED_VIEW,
@@ -43,7 +44,7 @@ from trustless_mech.adversaries import (
     SearchBoundExceeded,
     StrategyMismatch,
 )
-from trustless_mech.errors import ValidationError
+from trustless_mech.errors import InvariantViolation, ValidationError
 
 CENTRAL = ExecutionMode.CENTRALIZED_SEQUENTIAL
 DECENTRAL = ExecutionMode.DECENTRALIZED_COMMIT_REVEAL
@@ -114,6 +115,19 @@ def test_every_leak_strategy_is_inert_against_a_sealed_view():
         plan = plan_deviation(strategy, mechanism, sealed_view())
         assert plan.rebids == {}
         assert plan.notes == (NOTE_SEALED_VIEW,)
+
+
+def test_a_sealed_view_that_yields_rebids_is_an_invariant_violation(monkeypatch):
+    # the guard in execute_run, reached only if a planner leaked through the
+    # sealed view; forced here by a planner that ignores its view
+    def leaky(strategy, mechanism, view):
+        return adversaries.PlannedDeviation(rebids={"alice": AgentInput(bid=6)})
+
+    monkeypatch.setattr(adversaries, "plan_deviation", leaky)
+    scenario = auction_scenario(FPA, {"alice": 10, "bob": 5})
+    strategy = LeakStrategy(LeakStrategyKind.FPA_TELL_TOP_THE_SECOND)
+    with pytest.raises(InvariantViolation, match="sealed view produced rebids"):
+        adversaries.execute_run(scenario, DECENTRAL, strategy)
 
 
 def test_fpa_leak_undercuts_to_second_plus_one_tick():
@@ -452,7 +466,11 @@ def test_exact_str_prints_terminating_decimals_and_ratios():
     assert exact_str(Fraction(1, 3)) == "1/3"
     assert exact_str(Fraction(-2, 7)) == "-2/7"
     assert exact_str(4) == "4"
+    assert exact_str(-12) == "-12"
+    assert exact_str(Fraction(6, 1)) == "6"
     assert exact_str(Fraction(0)) == "0"
+    assert exact_str(True) == "1"  # a bool is an int, but must not print as "True"
+    assert exact_str(False) == "0"
 
 
 def test_report_canonical_is_json_ready():

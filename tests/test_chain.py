@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustless_mech import ChainState, Message, MessageKind, MinerMode, MinerPolicy
 from trustless_mech.chain import MAX_PAYLOAD_BYTES, DeadlineOutOfRange, PayloadTooLarge
@@ -202,3 +204,51 @@ def test_honest_policy_is_the_default():
     chain.submit(reveal_msg("alice"))
     chain.advance_block()
     assert [m.sender for m in chain.blocks[0]] == ["alice"]
+
+
+SENDERS = ("t0", "t1", "u0", "u1")
+policies = st.one_of(
+    st.none(),
+    st.just(MinerPolicy.honest()),
+    st.builds(
+        MinerPolicy.censor,
+        st.frozensets(st.sampled_from(SENDERS)),
+        st.integers(min_value=-1, max_value=10),
+    ),
+)
+steps = st.lists(
+    st.tuples(
+        st.lists(st.tuples(st.sampled_from(SENDERS), st.sampled_from(MessageKind)), max_size=4),
+        policies,
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps)
+def test_advance_block_matches_the_two_pass_rule(plan):
+    # oracle: the rule as two list comprehensions over the mempool, one
+    # keeping what the miner includes, one keeping what it holds
+    chain = ChainState()
+    blocks: list[list[Message]] = []
+    mempool: list[Message] = []
+    for height, (submissions, policy) in enumerate(plan):
+        for i, (sender, kind) in enumerate(submissions):
+            msg = Message(sender, "c", kind, bytes([height, i]))
+            mempool.append(chain.submit(msg))
+        rule = policy or MinerPolicy.honest()
+        blocks.append([m for m in mempool if not rule.censors(m, height + 1)])
+        mempool = [m for m in mempool if rule.censors(m, height + 1)]
+        chain.advance_block(policy)
+        assert chain.blocks == blocks
+        assert chain.mempool == mempool
+
+
+def test_submit_stamps_a_new_message_and_keeps_every_field():
+    chain = ChainState()
+    chain.advance_to(3)
+    sent = Message("alice", "c", MessageKind.REVEAL, b"\x05", submitted_at=99)
+    stamped = chain.submit(sent)
+    assert stamped == Message("alice", "c", MessageKind.REVEAL, b"\x05", submitted_at=3)
+    assert sent.submitted_at == 99

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from trustless_mech import CommitOpening, Commitment, make_commitment, random_salt, verify_opening
-from trustless_mech.commitments import DIGEST_SIZE, DOMAIN_TAG, SALT_SIZE
+from trustless_mech.commitments import DIGEST_SIZE, DOMAIN_TAG, SALT_SIZE, encode_identifier
 from trustless_mech.errors import WireFormatError
 
 ZERO_SALT = bytes(SALT_SIZE)
@@ -141,6 +141,15 @@ def test_identifier_wire_limits():
         make_commitment("", "c", opening)
     with pytest.raises(WireFormatError):
         make_commitment("a", "", opening)
+
+
+def test_identifier_errors_raise_on_every_call():
+    # encode_identifier is cached; a failed encoding must not be
+    for bad in ("", "x" * 256, "é" * 128):
+        for _ in range(2):
+            with pytest.raises(WireFormatError):
+                encode_identifier(bad)
+    assert encode_identifier("é" * 127) == bytes([254]) + ("é" * 127).encode()
 
 
 def test_opening_payload_must_be_non_empty():

@@ -1,5 +1,6 @@
 """Scenario files, their validation diagnostics, and the command line."""
 
+import hashlib
 import json
 import re
 
@@ -327,3 +328,129 @@ def test_cli_beacon_uniformity_passes(tmp_path, monkeypatch, capsys):
     assert code == 0
     assert "trials: 3000" in out
     assert out.rstrip().splitlines()[-1].startswith("PASS")
+
+
+def test_a_bad_field_is_named_once():
+    # the type error comes from the field itself, not from wrapping the
+    # dataclass that holds it
+    doc = minimal_doc()
+    doc["schedule"]["commit_deadline"] = 2.0
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(doc)
+    assert str(info.value) == "field 'schedule.commit_deadline': expected int, got float"
+
+    doc = minimal_doc()
+    doc["adversary"] = {"kind": "miner_censor_reveals", "target": 3, "censor_until": 4}
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(doc)
+    assert str(info.value) == "field 'adversary.target': expected str, got int"
+
+
+def test_a_dataclass_error_still_names_its_object():
+    doc = minimal_doc()
+    doc["schedule"]["reveal_deadline"] = 2
+    with pytest.raises(ScenarioError, match=r"^field 'schedule': need 0 < commit deadline"):
+        scenario_from_dict(doc)
+
+    doc = minimal_doc()
+    doc["adversary"] = {"kind": "miner_censor_reveals", "target": "ann", "censor_until": -1}
+    with pytest.raises(ScenarioError, match=r"^field 'adversary': miner censorship needs"):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "field, keys",
+    [
+        ("adversery", ()),
+        ("schedule.reveal", ("schedule",)),
+        ("mechanism.with_beacons", ("mechanism",)),
+        ("mechanism.schools[1].seats", (*SCHOOL, 1)),
+        ("agents[0].rank", ("agents", 0)),
+        ("adversary.targets", ("adversary",)),
+        ("miner.target", ("miner",)),
+    ],
+)
+def test_unknown_keys_are_rejected_by_path(field, keys):
+    doc = boston_doc()
+    doc["adversary"] = {"kind": "boston_sell_rankings", "target": "bo"}
+    doc["miner"] = {"mode": "censor", "targets": ["ann"], "until": 3}
+    parent = doc
+    for key in keys:
+        parent = parent[key]
+    parent[field.rsplit(".", 1)[-1]] = 1
+    with pytest.raises(ScenarioError, match=re.escape(f"field '{field}': unknown key")):
+        scenario_from_dict(doc)
+
+
+def test_every_key_the_writer_emits_is_known():
+    doc = boston_doc()
+    doc["mechanism"]["priority_mode"] = None
+    doc["mechanism"]["with_beacon"] = True
+    doc["agents"][0].update(valuation=1, contribution=9)
+    doc["adversary"] = {"kind": "miner_censor_reveals", "target": "bo", "censor_until": 4}
+    doc["miner"] = {"mode": "censor", "targets": ["ann"], "until": 3}
+    scenario = scenario_from_dict(doc)
+    assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
+
+
+@pytest.mark.parametrize(
+    "miner, field",
+    [
+        ({"mode": "censor", "targets": ["zzz"], "until": 5}, "miner.targets"),
+        ({"mode": "censor", "targets": ["ann", "zzz"], "until": 5}, "miner.targets"),
+        ({"mode": "censor", "targets": ["ann"], "until": -5}, "miner.until"),
+    ],
+)
+def test_a_censoring_miner_must_be_able_to_censor(miner, field):
+    doc = minimal_doc()
+    doc["miner"] = miner
+    with pytest.raises(ScenarioError, match=re.escape(f"field '{field}'")):
+        scenario_from_dict(doc)
+
+
+def test_resolved_inputs_return_a_fresh_dict():
+    scenario = scenario_from_dict(minimal_doc())
+    first = scenario.resolved_inputs()
+    first.clear()
+    assert list(scenario.resolved_inputs()) == ["ann", "bo"]
+
+
+def pinned_run_doc() -> dict:
+    """300 GSP bidders for 4 slots: four distinct top bids, then many tied
+    ones. A miner censors every odd bidder's reveal past the reveal
+    deadline, so half are excluded in the decentralized run and the beacon
+    breaks a tie for the last slot; centrally, the top bidder is demoted."""
+    names = [f"b{i:03d}" for i in range(300)]
+    bids = [70, 65, 60, 50, *((i * 37) % 40 + 1 for i in range(4, 300))]
+    return {
+        "name": "pinned",
+        "seed": 2024,
+        "mechanism": {"kind": "gsp", "ctrs": ["0.5", "0.3", "0.2", "0.125"], "with_beacon": True},
+        "schedule": {"commit_deadline": 2, "reveal_deadline": 5},
+        "agents": [
+            {"agent": name, "bid": bid, "valuation": bid + i % 3}
+            for i, (name, bid) in enumerate(zip(names, bids))
+        ],
+        "adversary": {"kind": "gsp_demote_top_bidder"},
+        "miner": {"mode": "censor", "targets": names[1::2], "until": 8},
+    }
+
+
+# sha256 of `run` on pinned_run_doc(): stdout, then the JSON and text
+# reports, each framed by its name; recompute only for a change meant to
+# alter report bytes
+RUN_OUTPUT_SHA256 = "308ae8e5efbfe6706c674117ecdd42be52f6bac484f322cac4431442d4e4c730"
+
+
+def test_run_output_matches_the_pinned_digest(tmp_path, monkeypatch, capsys):
+    (tmp_path / "pinned.json").write_text(json.dumps(pinned_run_doc()))
+    code, out, _ = run_cli(["run", "pinned.json", "--out", "out"], tmp_path, monkeypatch, capsys)
+    assert code == 0
+    text = (tmp_path / "out" / "pinned.report.txt").read_bytes()
+    stdout = out.encode()
+    assert stdout.startswith(text)
+    assert stdout[len(text):] == b"wrote out/pinned.report.json\nwrote out/pinned.report.txt\n"
+    digest = hashlib.sha256(b"\0stdout\0" + stdout)
+    for name in ("pinned.report.json", "pinned.report.txt"):
+        digest.update(b"\0" + name.encode() + b"\0" + (tmp_path / "out" / name).read_bytes())
+    assert digest.hexdigest() == RUN_OUTPUT_SHA256
