@@ -8,7 +8,7 @@ the same adversarial constants, one plays honestly, and the output still
 spreads evenly.
 """
 
-from trustless_mech import aggregate, derive_permutation, uniformity_histogram
+from trustless_mech import aggregate, beacon_order, uniformity_histogram
 
 PLAYERS = {"ana": 7, "bert": 2**63, "cleo": 41, "drew": 2**64 - 5}
 
@@ -21,15 +21,14 @@ def main() -> None:
     print(f"beacon value: {output.value}  (sum mod 2^64)")
     print()
 
-    order = derive_permutation(output, len(output.contributors))
-    ranking = [output.contributors[p] for p in order]
+    ranking = beacon_order(output, output.contributors)
     print(f"lottery order: {' > '.join(ranking)}")
     print(f"winner: {ranking[0]}")
     print()
 
     # a different value from any single player moves the whole draw
     nudged = aggregate({**PLAYERS, "ana": 8})
-    reorder = [nudged.contributors[p] for p in derive_permutation(nudged, 4)]
+    reorder = beacon_order(nudged, nudged.contributors)
     print(f"ana contributes 8 instead of 7 -> order {' > '.join(reorder)}")
     print()
 

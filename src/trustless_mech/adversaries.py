@@ -27,16 +27,23 @@ from .auctions import (
     seller_revenue,
     single_item_utility,
 )
-from .beacon import aggregate
 from .chain import ChainState, MessageKind, MinerPolicy
 from .commitments import CommitOpening, make_commitment
-from .contract import MechanismKind, MechanismTag, commit_message, drive, reveal_message
+from .contract import (
+    AUCTION_TAGS,
+    MechanismKind,
+    MechanismTag,
+    commit_message,
+    drive,
+    reveal_message,
+)
 from .errors import InvariantViolation, ValidationError
 from .school_choice import PreferenceRanking, SchoolSpec, admission_table, rank_utility
 from .settlement import (
     AgentInput,
     SettlementResult,
     encode_agent_payload,
+    input_beacon,
     lottery_schools,
     settle,
     settle_inputs,
@@ -156,16 +163,18 @@ def _nothing(note: str) -> PlannedDeviation:
 
 
 def plan_deviation(
-    strategy: LeakStrategy,
+    strategy: LeakStrategy | None,
     mechanism: MechanismKind,
     view: OperatorView,
 ) -> PlannedDeviation:
     """Best response the coalition can construct from what the view exposes.
 
-    Every branch below needs ``view.plaintext``. A sealed view therefore
-    short-circuits to an empty plan; there is no code path from digests to a
-    rebid.
+    No strategy (the honest baseline) plans nothing. Every strategy branch
+    below needs ``view.plaintext``. A sealed view therefore short-circuits to
+    an empty plan; there is no code path from digests to a rebid.
     """
+    if strategy is None:
+        return PlannedDeviation(rebids={})
     if strategy.kind is LeakStrategyKind.MINER_CENSOR_REVEALS:
         if view.mode is ExecutionMode.CENTRALIZED_SEQUENTIAL:
             return _nothing(NOTE_NO_MINER)
@@ -256,7 +265,7 @@ def plan_deviation(
             for a, inp in sorted(plaintext.items())
             if a != target and inp.ranking is not None
         ]
-        schools = _effective_schools(mechanism, plaintext)
+        schools = lottery_schools(mechanism, tuple(sorted(plaintext)), input_beacon(plaintext))
         best = best_response_ranking(truthful, others, schools)
         if best.ranking == truthful.ranking:
             return _nothing(f"truthful ranking is already a best response for {target!r}")
@@ -269,22 +278,6 @@ def plan_deviation(
         )
 
     raise InvariantViolation(f"unhandled strategy kind {strategy.kind!r}")
-
-
-def _effective_schools(
-    mechanism: MechanismKind, plaintext: Mapping[str, AgentInput]
-) -> list[SchoolSpec]:
-    """Schools with the priorities settlement would actually use."""
-    participants = tuple(sorted(plaintext))
-    if mechanism.priority_mode is None:
-        return list(mechanism.schools)
-    contributions = {
-        a: inp.contribution for a, inp in plaintext.items() if inp.contribution is not None
-    }
-    output = aggregate(contributions)
-    if output.contributors:
-        return lottery_schools(mechanism, participants, output)
-    return [SchoolSpec(s.school, s.capacity, participants) for s in mechanism.schools]
 
 
 def best_response_ranking(
@@ -354,11 +347,7 @@ def execute_run(
 
     if mode is ExecutionMode.CENTRALIZED_SEQUENTIAL:
         view = OperatorView(mode=mode, digests={}, plaintext=MappingProxyType(truthful))
-        plan = (
-            plan_deviation(strategy, scenario.mechanism, view)
-            if strategy
-            else PlannedDeviation(rebids={})
-        )
+        plan = plan_deviation(strategy, scenario.mechanism, view)
         inputs = {**truthful, **plan.rebids}
         return settle_inputs(scenario.mechanism, inputs), plan.notes
 
@@ -383,11 +372,7 @@ def execute_run(
         if msg.kind is MessageKind.COMMIT
     }
     view = OperatorView(mode=mode, digests=MappingProxyType(digests), plaintext=None)
-    plan = (
-        plan_deviation(strategy, scenario.mechanism, view)
-        if strategy
-        else PlannedDeviation(rebids={})
-    )
+    plan = plan_deviation(strategy, scenario.mechanism, view)
     if plan.rebids:
         raise InvariantViolation("a sealed view produced rebids; the projection leaked")
 
@@ -412,22 +397,15 @@ def agent_utilities(scenario: "Scenario", result: SettlementResult) -> dict[str,
     out: dict[str, Fraction] = {}
     for spec in scenario.agents:
         agent = spec.agent
-        if mech.tag in (MechanismTag.FIRST_PRICE, MechanismTag.SECOND_PRICE):
+        if mech.tag in AUCTION_TAGS:
             value = spec.valuation if spec.valuation is not None else (spec.bid or 0)
-            util = (
-                Fraction(single_item_utility(value, agent, result.auction))
-                if result.auction is not None
-                else Fraction(0)
-            )
-        elif mech.tag is MechanismTag.GSP:
-            value = spec.valuation if spec.valuation is not None else (spec.bid or 0)
-            assert mech.ctrs is not None
-            slot = result.auction.slot_of(agent) if result.auction is not None else None
-            util = (
-                gsp_utility(value, slot, result.auction, mech.ctrs)
-                if result.auction is not None
-                else Fraction(0)
-            )
+            if result.auction is None:
+                util = Fraction(0)
+            elif mech.tag is MechanismTag.GSP:
+                assert mech.ctrs is not None
+                util = gsp_utility(value, result.auction.slot_of(agent), result.auction, mech.ctrs)
+            else:
+                util = Fraction(single_item_utility(value, agent, result.auction))
         elif mech.tag is MechanismTag.BOSTON:
             truthful = PreferenceRanking(agent=agent, ranking=spec.ranking or ())
             assigned = (

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+from .beacon import U64_MASK
 from .errors import MechSimError, ValidationError, WireFormatError
 
 EPSILON_TICKS = 1
@@ -167,7 +168,7 @@ def seller_revenue(outcome: AuctionOutcome, ctrs: SlotCTRs | None = None) -> Fra
 
 def encode_bid(amount: int) -> bytes:
     """8 big-endian bytes of the bid in ticks: the auction reveal payload."""
-    if not 0 <= amount < 1 << 64:
+    if not 0 <= amount <= U64_MASK:
         raise WireFormatError(f"bid {amount} outside unsigned 64-bit wire range")
     return amount.to_bytes(BID_WIRE_SIZE, "big")
 

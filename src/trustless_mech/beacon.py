@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import ValidationError, WireFormatError
 
@@ -135,6 +135,18 @@ def derive_permutation(output: BeaconOutput, n: int, domain: int = 0) -> list[in
     if n < 1:
         raise ValidationError(f"permutation domain must be non-empty, got n={n}")
     return HashStream(output.value, domain).permutation(n)
+
+
+def beacon_order(
+    output: BeaconOutput, agents: Iterable[str], domain: int = DOMAIN_TIE_BREAK
+) -> tuple[str, ...]:
+    """``agents`` in identifier order, shuffled by the beacon permutation.
+
+    The one source of every beacon-drawn order: the bare lottery, auction
+    tie-breaking and school-choice priority lotteries.
+    """
+    ordered = sorted(agents)
+    return tuple(ordered[p] for p in derive_permutation(output, len(ordered), domain))
 
 
 # A worst-case-flavored set of fixed contributions: zero, the wraparound

@@ -132,11 +132,7 @@ class ChainState:
 
     def messages_through(self, deadline: int) -> list[Message]:
         """All messages included in blocks 1..deadline, in inclusion order."""
-        if deadline < 0 or deadline > self.height:
-            raise DeadlineOutOfRange(
-                f"deadline {deadline} outside chain height {self.height}"
-            )
-        return [m for block in self.blocks[:deadline] for m in block]
+        return [m for _, m in self.included_with_heights(deadline)]
 
     def included_with_heights(self, deadline: int | None = None) -> list[tuple[int, Message]]:
         """(inclusion height, message) pairs through ``deadline`` (default: tip)."""

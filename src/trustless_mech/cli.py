@@ -108,35 +108,38 @@ def _report_text(scenario: Scenario, reports: dict[str, ManipulationReport]) -> 
     return "\n".join(parts) + "\n"
 
 
-def _report_doc(scenario: Scenario, reports: dict[str, ManipulationReport]) -> dict:
-    return {
-        "scenario": scenario.name,
-        "mechanism": scenario.mechanism.tag.value,
-        "modes": {mode: report.canonical() for mode, report in reports.items()},
-    }
+def _write_pair(out_dir: Path, stem: str, doc: dict, text: str) -> tuple[Path, Path]:
+    """Write ``<stem>.json`` and ``<stem>.txt`` into ``out_dir``; return both paths."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    json_path, txt_path = out_dir / f"{stem}.json", out_dir / f"{stem}.txt"
+    json_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    txt_path.write_text(text)
+    return json_path, txt_path
 
 
 def _write_reports(
     out_dir: Path, scenario: Scenario, reports: dict[str, ManipulationReport]
-) -> tuple[Path, Path, str]:
-    """Write the JSON and text reports; return both paths and the text."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    json_path = out_dir / f"{scenario.name}.report.json"
-    txt_path = out_dir / f"{scenario.name}.report.txt"
-    doc = _report_doc(scenario, reports)
-    json_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+) -> tuple[str, tuple[Path, Path]]:
+    """Write the scenario's JSON and text reports; return the text and both paths."""
+    doc = {
+        "scenario": scenario.name,
+        "mechanism": scenario.mechanism.tag.value,
+        "modes": {mode: report.canonical() for mode, report in reports.items()},
+    }
     text = _report_text(scenario, reports)
-    txt_path.write_text(text)
-    return json_path, txt_path, text
+    return text, _write_pair(out_dir, f"{scenario.name}.report", doc, text)
+
+
+def _echo(text: str, paths: tuple[Path, Path]) -> None:
+    """Print a written report's text, then where it went."""
+    sys.stdout.write(text)
+    for path in paths:
+        print(f"wrote {path}")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    reports = _run_modes(scenario, args.mode)
-    json_path, txt_path, text = _write_reports(_out_dir(args.out), scenario, reports)
-    sys.stdout.write(text)
-    print(f"wrote {json_path}")
-    print(f"wrote {txt_path}")
+    _echo(*_write_reports(_out_dir(args.out), scenario, _run_modes(scenario, args.mode)))
     return 0
 
 
@@ -167,14 +170,7 @@ def cmd_attack_suite(args: argparse.Namespace) -> int:
         + table
         + "\n"
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "summary.json").write_text(
-        json.dumps({"rows": summary_rows}, indent=2, sort_keys=True) + "\n"
-    )
-    (out_dir / "summary.txt").write_text(text)
-    sys.stdout.write(text)
-    print(f"wrote {out_dir / 'summary.json'}")
-    print(f"wrote {out_dir / 'summary.txt'}")
+    _echo(text, _write_pair(out_dir, "summary", {"rows": summary_rows}, text))
     return 0
 
 

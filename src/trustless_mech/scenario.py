@@ -19,14 +19,12 @@ from importlib import resources
 
 from .adversaries import LeakStrategy, LeakStrategyKind, check_compatible, exact_str
 from .auctions import SlotCTRs
-from .beacon import DOMAIN_CONTRIBUTIONS, DOMAIN_SALTS, HashStream
+from .beacon import DOMAIN_CONTRIBUTIONS, DOMAIN_SALTS, U64_MASK, HashStream
 from .chain import MinerMode, MinerPolicy
-from .contract import MechanismKind, MechanismTag, PhaseSchedule
+from .contract import AUCTION_TAGS, MechanismKind, MechanismTag, PhaseSchedule
 from .errors import ValidationError
 from .school_choice import LotteryMode, SchoolSpec
 from .settlement import AgentInput
-
-U64_MAX = 2**64 - 1
 
 
 class ScenarioError(ValidationError):
@@ -94,7 +92,7 @@ def _validate(s: Scenario) -> None:
         raise _fail("name", "must be 1..255 encoded bytes")
     if s.name in (".", "..") or any(c in s.name for c in "/\\\0"):
         raise _fail("name", "must be one plain path component: it names the report files")
-    if not 0 <= s.seed <= U64_MAX:
+    if not 0 <= s.seed <= U64_MASK:
         raise _fail("seed", "must be an unsigned 64-bit integer")
     if not s.agents:
         raise _fail("agents", "at least one agent is required")
@@ -107,17 +105,17 @@ def _validate(s: Scenario) -> None:
         if spec.agent in seen:
             raise _fail(f"{path}.agent", f"duplicate agent {spec.agent!r}")
         seen.add(spec.agent)
-        if spec.bid is not None and not 0 <= spec.bid <= U64_MAX:
+        if spec.bid is not None and not 0 <= spec.bid <= U64_MASK:
             raise _fail(f"{path}.bid", "must be an unsigned 64-bit integer")
         if spec.valuation is not None and spec.valuation < 0:
             raise _fail(f"{path}.valuation", "must be nonnegative")
-        if spec.contribution is not None and not 0 <= spec.contribution <= U64_MAX:
+        if spec.contribution is not None and not 0 <= spec.contribution <= U64_MASK:
             raise _fail(f"{path}.contribution", "must be an unsigned 64-bit integer")
         if spec.ranking is not None and len(set(spec.ranking)) != len(spec.ranking):
             raise _fail(f"{path}.ranking", "lists a school twice")
 
     tag = s.mechanism.tag
-    if tag in (MechanismTag.FIRST_PRICE, MechanismTag.SECOND_PRICE, MechanismTag.GSP):
+    if tag in AUCTION_TAGS:
         for i, spec in enumerate(s.agents):
             if spec.bid is None:
                 raise _fail(f"agents[{i}].bid", f"required for a {tag.value} auction")
@@ -148,11 +146,13 @@ def _validate(s: Scenario) -> None:
             raise _fail("adversary.target", f"unknown agent {s.adversary.target!r}")
 
     if s.miner.mode is MinerMode.CENSOR:
+        if not s.miner.censor_targets:
+            raise _fail("miner.targets", "a censoring miner needs at least one target")
         for target in sorted(s.miner.censor_targets):
             if target not in seen:
                 raise _fail("miner.targets", f"unknown agent {target!r}")
-        if s.miner.censor_until < 0:
-            raise _fail("miner.until", "must be a nonnegative block height")
+        if s.miner.censor_until <= s.schedule.commit_deadline:
+            raise _fail("miner.until", "must be after the commit deadline, when reveals start")
 
 
 def _check_keys(doc: dict, known: tuple[str, ...], path: str) -> None:
@@ -172,6 +172,9 @@ def _get(doc: dict, key: str, kind: type, path: str, *, required: bool = True, d
         raise _fail(f"{path}{key}", "expected an integer, got a boolean")
     if not isinstance(value, kind):
         raise _fail(f"{path}{key}", f"expected {kind.__name__}, got {type(value).__name__}")
+    # A JSON "\ud800" escape decodes to a lone surrogate, which cannot be encoded.
+    if kind is str and not value.isascii() and any("\ud800" <= c <= "\udfff" for c in value):
+        raise _fail(f"{path}{key}", "holds a lone surrogate, which is not text")
     return value
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterator, Sequence
 
-from .beacon import BeaconOutput, derive_permutation
+from .beacon import BeaconOutput, beacon_order
 from .errors import ValidationError, WireFormatError
 
 
@@ -161,13 +161,11 @@ def lottery_priorities(
     PER_SCHOOL draws an independent permutation per school, the stream domain
     being the school's index in ``schools``.
     """
-    ordered = sorted(students)
-    out = []
-    for index, spec in enumerate(schools):
-        domain = 0 if mode is LotteryMode.SINGLE else index
-        perm = derive_permutation(output, len(ordered), domain=domain)
-        out.append(replace(spec, priority=tuple(ordered[p] for p in perm)))
-    return out
+    single = mode is LotteryMode.SINGLE
+    return [
+        replace(spec, priority=beacon_order(output, students, 0 if single else index))
+        for index, spec in enumerate(schools)
+    ]
 
 
 def rank_utility(true_ranking: PreferenceRanking, assigned: str | None, n_schools: int) -> int:

@@ -11,6 +11,7 @@ the same inputs settle identically by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from .auctions import (
     Bid,
@@ -25,20 +26,20 @@ from .beacon import (
     CONTRIBUTION_SIZE,
     BeaconOutput,
     aggregate,
+    beacon_order,
     decode_contribution,
-    derive_permutation,
     encode_contribution,
 )
 from .contract import MechanismKind, MechanismTag, SettlementInput
 from .errors import ValidationError, WireFormatError
 from .school_choice import (
-    LotteryMode,
     Matching,
     PreferenceRanking,
     SchoolSpec,
     boston,
     decode_ranking,
     encode_ranking,
+    lottery_priorities,
 )
 
 NOTE_DEGENERATE_BEACON = "degenerate beacon: no verified contributions, identifier-order fallback"
@@ -141,13 +142,11 @@ def decode_agent_payload(mechanism: MechanismKind, data: bytes) -> AgentInput:
     return AgentInput(bid=decode_bid(data), contribution=contribution)
 
 
-def _tie_break_order(participants: list[str], beacon_output: BeaconOutput | None) -> list[str] | None:
-    """Beacon-permuted agent order when a beacon settled, else identifier order."""
-    if beacon_output is None or not participants:
-        return None
-    perm = derive_permutation(beacon_output, len(participants), domain=0)
-    ordered = sorted(participants)
-    return [ordered[p] for p in perm]
+def input_beacon(inputs: Mapping[str, AgentInput]) -> BeaconOutput:
+    """Aggregate of every input that carries a beacon contribution."""
+    return aggregate(
+        {a: inputs[a].contribution for a in sorted(inputs) if inputs[a].contribution is not None}
+    )
 
 
 def settle_inputs(
@@ -163,12 +162,7 @@ def settle_inputs(
 
     beacon_output: BeaconOutput | None = None
     if mechanism.uses_beacon:
-        contributions = {
-            agent: inputs[agent].contribution
-            for agent in participants
-            if inputs[agent].contribution is not None
-        }
-        beacon_output = aggregate(contributions)
+        beacon_output = input_beacon(inputs)
         if not beacon_output.contributors:
             notes.append(NOTE_DEGENERATE_BEACON)
             beacon_output = beacon_output if mechanism.tag is MechanismTag.BEACON else None
@@ -178,39 +172,25 @@ def settle_inputs(
         participants=participants,
         excluded=tuple(sorted(excluded)),
         malformed=malformed,
-        auction=None,
-        matching=None,
         beacon=beacon_output,
-        lottery=(),
     )
 
     if mechanism.tag is MechanismTag.BEACON:
         assert beacon_output is not None
         if beacon_output.contributors:
-            perm = derive_permutation(beacon_output, len(beacon_output.contributors), domain=0)
-            result["lottery"] = tuple(beacon_output.contributors[p] for p in perm)
+            result["lottery"] = beacon_order(beacon_output, beacon_output.contributors)
         return SettlementResult(notes=tuple(notes), **result)
-
-    tie_break = _tie_break_order(list(participants), beacon_output)
 
     if mechanism.tag is MechanismTag.BOSTON:
         prefs = [
             PreferenceRanking(agent=a, ranking=inputs[a].ranking or ())
             for a in participants
         ]
-        schools: list[SchoolSpec] = list(mechanism.schools)
-        if mechanism.priority_mode is not None:
-            if beacon_output is not None:
-                schools = lottery_schools(mechanism, participants, beacon_output)
-            else:
-                schools = [
-                    SchoolSpec(s.school, s.capacity, tuple(sorted(participants)))
-                    for s in schools
-                ]
         notes.append(NOTE_RANK_UTILITY)
-        result["matching"] = boston(prefs, schools)
+        result["matching"] = boston(prefs, lottery_schools(mechanism, participants, beacon_output))
         return SettlementResult(notes=tuple(notes), **result)
 
+    tie_break = None if beacon_output is None else beacon_order(beacon_output, participants)
     bids = [Bid(agent=a, amount=inputs[a].bid) for a in participants if inputs[a].bid is not None]
     if not bids:
         notes.append(NOTE_NO_PARTICIPANTS)
@@ -235,14 +215,17 @@ def settle_inputs(
 def lottery_schools(
     mechanism: MechanismKind,
     participants: tuple[str, ...],
-    beacon_output: BeaconOutput,
+    beacon_output: BeaconOutput | None,
 ) -> list[SchoolSpec]:
-    from .school_choice import lottery_priorities
-
-    assert mechanism.priority_mode is not None
-    return lottery_priorities(
-        sorted(participants), list(mechanism.schools), beacon_output, mechanism.priority_mode
-    )
+    """Schools with the priorities settlement uses: their own without a lottery
+    mode, the beacon lottery when the beacon has a contributor, else
+    identifier order."""
+    schools = list(mechanism.schools)
+    if mechanism.priority_mode is None:
+        return schools
+    if beacon_output is None or not beacon_output.contributors:
+        return [SchoolSpec(s.school, s.capacity, tuple(sorted(participants))) for s in schools]
+    return lottery_priorities(participants, schools, beacon_output, mechanism.priority_mode)
 
 
 def settle(settlement_input: SettlementInput) -> SettlementResult:

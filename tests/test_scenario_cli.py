@@ -159,6 +159,7 @@ def test_unknown_mechanism_kind():
 
 
 SCHOOL = ("mechanism", "schools")
+LONE_SURROGATE = json.loads('"\\ud800"')  # valid JSON, but not encodable text
 
 
 @pytest.mark.parametrize(
@@ -169,6 +170,8 @@ SCHOOL = ("mechanism", "schools")
         ("mechanism.schools[1].priority", (*SCHOOL, 1, "priority"), ["ann", ["bo"]]),
         ("mechanism.schools[1].priority", (*SCHOOL, 1, "priority"), ["ann", "ann"]),
         ("mechanism.schools[0].capacity", (*SCHOOL, 0, "capacity"), -1),
+        ("name", ("name",), LONE_SURROGATE),
+        ("agents[0].agent", ("agents", 0, "agent"), LONE_SURROGATE),
     ],
 )
 def test_malformed_lists_and_capacities_name_the_field(field, keys, value):
@@ -399,6 +402,11 @@ def test_every_key_the_writer_emits_is_known():
         ({"mode": "censor", "targets": ["zzz"], "until": 5}, "miner.targets"),
         ({"mode": "censor", "targets": ["ann", "zzz"], "until": 5}, "miner.targets"),
         ({"mode": "censor", "targets": ["ann"], "until": -5}, "miner.until"),
+        ({"mode": "censor", "targets": [], "until": 5}, "miner.targets"),
+        # reveals are mined only after the commit deadline (2), so a miner
+        # that stops censoring by then censors nothing
+        ({"mode": "censor", "targets": ["ann"], "until": 0}, "miner.until"),
+        ({"mode": "censor", "targets": ["ann"], "until": 2}, "miner.until"),
     ],
 )
 def test_a_censoring_miner_must_be_able_to_censor(miner, field):
