@@ -147,10 +147,18 @@ class OperatorView:
 
 @dataclass(frozen=True)
 class PlannedDeviation:
-    """Replacement inputs for the colluding agents, if the view allows any."""
+    """A strategy's whole effect on a run, as far as the view allows any.
+
+    ``rebids`` replace the colluding agents' inputs; ``miner`` mines the
+    reveal phase in place of the scenario's miner; ``coalition`` names the
+    parties, as ``gain_per_party`` keys them (``"seller"``,
+    ``"agent:<id>"``), whose gains sum to the coalition's.
+    """
 
     rebids: Mapping[str, AgentInput]
     notes: tuple[str, ...] = ()
+    miner: MinerPolicy | None = None
+    coalition: frozenset[str] = frozenset()
 
 
 def _ranked_bids(plaintext: Mapping[str, AgentInput]) -> list[tuple[int, str]]:
@@ -178,9 +186,15 @@ def plan_deviation(
     if strategy.kind is LeakStrategyKind.MINER_CENSOR_REVEALS:
         if view.mode is ExecutionMode.CENTRALIZED_SEQUENTIAL:
             return _nothing(NOTE_NO_MINER)
-        return _nothing(
-            f"miner withholds reveals from {strategy.target!r} while height "
-            f"<= {strategy.censor_until}"
+        assert strategy.target is not None and strategy.censor_until is not None
+        return PlannedDeviation(
+            rebids={},
+            notes=(
+                f"miner withholds reveals from {strategy.target!r} while height "
+                f"<= {strategy.censor_until}",
+            ),
+            miner=MinerPolicy.censor({strategy.target}, strategy.censor_until),
+            coalition=frozenset(f"agent:{a}" for a in view.digests if a != strategy.target),
         )
 
     if view.sealed:
@@ -199,6 +213,7 @@ def plan_deviation(
         return PlannedDeviation(
             rebids={top: replace(plaintext[top], bid=rebid)},
             notes=(f"operator tells {top!r} the standing second bid {b2}; rebid {rebid}",),
+            coalition=frozenset({f"agent:{top}"}),
         )
 
     if strategy.kind is LeakStrategyKind.SPA_RAISE_SECOND_BELOW_TOP:
@@ -212,6 +227,7 @@ def plan_deviation(
         return PlannedDeviation(
             rebids={second: replace(plaintext[second], bid=rebid)},
             notes=(f"operator has {second!r} rebid {rebid}, right below the top bid {b1}",),
+            coalition=frozenset({"seller"}),
         )
 
     if strategy.kind is LeakStrategyKind.GSP_RAISE_K_PLUS_ONE:
@@ -231,6 +247,7 @@ def plan_deviation(
                 f"operator has losing bidder {outsider!r} rebid {rebid}, right "
                 f"below the last winning bid {b_k}",
             ),
+            coalition=frozenset({"seller"}),
         )
 
     if strategy.kind is LeakStrategyKind.GSP_DEMOTE_TOP_BIDDER:
@@ -252,6 +269,7 @@ def plan_deviation(
                 f"operator tells {top!r} the standing bids; rebid {rebid} takes "
                 f"the second slot at the third bid",
             ),
+            coalition=frozenset({f"agent:{top}"}),
         )
 
     if strategy.kind is LeakStrategyKind.BOSTON_SELL_RANKINGS:
@@ -275,6 +293,7 @@ def plan_deviation(
                 f"operator sells the other students' reports to {target!r}; "
                 f"best-response ranking {list(best.ranking)}",
             ),
+            coalition=frozenset({f"agent:{target}"}),
         )
 
     raise InvariantViolation(f"unhandled strategy kind {strategy.kind!r}")
@@ -333,14 +352,15 @@ def execute_run(
     scenario: "Scenario",
     mode: ExecutionMode,
     strategy: LeakStrategy | None = None,
-) -> tuple[SettlementResult, tuple[str, ...]]:
+) -> tuple[SettlementResult, PlannedDeviation]:
     """One full run in the given mode; ``strategy=None`` is the honest baseline.
 
     Centralized: inputs reach the operator in plaintext and settle directly.
     Decentralized: inputs travel as commitments, the strategy is planned
     against the sealed view at the commit deadline, reveals follow, and the
-    contract is driven off the chain. A censoring strategy swaps in its
-    miner policy; everything else about the run is identical.
+    contract is driven off the chain. The scenario's miner mines the commit
+    phase (it cannot censor a commit), the plan's miner, if it has one, the
+    reveal phase; everything else about the run is identical.
     """
     resolved = scenario.resolved_inputs()
     truthful = {agent: inp for agent, (_, inp) in resolved.items()}
@@ -349,12 +369,7 @@ def execute_run(
         view = OperatorView(mode=mode, digests={}, plaintext=MappingProxyType(truthful))
         plan = plan_deviation(strategy, scenario.mechanism, view)
         inputs = {**truthful, **plan.rebids}
-        return settle_inputs(scenario.mechanism, inputs), plan.notes
-
-    miner = scenario.miner
-    if strategy and strategy.kind is LeakStrategyKind.MINER_CENSOR_REVEALS:
-        assert strategy.target is not None and strategy.censor_until is not None
-        miner = MinerPolicy.censor({strategy.target}, strategy.censor_until)
+        return settle_inputs(scenario.mechanism, inputs), plan
 
     chain = ChainState()
     contract_id = scenario.name
@@ -364,7 +379,7 @@ def execute_run(
         openings[agent] = opening
         commitment = make_commitment(agent, contract_id, opening)
         chain.submit(commit_message(agent, contract_id, commitment))
-    chain.advance_to(scenario.schedule.commit_deadline, miner)
+    chain.advance_to(scenario.schedule.commit_deadline, scenario.miner)
 
     digests = {
         msg.sender: msg.payload
@@ -378,11 +393,11 @@ def execute_run(
 
     for agent, (_, inp) in resolved.items():
         chain.submit(reveal_message(agent, contract_id, openings[agent]))
-    chain.advance_to(scenario.schedule.reveal_deadline, miner)
+    chain.advance_to(scenario.schedule.reveal_deadline, plan.miner or scenario.miner)
 
     _, settlement_input = drive(chain, contract_id, scenario.schedule, scenario.mechanism)
     assert settlement_input is not None
-    return settle(settlement_input), plan.notes
+    return settle(settlement_input), plan
 
 
 def agent_utilities(scenario: "Scenario", result: SettlementResult) -> dict[str, Fraction]:
@@ -423,33 +438,6 @@ def seller_take(mechanism: MechanismKind, result: SettlementResult) -> Fraction:
     if result.auction is None:
         return Fraction(0)
     return seller_revenue(result.auction, mechanism.ctrs)
-
-
-def _coalition_gain(
-    strategy: LeakStrategy,
-    scenario: "Scenario",
-    agent_deltas: Mapping[str, Fraction],
-    seller_delta: Fraction,
-) -> Fraction:
-    """Joint gain of the parties the strategy serves; side payments not split."""
-    kind = strategy.kind
-    if kind in (LeakStrategyKind.SPA_RAISE_SECOND_BELOW_TOP, LeakStrategyKind.GSP_RAISE_K_PLUS_ONE):
-        return seller_delta
-    if kind in (LeakStrategyKind.FPA_TELL_TOP_THE_SECOND, LeakStrategyKind.GSP_DEMOTE_TOP_BIDDER):
-        ranked = _ranked_bids(
-            {s.agent: AgentInput(bid=s.bid) for s in scenario.agents if s.bid is not None}
-        )
-        if not ranked:
-            return Fraction(0)
-        return agent_deltas[ranked[0][1]]
-    if kind is LeakStrategyKind.BOSTON_SELL_RANKINGS:
-        assert strategy.target is not None
-        return agent_deltas.get(strategy.target, Fraction(0))
-    assert strategy.target is not None
-    return sum(
-        (delta for agent, delta in agent_deltas.items() if agent != strategy.target),
-        Fraction(0),
-    )
 
 
 @dataclass(frozen=True)
@@ -504,23 +492,17 @@ def run_with_adversary(
         check_compatible(strategy, scenario.mechanism)
 
     honest_result, _ = execute_run(scenario, mode, strategy=None)
-    manipulated_result, plan_notes = execute_run(scenario, mode, strategy=strategy)
+    manipulated_result, plan = execute_run(scenario, mode, strategy=strategy)
 
     honest_u = agent_utilities(scenario, honest_result)
     manip_u = agent_utilities(scenario, manipulated_result)
-    agent_deltas = {a: manip_u[a] - honest_u[a] for a in honest_u}
     honest_rev = seller_take(scenario.mechanism, honest_result)
     manip_rev = seller_take(scenario.mechanism, manipulated_result)
-    seller_delta = manip_rev - honest_rev
 
-    gains: dict[str, Fraction] = {"seller": seller_delta}
-    gains["coalition"] = (
-        _coalition_gain(strategy, scenario, agent_deltas, seller_delta)
-        if strategy is not None
-        else Fraction(0)
-    )
-    for agent, delta in agent_deltas.items():
-        gains[f"agent:{agent}"] = delta
+    gains: dict[str, Fraction] = {"seller": manip_rev - honest_rev}
+    for agent in honest_u:
+        gains[f"agent:{agent}"] = manip_u[agent] - honest_u[agent]
+    gains["coalition"] = sum((gains[p] for p in plan.coalition), Fraction(0))
 
     return ManipulationReport(
         scenario=scenario.name,
@@ -533,7 +515,7 @@ def run_with_adversary(
         honest_revenue=honest_rev,
         manipulated_revenue=manip_rev,
         gain_per_party=gains,
-        notes=plan_notes,
+        notes=plan.notes,
     )
 
 

@@ -21,11 +21,6 @@ class MessageKind(Enum):
     REVEAL = "reveal"
 
 
-class MinerMode(Enum):
-    HONEST = "honest"
-    CENSOR = "censor"
-
-
 class PayloadTooLarge(MechSimError):
     """Submitted payload exceeds the configured size bound."""
 
@@ -53,32 +48,28 @@ class Message:
 class MinerPolicy:
     """Single monolithic miner policy for a run.
 
-    Censor mode delays reveal messages from ``censor_targets`` while the new
-    block's height is still <= ``censor_until``; honest mode ignores both
-    fields. Commit messages are never censored: the modeled manipulation is
-    the miner "not processing" second-phase messages.
+    Delays reveal messages from ``censor_targets`` while the new block's
+    height is still <= ``censor_until``; a miner with no targets is honest.
+    Commit messages are never censored: the modeled manipulation is the
+    miner "not processing" second-phase messages.
     """
 
-    mode: MinerMode = MinerMode.HONEST
     censor_targets: frozenset[str] = frozenset()
     censor_until: int = 0
 
     @classmethod
     def honest(cls) -> "MinerPolicy":
-        return cls(mode=MinerMode.HONEST)
+        return cls()
 
     @classmethod
     def censor(cls, targets: frozenset[str] | set[str], until: int) -> "MinerPolicy":
-        return cls(
-            mode=MinerMode.CENSOR,
-            censor_targets=frozenset(targets),
-            censor_until=until,
-        )
+        """Withhold ``targets``' reveals through height ``until``; no targets is honest."""
+        targets = frozenset(targets)
+        return cls(censor_targets=targets, censor_until=until) if targets else cls()
 
     def censors(self, msg: Message, new_height: int) -> bool:
         return (
-            self.mode is MinerMode.CENSOR
-            and msg.kind is MessageKind.REVEAL
+            msg.kind is MessageKind.REVEAL
             and msg.sender in self.censor_targets
             and new_height <= self.censor_until
         )

@@ -10,6 +10,7 @@ the beacon uses, so a scenario replays byte-identically.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -20,11 +21,17 @@ from importlib import resources
 from .adversaries import LeakStrategy, LeakStrategyKind, check_compatible, exact_str
 from .auctions import SlotCTRs
 from .beacon import DOMAIN_CONTRIBUTIONS, DOMAIN_SALTS, U64_MASK, HashStream
-from .chain import MinerMode, MinerPolicy
+from .chain import MinerPolicy
 from .contract import AUCTION_TAGS, MechanismKind, MechanismTag, PhaseSchedule
 from .errors import ValidationError
 from .school_choice import LotteryMode, SchoolSpec
 from .settlement import AgentInput
+
+
+# Bounds on one GSP rate string, checked before `Fraction` expands its
+# exponent into a full integer: every float's repr fits both.
+MAX_RATE_CHARS = 64
+MAX_RATE_EXPONENT = 400
 
 
 class ScenarioError(ValidationError):
@@ -144,15 +151,21 @@ def _validate(s: Scenario) -> None:
             raise _fail("adversary.kind", str(exc)) from exc
         if s.adversary.target is not None and s.adversary.target not in seen:
             raise _fail("adversary.target", f"unknown agent {s.adversary.target!r}")
+        if s.adversary.censor_until is not None:
+            _check_censor_until(s, "adversary.censor_until", s.adversary.censor_until)
 
-    if s.miner.mode is MinerMode.CENSOR:
-        if not s.miner.censor_targets:
-            raise _fail("miner.targets", "a censoring miner needs at least one target")
+    if s.miner.censor_targets:
         for target in sorted(s.miner.censor_targets):
             if target not in seen:
                 raise _fail("miner.targets", f"unknown agent {target!r}")
-        if s.miner.censor_until <= s.schedule.commit_deadline:
-            raise _fail("miner.until", "must be after the commit deadline, when reveals start")
+        _check_censor_until(s, "miner.until", s.miner.censor_until)
+
+
+def _check_censor_until(s: Scenario, path: str, until: int) -> None:
+    """Reveals are mined only after the commit deadline, so a censor that
+    stops by then censors nothing."""
+    if until <= s.schedule.commit_deadline:
+        raise _fail(path, "must be after the commit deadline, when reveals start")
 
 
 def _check_keys(doc: dict, known: tuple[str, ...], path: str) -> None:
@@ -186,6 +199,16 @@ def _get_strings(doc: dict, key: str, path: str, *, required: bool = True) -> li
     return value
 
 
+def _parse_rate(value: object) -> Fraction:
+    text = str(value)
+    if len(text) > MAX_RATE_CHARS:
+        raise ValidationError(f"rate longer than {MAX_RATE_CHARS} characters")
+    exponent = re.search(r"e([-+]?\d[\d_]*)", text, re.IGNORECASE)
+    if exponent and abs(int(exponent[1].replace("_", ""))) > MAX_RATE_EXPONENT:
+        raise ValidationError(f"rate {text!r} has an exponent beyond {MAX_RATE_EXPONENT}")
+    return Fraction(text)
+
+
 def _parse_mechanism(doc: dict, path: str = "mechanism.") -> MechanismKind:
     _check_keys(doc, ("kind", "ctrs", "schools", "priority_mode", "with_beacon"), path)
     kind_name = _get(doc, "kind", str, path)
@@ -198,7 +221,7 @@ def _parse_mechanism(doc: dict, path: str = "mechanism.") -> MechanismKind:
     if "ctrs" in doc and doc["ctrs"] is not None:
         raw = _get(doc, "ctrs", list, path)
         try:
-            ctrs = SlotCTRs(rates=tuple(Fraction(str(x)) for x in raw))
+            ctrs = SlotCTRs(rates=tuple(_parse_rate(x) for x in raw))
         except (ValueError, ZeroDivisionError, ValidationError) as exc:
             raise _fail(f"{path}ctrs", str(exc)) from None
 
@@ -285,14 +308,14 @@ def _parse_miner(doc: dict | None) -> MinerPolicy:
         return MinerPolicy.honest()
     path = "miner."
     _check_keys(doc, ("mode", "targets", "until"), path)
-    mode_name = _get(doc, "mode", str, path)
-    try:
-        mode = MinerMode(mode_name)
-    except ValueError:
-        raise _fail(f"{path}mode", f"unknown miner mode {mode_name!r}") from None
-    if mode is MinerMode.HONEST:
+    mode = _get(doc, "mode", str, path)
+    if mode not in ("honest", "censor"):
+        raise _fail(f"{path}mode", f"unknown miner mode {mode!r}")
+    if mode == "honest":
         return MinerPolicy.honest()
     targets = _get_strings(doc, "targets", path)
+    if not targets:
+        raise _fail(f"{path}targets", "a censoring miner needs at least one target")
     until = _get(doc, "until", int, path)
     return MinerPolicy.censor(set(targets), until)
 
@@ -366,9 +389,9 @@ def scenario_to_dict(s: Scenario) -> dict:
         if s.adversary.censor_until is not None:
             adv["censor_until"] = s.adversary.censor_until
         doc["adversary"] = adv
-    if s.miner.mode is not MinerMode.HONEST:
+    if s.miner.censor_targets:
         doc["miner"] = {
-            "mode": s.miner.mode.value,
+            "mode": "censor",
             "targets": sorted(s.miner.censor_targets),
             "until": s.miner.censor_until,
         }

@@ -161,9 +161,11 @@ def lottery_priorities(
     PER_SCHOOL draws an independent permutation per school, the stream domain
     being the school's index in ``schools``.
     """
-    single = mode is LotteryMode.SINGLE
+    if mode is LotteryMode.SINGLE:
+        order = beacon_order(output, students, 0)
+        return [replace(spec, priority=order) for spec in schools]
     return [
-        replace(spec, priority=beacon_order(output, students, 0 if single else index))
+        replace(spec, priority=beacon_order(output, students, index))
         for index, spec in enumerate(schools)
     ]
 

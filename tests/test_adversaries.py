@@ -23,6 +23,7 @@ from trustless_mech import (
     LeakStrategyKind,
     MechanismKind,
     MechanismTag,
+    MinerPolicy,
     OperatorView,
     PhaseSchedule,
     PreferenceRanking,
@@ -168,6 +169,62 @@ def test_gsp_demote_needs_room_between_second_and_third():
                       "cal": AgentInput(bid=1)})
     plan = plan_deviation(LeakStrategy(LeakStrategyKind.GSP_DEMOTE_TOP_BIDDER), GSP2, view)
     assert plan.rebids == {}
+
+
+GSP1 = MechanismKind(tag=MechanismTag.GSP, ctrs=SlotCTRs((Fraction(1),)))
+STANDINGS = {
+    "Alice": AgentInput(ranking=("Oxford", "Cambridge")),
+    "Bob": AgentInput(ranking=("Oxford", "Cambridge")),
+    "Carol": AgentInput(ranking=("Cambridge", "Oxford")),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, mechanism, plaintext, target, note",
+    [
+        (LeakStrategyKind.FPA_TELL_TOP_THE_SECOND, FPA, {"ada": AgentInput(bid=9)}, None,
+         "fewer than two bids; nothing to undercut"),
+        (LeakStrategyKind.SPA_RAISE_SECOND_BELOW_TOP, SPA, {"ada": AgentInput(bid=9)}, None,
+         "fewer than two bids; no second bid to raise"),
+        (LeakStrategyKind.SPA_RAISE_SECOND_BELOW_TOP, SPA,
+         {"ada": AgentInput(bid=5), "ben": AgentInput(bid=5)}, None,
+         "top two bids tie; raising the second changes nothing"),
+        (LeakStrategyKind.GSP_RAISE_K_PLUS_ONE, GSP2,
+         {"ada": AgentInput(bid=20), "ben": AgentInput(bid=10)}, None,
+         "no bidder outside the 2 slots; nothing to raise"),
+        (LeakStrategyKind.GSP_RAISE_K_PLUS_ONE, GSP2,
+         {"ada": AgentInput(bid=20), "ben": AgentInput(bid=10), "cal": AgentInput(bid=10)},
+         None, "boundary bids tie; raising would contest the last slot"),
+        (LeakStrategyKind.GSP_DEMOTE_TOP_BIDDER, GSP1,
+         {"ada": AgentInput(bid=10), "ben": AgentInput(bid=9), "cal": AgentInput(bid=1)},
+         None, "a single slot leaves no lower slot to fall to"),
+        (LeakStrategyKind.GSP_DEMOTE_TOP_BIDDER, GSP2,
+         {"ada": AgentInput(bid=10), "ben": AgentInput(bid=9)}, None,
+         "fewer than three bids; the demotion window is undefined"),
+        (LeakStrategyKind.BOSTON_SELL_RANKINGS, COLLEGES,
+         {**STANDINGS, "Bob": AgentInput()}, "Bob", "target 'Bob' submitted no ranking"),
+        (LeakStrategyKind.BOSTON_SELL_RANKINGS, COLLEGES, STANDINGS, "Alice",
+         "truthful ranking is already a best response for 'Alice'"),
+    ],
+    ids=["fpa-one-bid", "spa-one-bid", "spa-tie", "gsp-raise-no-outsider", "gsp-raise-tie",
+         "gsp-demote-one-slot", "gsp-demote-two-bids", "boston-no-ranking", "boston-truthful"],
+)
+def test_a_leak_with_nothing_to_exploit_plans_nothing(kind, mechanism, plaintext, target, note):
+    plan = plan_deviation(LeakStrategy(kind, target=target), mechanism, open_view(plaintext))
+    assert plan.notes == (note,)
+    assert plan.rebids == {}
+    assert plan.miner is None
+    assert plan.coalition == frozenset()
+
+
+def test_a_censoring_miner_plans_its_policy_and_the_uncensored_coalition():
+    strategy = LeakStrategy(LeakStrategyKind.MINER_CENSOR_REVEALS, target="a", censor_until=7)
+    view = OperatorView(mode=DECENTRAL, plaintext=None,
+                        digests=MappingProxyType({"a": bytes(32), "b": bytes(32), "c": bytes(32)}))
+    plan = plan_deviation(strategy, FPA, view)
+    assert plan.rebids == {}
+    assert plan.miner == MinerPolicy.censor({"a"}, 7)
+    assert plan.coalition == frozenset({"agent:b", "agent:c"})
 
 
 def test_boston_leak_rewrites_the_target_ranking():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trustless_mech import ChainState, Message, MessageKind, MinerMode, MinerPolicy
+from trustless_mech import ChainState, Message, MessageKind, MinerPolicy
 from trustless_mech.chain import MAX_PAYLOAD_BYTES, DeadlineOutOfRange, PayloadTooLarge
 
 
@@ -199,7 +199,8 @@ def test_included_with_heights_is_one_indexed():
 
 
 def test_honest_policy_is_the_default():
-    assert MinerPolicy.honest().mode is MinerMode.HONEST
+    assert not MinerPolicy.honest().censor_targets
+    assert MinerPolicy.censor(set(), 5) == MinerPolicy.honest()
     chain = ChainState()
     chain.submit(reveal_msg("alice"))
     chain.advance_block()

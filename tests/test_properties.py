@@ -1,30 +1,43 @@
-"""Generated-input checks of two claims the docstrings make "by construction".
+"""Generated-input checks of claims the docstrings make "by construction".
 
 1. A centralized honest run and a decentralized honest run of the same
    scenario settle identically, for every mechanism, with and without a
    beacon, under every school priority mode.
-2. The scenario parser answers any JSON document with a `Scenario` or a
+2. The coalition gain that `plan_deviation` names the parties of equals the
+   per-strategy rule, for every strategy in both modes, under honest and
+   censoring scenario miners.
+3. The scenario parser answers any JSON document with a `Scenario` or a
    `ScenarioError` naming the field, never with another exception.
 """
 
 import json
+from fractions import Fraction
 from importlib import resources
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trustless_mech import ExecutionMode, Scenario, ScenarioError, scenario_from_dict
+from trustless_mech import (
+    ExecutionMode,
+    LeakStrategy,
+    LeakStrategyKind,
+    Scenario,
+    ScenarioError,
+    run_with_adversary,
+    scenario_from_dict,
+)
 from trustless_mech.adversaries import execute_run
 from trustless_mech.scenario import bundled_scenario_names
 
 AGENT_NAMES = ("ann", "bo", "cy", "dee", "eli", "fay")
 SCHOOL_NAMES = ("north", "south", "east")
+MECHANISMS = ("beacon", "first_price", "second_price", "gsp", "boston")
 
 
 @st.composite
-def honest_scenarios(draw) -> dict:
-    """A valid scenario document of any mechanism, with an honest miner."""
-    kind = draw(st.sampled_from(["beacon", "first_price", "second_price", "gsp", "boston"]))
+def honest_scenarios(draw, kinds=MECHANISMS) -> dict:
+    """A valid scenario document of one of ``kinds``, with an honest miner."""
+    kind = draw(st.sampled_from(kinds))
     agents = draw(st.lists(st.sampled_from(AGENT_NAMES), min_size=1, max_size=6, unique=True))
     mechanism: dict = {"kind": kind}
     if kind != "beacon":
@@ -78,6 +91,70 @@ def test_honest_runs_settle_identically_in_both_modes(doc):
     centralized, _ = execute_run(scenario, ExecutionMode.CENTRALIZED_SEQUENTIAL)
     decentralized, _ = execute_run(scenario, ExecutionMode.DECENTRALIZED_COMMIT_REVEAL)
     assert centralized.canonical() == decentralized.canonical()
+
+
+K = LeakStrategyKind
+MECHANISMS_FOR = {
+    K.FPA_TELL_TOP_THE_SECOND: ("first_price",),
+    K.SPA_RAISE_SECOND_BELOW_TOP: ("second_price",),
+    K.GSP_RAISE_K_PLUS_ONE: ("gsp",),
+    K.GSP_DEMOTE_TOP_BIDDER: ("gsp",),
+    K.BOSTON_SELL_RANKINGS: ("boston",),
+    K.MINER_CENSOR_REVEALS: MECHANISMS,
+}
+
+
+@st.composite
+def adversary_runs(draw) -> tuple[dict, LeakStrategy, ExecutionMode]:
+    """A strategy, a scenario it applies to (honest or with a censoring
+    miner), and a mode; every strategy is drawn equally often."""
+    kind = draw(st.sampled_from(K))
+    doc = draw(honest_scenarios(MECHANISMS_FOR[kind]))
+    agents = [entry["agent"] for entry in doc["agents"]]
+    reveal_deadline = doc["schedule"]["reveal_deadline"]
+    if draw(st.booleans()):
+        doc["miner"] = {
+            "mode": "censor",
+            "targets": draw(st.lists(st.sampled_from(agents), min_size=1, unique=True)),
+            "until": draw(st.integers(3, reveal_deadline + 2)),
+        }
+    needs_target = kind in (K.BOSTON_SELL_RANKINGS, K.MINER_CENSOR_REVEALS)
+    target = draw(st.sampled_from(agents)) if needs_target else None
+    censor_until = (
+        draw(st.integers(0, reveal_deadline + 2)) if kind is K.MINER_CENSOR_REVEALS else None
+    )
+    strategy = LeakStrategy(kind, target=target, censor_until=censor_until)
+    return doc, strategy, draw(st.sampled_from(ExecutionMode))
+
+
+def coalition_gain_oracle(strategy, scenario, agent_deltas, seller_delta) -> Fraction:
+    """The per-strategy rule, worked out again from the scenario: the seller
+    for the raises, the top bidder for FPA and GSP-demote, the informed
+    student for a ranking sale, every uncensored agent for censorship."""
+    kind = strategy.kind
+    if kind in (K.SPA_RAISE_SECOND_BELOW_TOP, K.GSP_RAISE_K_PLUS_ONE):
+        return seller_delta
+    if kind in (K.FPA_TELL_TOP_THE_SECOND, K.GSP_DEMOTE_TOP_BIDDER):
+        ranked = sorted((-s.bid, s.agent) for s in scenario.agents if s.bid is not None)
+        return agent_deltas[ranked[0][1]] if ranked else Fraction(0)
+    if kind is K.BOSTON_SELL_RANKINGS:
+        return agent_deltas.get(strategy.target, Fraction(0))
+    return sum(
+        (delta for agent, delta in agent_deltas.items() if agent != strategy.target),
+        Fraction(0),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(adversary_runs())
+def test_coalition_gain_is_the_gain_of_the_planned_parties(run):
+    doc, strategy, mode = run
+    scenario = scenario_from_dict(doc)
+    report = run_with_adversary(scenario, strategy, mode)
+    gains = report.gain_per_party
+    agent_deltas = {agent: gains[f"agent:{agent}"] for agent in report.honest_utilities}
+    expected = coalition_gain_oracle(strategy, scenario, agent_deltas, gains["seller"])
+    assert gains["coalition"] == expected
 
 
 # Words the format uses, so generated documents reach past the first check.

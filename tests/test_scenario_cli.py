@@ -8,6 +8,7 @@ import pytest
 
 from trustless_mech import (
     MechanismTag,
+    MinerPolicy,
     ScenarioError,
     bundled_scenario_names,
     dump_scenario,
@@ -182,6 +183,52 @@ def test_malformed_lists_and_capacities_name_the_field(field, keys, value):
     parent[keys[-1]] = value
     with pytest.raises(ScenarioError, match=re.escape(f"field '{field}'")):
         scenario_from_dict(doc)
+
+
+OUT_OF_RANGE = [
+    ("name", minimal_doc, ("name",), "n" * 256),
+    ("seed", minimal_doc, ("seed",), 2**64),
+    ("agents[0].agent", minimal_doc, ("agents", 0, "agent"), "a" * 256),
+    ("agents[0].bid", minimal_doc, ("agents", 0, "bid"), 2**64),
+    ("agents[0].contribution", minimal_doc, ("agents", 0, "contribution"), 2**64),
+    ("agents[0].valuation", minimal_doc, ("agents", 0, "valuation"), -1),
+    ("agents[1].ranking", boston_doc, ("agents", 1, "ranking"), ["north", "north"]),
+    ("mechanism", minimal_doc, ("mechanism",), {"kind": "gsp"}),
+    ("mechanism.priority_mode", boston_doc, ("mechanism", "priority_mode"), "raffle"),
+    ("miner.mode", minimal_doc, ("miner",), {"mode": "bribed"}),
+    ("mechanism.ctrs", minimal_doc, ("mechanism",), {"kind": "gsp", "ctrs": ["1e1000000"]}),
+    ("mechanism.ctrs", minimal_doc, ("mechanism",), {"kind": "gsp", "ctrs": ["1e-1000000"]}),
+    ("mechanism.ctrs", minimal_doc, ("mechanism",), {"kind": "gsp", "ctrs": ["1e999999999"]}),
+    ("mechanism.ctrs", minimal_doc, ("mechanism",), {"kind": "gsp", "ctrs": ["1" * 65]}),
+]
+
+
+@pytest.mark.parametrize("field, base, keys, value", OUT_OF_RANGE, ids=[c[0] for c in OUT_OF_RANGE])
+def test_out_of_range_values_name_the_field(field, base, keys, value):
+    doc = base()
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    with pytest.raises(ScenarioError, match="^" + re.escape(f"field '{field}': ")):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("rates", [["1.0", "0.75", "0.5"], ["1.0", "0.8"], ["0.5", "0.25"],
+                                   ["4/5", "1e-300"], [1, 0.5, 5e-324]])
+def test_every_rate_in_use_parses(rates):
+    doc = minimal_doc()
+    doc["mechanism"] = {"kind": "gsp", "ctrs": rates}
+    assert len(scenario_from_dict(doc).mechanism.ctrs) == len(rates)
+
+
+def test_an_honest_miner_is_one_with_no_targets():
+    doc = minimal_doc()
+    doc["miner"] = {"mode": "honest"}
+    scenario = scenario_from_dict(doc)
+    assert scenario.miner == MinerPolicy.honest()
+    assert not scenario.miner.censor_targets
+    assert "miner" not in scenario_to_dict(scenario)
 
 
 @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", "..", ".", "nul\0byte"])
@@ -396,6 +443,9 @@ def test_every_key_the_writer_emits_is_known():
     assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
 
 
+CENSOR_ANN = {"kind": "miner_censor_reveals", "target": "ann"}
+
+
 @pytest.mark.parametrize(
     "miner, field",
     [
@@ -407,13 +457,25 @@ def test_every_key_the_writer_emits_is_known():
         # that stops censoring by then censors nothing
         ({"mode": "censor", "targets": ["ann"], "until": 0}, "miner.until"),
         ({"mode": "censor", "targets": ["ann"], "until": 2}, "miner.until"),
+        # a scenario adversary that censors obeys the same rule
+        (CENSOR_ANN | {"censor_until": 0}, "adversary.censor_until"),
+        (CENSOR_ANN | {"censor_until": 2}, "adversary.censor_until"),
     ],
 )
 def test_a_censoring_miner_must_be_able_to_censor(miner, field):
     doc = minimal_doc()
-    doc["miner"] = miner
+    doc[field.split(".")[0]] = miner
     with pytest.raises(ScenarioError, match=re.escape(f"field '{field}'")):
         scenario_from_dict(doc)
+
+
+def test_a_censor_that_outlasts_the_commit_deadline_parses():
+    doc = minimal_doc()
+    doc["adversary"] = CENSOR_ANN | {"censor_until": 3}
+    doc["miner"] = {"mode": "censor", "targets": ["bo"], "until": 3}
+    scenario = scenario_from_dict(doc)
+    assert scenario.adversary.censor_until == 3
+    assert scenario.miner == MinerPolicy.censor({"bo"}, 3)
 
 
 def test_resolved_inputs_return_a_fresh_dict():

@@ -13,6 +13,7 @@ from trustless_mech import (
     lottery_priorities,
     rank_utility,
 )
+from trustless_mech import beacon
 from trustless_mech.errors import ValidationError, WireFormatError
 from trustless_mech.school_choice import decode_ranking, encode_ranking
 
@@ -187,6 +188,21 @@ def test_single_lottery_gives_every_school_the_same_order():
     assert all(spec.priority == ("dee", "cy", "ann", "bo") for spec in out)
     assert [spec.school for spec in out] == ["s0", "s1", "s2"]
     assert [spec.capacity for spec in out] == [1, 2, 1]
+
+
+def test_single_lottery_draws_its_order_once(monkeypatch):
+    calls = []
+    real = beacon.derive_permutation
+
+    def counted(output, n, domain=0):
+        calls.append(domain)
+        return real(output, n, domain)
+
+    monkeypatch.setattr(beacon, "derive_permutation", counted)
+    schools = [SchoolSpec(f"s{i}", 1) for i in range(6)]
+    out = lottery_priorities(["a", "b", "c"], schools, BeaconOutput(3, ()), LotteryMode.SINGLE)
+    assert calls == [0]
+    assert len({spec.priority for spec in out}) == 1
 
 
 def test_per_school_lottery_draws_independent_orders():
