@@ -96,7 +96,8 @@ class LeakStrategy:
 
     ``target`` identifies the informed student (ranking sale) or the censored
     agent (reveal censorship); ``censor_until`` is the last block height at
-    which the miner withholds the target's reveal.
+    which the miner withholds the target's reveal. Every other kind takes
+    neither.
     """
 
     kind: LeakStrategyKind
@@ -108,8 +109,11 @@ class LeakStrategy:
             LeakStrategyKind.BOSTON_SELL_RANKINGS,
             LeakStrategyKind.MINER_CENSOR_REVEALS,
         )
-        if self.kind in needs_target and not self.target:
-            raise ValidationError(f"strategy {self.kind.value} needs a target agent")
+        if self.kind in needs_target:
+            if not self.target:
+                raise ValidationError(f"strategy {self.kind.value} needs a target agent")
+        elif self.target is not None:
+            raise ValidationError(f"target is meaningless for {self.kind.value}")
         if self.kind is LeakStrategyKind.MINER_CENSOR_REVEALS:
             if self.censor_until is None or self.censor_until < 0:
                 raise ValidationError("miner censorship needs a nonnegative censor_until height")

@@ -7,13 +7,17 @@ contributor makes the output uniform no matter what the others do.
 Permutations for lotteries and tie-breaking come from a deterministic
 SHA-256 byte stream seeded by the beacon value. Index draws use rejection
 sampling, so a uniform seed stream yields exactly uniform permutations.
+
+The uniformity experiment checks the one-honest-player claim: a histogram
+of beacon outputs and an exact, stdlib-only chi-square test of it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError, WireFormatError
 
@@ -165,14 +169,54 @@ def uniformity_histogram(trials: int, seed: int = 0, bins: int = 64) -> list[int
 
     Each trial sums one uniform draw on {0..2^63} with the four fixed
     adversarial constants; the returned counts feed a chi-square check of
-    the claim that a single honest player keeps the output uniform.
+    the claim that a single honest player keeps the output uniform. The
+    constants' sum is aggregated once: every draw is a valid u64, so adding
+    it mod 2^64 is exactly ``aggregate`` over all five contributions.
     """
     if trials < 1:
         raise ValidationError(f"need at least one trial, got {trials}")
-    stream = HashStream(seed, DOMAIN_UNIFORMITY)
+    if bins < 2:
+        raise ValidationError(f"bins must be at least 2, got {bins}")
+    adversary_sum = aggregate(ADVERSARY_CONSTANTS).value
+    randbelow = HashStream(seed, DOMAIN_UNIFORMITY).randbelow
     counts = [0] * bins
     for _ in range(trials):
-        honest = stream.randbelow(2**63 + 1)
-        value = aggregate({"honest": honest, **ADVERSARY_CONSTANTS}).value
-        counts[value % bins] += 1
+        counts[((randbelow(2**63 + 1) + adversary_sum) & U64_MASK) % bins] += 1
     return counts
+
+
+def chi_square_sf(statistic: float, df: int) -> float:
+    """Upper tail of the chi-square distribution with ``df`` degrees of freedom.
+
+    This is the regularized upper incomplete gamma Q(df/2, y) at
+    y = statistic/2, in its closed form for integer and half-integer order:
+
+        Q(n, y)       = sum_{k<n} y^k e^-y / k!
+        Q(n + 1/2, y) = erfc(sqrt y) + sum_{k<n} y^(k+1/2) e^-y / Gamma(k + 3/2)
+
+    Each term is taken in log space, so a large ``y`` cannot overflow.
+    """
+    if df < 1:
+        raise ValidationError(f"df must be at least 1, got {df}")
+    y = statistic / 2
+    if y <= 0:
+        return 1.0
+    n, odd = divmod(df, 2)
+    order = 0.5 * odd
+    log_y = math.log(y)
+    terms = [math.exp((k + order) * log_y - y - math.lgamma(k + order + 1)) for k in range(n)]
+    if odd:
+        terms.append(math.erfc(math.sqrt(y)))
+    return math.fsum(terms)
+
+
+def chi_square_test(counts: Sequence[int]) -> tuple[float, float]:
+    """Pearson's chi-square statistic of ``counts`` against equal expected
+    counts, and its p-value with len(counts) - 1 degrees of freedom."""
+    if len(counts) < 2:
+        raise ValidationError(f"counts must have at least 2 bins, got {len(counts)}")
+    expected = sum(counts) / len(counts)
+    if expected <= 0:
+        raise ValidationError(f"counts must total at least 1, got {sum(counts)}")
+    statistic = sum((c - expected) ** 2 / expected for c in counts)
+    return statistic, chi_square_sf(statistic, len(counts) - 1)

@@ -312,6 +312,9 @@ def _parse_miner(doc: dict | None) -> MinerPolicy:
     if mode not in ("honest", "censor"):
         raise _fail(f"{path}mode", f"unknown miner mode {mode!r}")
     if mode == "honest":
+        for key in ("targets", "until"):
+            if key in doc:
+                raise _fail(f"{path}{key}", f"an honest miner takes no {key}")
         return MinerPolicy.honest()
     targets = _get_strings(doc, "targets", path)
     if not targets:

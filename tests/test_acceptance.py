@@ -8,6 +8,7 @@ which carries its stated significance level.
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from trustless_mech import (
     SchoolSpec,
     SlotCTRs,
     bundled_scenario_names,
+    chi_square_test,
     dump_scenario,
     load_bundled,
     make_commitment,
@@ -246,6 +248,9 @@ def test_criterion_5_spa_truthfulness_exhaustive():
 def test_criterion_6_beacon_uniformity_chi_square():
     counts = uniformity_histogram(100_000, seed=0, bins=64)
     result = scipy.stats.chisquare(counts)
+    statistic, p_value = chi_square_test(counts)
+    assert math.isclose(statistic, result.statistic, rel_tol=1e-12)
+    assert math.isclose(p_value, result.pvalue, rel_tol=1e-10)
     _check(
         result.pvalue > 0.001,
         f"criterion 6: 100k-trial histogram mod 64 uniform (chi-square p = {result.pvalue:.4f})",

@@ -9,12 +9,17 @@ import hashlib
 import random
 
 import pytest
+import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustless_mech import BeaconOutput, HashStream, aggregate, derive_permutation, uniformity_histogram
 from trustless_mech.beacon import (
     ADVERSARY_CONSTANTS,
     CONTRIBUTION_SIZE,
     U64_MASK,
+    chi_square_sf,
+    chi_square_test,
     decode_contribution,
     encode_contribution,
 )
@@ -222,12 +227,56 @@ def test_uniformity_histogram_rejects_zero_trials():
         uniformity_histogram(0)
 
 
-def test_uniformity_histogram_matches_manual_aggregation():
-    # recompute a few trials by hand with the same stream discipline
-    stream = HashStream(12, 2**32 + 3)
-    expected = [0] * 8
-    for _ in range(50):
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, U64_MASK),
+    trials=st.integers(1, 400),
+    bins=st.integers(2, 300),
+)
+def test_uniformity_histogram_matches_manual_aggregation(seed, trials, bins):
+    # the per-trial aggregate the histogram hoists, kept here as the oracle
+    stream = HashStream(seed, 2**32 + 3)
+    expected = [0] * bins
+    for _ in range(trials):
         honest = stream.randbelow(2**63 + 1)
         value = aggregate({"honest": honest, **ADVERSARY_CONSTANTS}).value
-        expected[value % 8] += 1
-    assert uniformity_histogram(50, seed=12, bins=8) == expected
+        expected[value % bins] += 1
+    assert uniformity_histogram(trials, seed=seed, bins=bins) == expected
+
+
+@pytest.mark.parametrize("bins", [0, -3, 1])
+def test_uniformity_histogram_rejects_too_few_bins(bins):
+    with pytest.raises(ValidationError, match="bins"):
+        uniformity_histogram(10, bins=bins)
+
+
+@pytest.mark.parametrize("counts", [[], [7], [0, 0]])
+def test_chi_square_test_rejects_too_few_bins_or_trials(counts):
+    with pytest.raises(ValidationError, match="counts"):
+        chi_square_test(counts)
+
+
+def test_chi_square_test_of_equal_counts_is_zero_with_p_one():
+    assert chi_square_test([5, 5, 5]) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("df", [1, 2, 7, 15, 63, 64, 255, 999, 4095])
+def test_chi_square_sf_matches_scipy(df):
+    xs = [(3 * df + 50) * i / 400 for i in range(401)]
+    worst = 0.0
+    for x, ref in zip(xs, scipy.stats.chi2.sf(xs, df)):
+        if ref > 1e-250:
+            worst = max(worst, abs(chi_square_sf(x, df) - ref) / ref)
+    assert worst <= 1e-10
+
+
+def test_chi_square_sf_does_not_overflow_far_in_the_tail():
+    # y = x/2 above ~709 overflows a plain y^k/k! recurrence to nan
+    for df in (1, 2, 63, 64):
+        for x in (1500.0, 1e6):
+            assert 0.0 <= chi_square_sf(x, df) <= 1e-250
+
+
+def test_chi_square_sf_rejects_zero_degrees_of_freedom():
+    with pytest.raises(ValidationError, match="df"):
+        chi_square_sf(1.0, 0)

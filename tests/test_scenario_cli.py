@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import scipy.stats
 
 from trustless_mech import (
     MechanismTag,
@@ -16,6 +21,7 @@ from trustless_mech import (
     load_scenario,
     scenario_from_dict,
     scenario_to_dict,
+    uniformity_histogram,
 )
 from trustless_mech.cli import OUT_DIR_ENV, main
 
@@ -380,6 +386,36 @@ def test_cli_beacon_uniformity_passes(tmp_path, monkeypatch, capsys):
     assert out.rstrip().splitlines()[-1].startswith("PASS")
 
 
+def test_cli_beacon_uniformity_prints_what_scipy_prints(tmp_path, monkeypatch, capsys):
+    mismatched = []
+    for seed in range(60):
+        trials = 500 + 97 * seed
+        _, out, _ = run_cli(
+            ["beacon-uniformity", "--trials", str(trials), "--seed", str(seed)],
+            tmp_path, monkeypatch, capsys,
+        )
+        result = scipy.stats.chisquare(uniformity_histogram(trials, seed=seed))
+        expected = [
+            f"chi-square statistic: {result.statistic:.4f}",
+            f"p-value: {result.pvalue:.6f}",
+        ]
+        if out.splitlines()[2:4] != expected:
+            mismatched.append(seed)
+    assert mismatched == []
+
+
+def test_the_cli_imports_neither_scipy_nor_numpy():
+    # either one would add about a second of start-up to every command
+    probe = "import sys, trustless_mech.cli; print(sorted({'scipy', 'numpy'} & set(sys.modules)))"
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "[]"
+
+
 def test_a_bad_field_is_named_once():
     # the type error comes from the field itself, not from wrapping the
     # dataclass that holds it
@@ -476,6 +512,23 @@ def test_a_censor_that_outlasts_the_commit_deadline_parses():
     scenario = scenario_from_dict(doc)
     assert scenario.adversary.censor_until == 3
     assert scenario.miner == MinerPolicy.censor({"bo"}, 3)
+
+
+@pytest.mark.parametrize(
+    "entry, field, problem",
+    [
+        ({"mode": "honest", "targets": ["zzz"], "until": -4}, "miner.targets", "honest miner"),
+        ({"mode": "honest", "until": 5}, "miner.until", "honest miner"),
+        ({"mode": "honest", "targets": []}, "miner.targets", "honest miner"),
+        ({"kind": "fpa_tell_top_the_second", "target": "ann"}, "adversary", "target"),
+        ({"kind": "spa_raise_second_below_top", "target": "bo"}, "adversary", "target"),
+    ],
+)
+def test_a_field_its_kind_never_reads_is_rejected(entry, field, problem):
+    doc = minimal_doc()
+    doc[field.split(".")[0]] = entry
+    with pytest.raises(ScenarioError, match=re.escape(f"field '{field}': ") + ".*" + problem):
+        scenario_from_dict(doc)
 
 
 def test_resolved_inputs_return_a_fresh_dict():
