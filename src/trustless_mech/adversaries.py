@@ -404,36 +404,39 @@ def execute_run(
     return settle(settlement_input), plan
 
 
-def agent_utilities(scenario: "Scenario", result: SettlementResult) -> dict[str, Fraction]:
+def agent_utilities(
+    scenario: "Scenario", result: SettlementResult
+) -> dict[str, Fraction | int]:
     """Per-agent utility of a settled outcome, always against TRUE preferences.
 
     Auctions use valuation minus payment (CTR-weighted for slot auctions),
     school choice uses the negative true rank of the assigned school, and a
     bare lottery pays 1 to the winner. Excluded agents get the empty-handed
-    value for their mechanism.
+    value for their mechanism. A utility is an exact ``int``, or a
+    ``Fraction`` where a click-through rate enters (a GSP slot holder).
     """
     mech = scenario.mechanism
-    out: dict[str, Fraction] = {}
+    out: dict[str, Fraction | int] = {}
     for spec in scenario.agents:
         agent = spec.agent
         if mech.tag in AUCTION_TAGS:
             value = spec.valuation if spec.valuation is not None else (spec.bid or 0)
             if result.auction is None:
-                util = Fraction(0)
+                util = 0
             elif mech.tag is MechanismTag.GSP:
                 assert mech.ctrs is not None
                 util = gsp_utility(value, result.auction.slot_of(agent), result.auction, mech.ctrs)
             else:
-                util = Fraction(single_item_utility(value, agent, result.auction))
+                util = single_item_utility(value, agent, result.auction)
         elif mech.tag is MechanismTag.BOSTON:
             truthful = PreferenceRanking(agent=agent, ranking=spec.ranking or ())
             assigned = (
                 result.matching.assignment.get(agent) if result.matching is not None else None
             )
-            util = Fraction(rank_utility(truthful, assigned, len(mech.schools)))
+            util = rank_utility(truthful, assigned, len(mech.schools))
         else:
             won = bool(result.lottery) and result.lottery[0] == agent
-            util = Fraction(1 if won else 0)
+            util = 1 if won else 0
         out[agent] = util
     return out
 
@@ -453,11 +456,11 @@ class ManipulationReport:
     strategy: LeakStrategyKind | None
     honest: SettlementResult
     manipulated: SettlementResult
-    honest_utilities: dict[str, Fraction]
-    manipulated_utilities: dict[str, Fraction]
+    honest_utilities: dict[str, Fraction | int]
+    manipulated_utilities: dict[str, Fraction | int]
     honest_revenue: Fraction
     manipulated_revenue: Fraction
-    gain_per_party: dict[str, Fraction]
+    gain_per_party: dict[str, Fraction | int]
     notes: tuple[str, ...] = ()
 
     @property
@@ -503,10 +506,10 @@ def run_with_adversary(
     honest_rev = seller_take(scenario.mechanism, honest_result)
     manip_rev = seller_take(scenario.mechanism, manipulated_result)
 
-    gains: dict[str, Fraction] = {"seller": manip_rev - honest_rev}
+    gains: dict[str, Fraction | int] = {"seller": manip_rev - honest_rev}
     for agent in honest_u:
         gains[f"agent:{agent}"] = manip_u[agent] - honest_u[agent]
-    gains["coalition"] = sum((gains[p] for p in plan.coalition), Fraction(0))
+    gains["coalition"] = sum(gains[p] for p in plan.coalition)
 
     return ManipulationReport(
         scenario=scenario.name,

@@ -135,14 +135,14 @@ def gsp_utility(
     slot_index: int | None,
     outcome: AuctionOutcome,
     ctrs: SlotCTRs,
-) -> Fraction:
+) -> Fraction | int:
     """Expected utility of holding ``slot_index``: ctr * (valuation - per-click price).
 
     ``slot_index`` of None means the agent holds no slot; by convention that
-    is worth exactly 0 (returned, not an error).
+    is worth exactly 0 (returned as the ``int``, not an error).
     """
     if slot_index is None:
-        return Fraction(0)
+        return 0
     agent = outcome.allocation[slot_index]
     return ctrs.rates[slot_index] * (valuation - outcome.payments[agent])
 

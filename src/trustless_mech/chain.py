@@ -95,13 +95,7 @@ class ChainState:
                 f"payload from {msg.sender!r} is {len(msg.payload)} bytes, "
                 f"limit {self.max_payload}"
             )
-        stamped = Message(
-            sender=msg.sender,
-            contract_id=msg.contract_id,
-            kind=msg.kind,
-            payload=msg.payload,
-            submitted_at=self.height,
-        )
+        stamped = Message(msg.sender, msg.contract_id, msg.kind, msg.payload, self.height)
         self.mempool.append(stamped)
         return stamped
 
@@ -109,15 +103,31 @@ class ChainState:
         """Mine one block: move every non-censored mempool message into it, in order."""
         policy = policy or MinerPolicy.honest()
         new_height = self.height + 1
-        included: list[Message] = []
-        held: list[Message] = []
-        for m in self.mempool:
-            (held if policy.censors(m, new_height) else included).append(m)
+        if not policy.censor_targets or new_height > policy.censor_until:
+            included, held = self.mempool, []  # nothing can be censored at this height
+        else:
+            included, held = [], []
+            for m in self.mempool:
+                (held if policy.censors(m, new_height) else included).append(m)
         self.mempool = held
         self.blocks.append(included)
         self.height = new_height
 
     def advance_to(self, height: int, policy: MinerPolicy | None = None) -> None:
+        """Mine blocks until the chain reaches ``height``.
+
+        Nothing is submitted in between, so after the first block the
+        mempool holds only reveals censored at that height, and they stay
+        censored through ``censor_until``: those blocks are mined empty.
+        """
+        if self.height >= height:
+            return
+        policy = policy or MinerPolicy.honest()
+        self.advance_block(policy)
+        quiet = min(height, policy.censor_until) - self.height
+        if quiet > 0:
+            self.blocks.extend([] for _ in range(quiet))
+            self.height += quiet
         while self.height < height:
             self.advance_block(policy)
 

@@ -70,30 +70,29 @@ def _format_table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(out)
 
 
-def _gain_rows(mode: str, report: ManipulationReport) -> list[list[str]]:
-    absolutes: dict[str, tuple[str, str]] = {
-        "seller": (exact_str(report.honest_revenue), exact_str(report.manipulated_revenue))
-    }
-    for agent in report.honest_utilities:
-        absolutes[f"agent:{agent}"] = (
-            exact_str(report.honest_utilities[agent]),
-            exact_str(report.manipulated_utilities[agent]),
-        )
-    rows = []
-    for party in sorted(report.gain_per_party):
-        honest, manipulated = absolutes.get(party, (".", "."))
-        rows.append([mode, party, honest, manipulated, exact_str(report.gain_per_party[party])])
-    return rows
+def _gain_rows(mode: str, doc: dict) -> list[list[str]]:
+    """Table rows of one mode's ``ManipulationReport.canonical()``, whose
+    ``gains`` are already in party order."""
+    revenue, utilities = doc["revenue"], doc["utilities"]
+    absolutes = {"seller": (revenue["honest"], revenue["manipulated"])}
+    manipulated = utilities["manipulated"]
+    for agent, honest in utilities["honest"].items():
+        absolutes[f"agent:{agent}"] = (honest, manipulated[agent])
+    return [
+        [mode, party, *absolutes.get(party, (".", ".")), delta]
+        for party, delta in doc["gains"].items()
+    ]
 
 
-def _report_text(scenario: Scenario, reports: dict[str, ManipulationReport]) -> str:
+def _report_text(scenario: Scenario, docs: dict[str, dict]) -> str:
+    """The text report, read from each mode's ``ManipulationReport.canonical()``."""
     strategy = scenario.adversary.kind.value if scenario.adversary else "none"
     rows: list[list[str]] = []
-    for mode, report in reports.items():
-        rows.extend(_gain_rows(mode, report))
+    for mode, doc in docs.items():
+        rows.extend(_gain_rows(mode, doc))
     notes: list[str] = []
-    for mode, report in reports.items():
-        for note in (*report.notes, *report.honest.notes, *report.manipulated.notes):
+    for mode, doc in docs.items():
+        for note in (*doc["notes"], *doc["honest"]["notes"], *doc["manipulated"]["notes"]):
             tagged = f"[{mode}] {note}"
             if tagged not in notes:
                 notes.append(tagged)
@@ -110,11 +109,36 @@ def _report_text(scenario: Scenario, reports: dict[str, ManipulationReport]) -> 
     return "\n".join(parts) + "\n"
 
 
+def _json_text(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
+    documents whose keys are all ``str``.
+
+    With ``indent`` set the stdlib takes its pure-Python encoder, so each
+    container of scalars goes through the C encoder instead, with the
+    newline and ``pad`` put into its separator; only containers of
+    containers are joined here.
+    """
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return json.dumps(value)
+    inner = pad + "  "
+    children = value.values() if isinstance(value, dict) else value
+    if not any(isinstance(child, (dict, list, tuple)) for child in children):
+        flat = json.dumps(value, sort_keys=True, separators=(",\n" + inner, ": "))
+        return f"{flat[0]}\n{inner}{flat[1:-1]}\n{pad}{flat[-1]}"
+    if isinstance(value, dict):
+        parts = [f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())]
+        brackets = "{}"
+    else:
+        parts = [_json_text(v, inner) for v in value]
+        brackets = "[]"
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(parts) + f"\n{pad}{brackets[1]}"
+
+
 def _write_pair(out_dir: Path, stem: str, doc: dict, text: str) -> tuple[Path, Path]:
     """Write ``<stem>.json`` and ``<stem>.txt`` into ``out_dir``; return both paths."""
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path, txt_path = out_dir / f"{stem}.json", out_dir / f"{stem}.txt"
-    json_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    json_path.write_text(_json_text(doc) + "\n")
     txt_path.write_text(text)
     return json_path, txt_path
 
@@ -123,12 +147,9 @@ def _write_reports(
     out_dir: Path, scenario: Scenario, reports: dict[str, ManipulationReport]
 ) -> tuple[str, tuple[Path, Path]]:
     """Write the scenario's JSON and text reports; return the text and both paths."""
-    doc = {
-        "scenario": scenario.name,
-        "mechanism": scenario.mechanism.tag.value,
-        "modes": {mode: report.canonical() for mode, report in reports.items()},
-    }
-    text = _report_text(scenario, reports)
+    docs = {mode: report.canonical() for mode, report in reports.items()}
+    doc = {"scenario": scenario.name, "mechanism": scenario.mechanism.tag.value, "modes": docs}
+    text = _report_text(scenario, docs)
     return text, _write_pair(out_dir, f"{scenario.name}.report", doc, text)
 
 

@@ -95,7 +95,8 @@ def verify_opening(
 
     Returns False on any mismatch; the caller decides the punishment.
     """
-    return make_commitment(agent, contract_id, opening).digest == commitment.digest
+    preimage = commitment_preimage(agent, contract_id, opening)
+    return hashlib.sha256(preimage).digest() == commitment.digest
 
 
 def random_salt() -> bytes:

@@ -258,19 +258,20 @@ def drive(
     idempotent. Individual rejections are recorded, never fatal.
     """
     state = ContractState(contract_id, schedule, mechanism)
-    for height, msg in chain.included_with_heights():
-        if msg.contract_id != contract_id:
-            continue
-        try:
-            if msg.kind is MessageKind.COMMIT:
-                if len(msg.payload) != 32:
-                    raise WireFormatError(
-                        f"commit payload from {msg.sender!r} is not a 32-byte digest"
-                    )
-                state.accept_commit(height, msg.sender, Commitment(msg.payload))
-            else:
-                state.accept_reveal(height, msg.sender, parse_reveal_payload(msg.payload))
-        except (ContractRejection, WireFormatError) as exc:
-            state.rejections.append(f"height {height}: {exc}")
+    for height, block in enumerate(chain.blocks, 1):
+        for msg in block:
+            if msg.contract_id != contract_id:
+                continue
+            try:
+                if msg.kind is MessageKind.COMMIT:
+                    if len(msg.payload) != 32:
+                        raise WireFormatError(
+                            f"commit payload from {msg.sender!r} is not a 32-byte digest"
+                        )
+                    state.accept_commit(height, msg.sender, Commitment(msg.payload))
+                else:
+                    state.accept_reveal(height, msg.sender, parse_reveal_payload(msg.payload))
+            except (ContractRejection, WireFormatError) as exc:
+                state.rejections.append(f"height {height}: {exc}")
     settlement = state.finalize(chain.height) if chain.height >= schedule.reveal_deadline else None
     return state, settlement

@@ -404,13 +404,19 @@ def scenario_to_dict(s: Scenario) -> dict:
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text: byte {exc.start}: {exc.reason}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ScenarioError(f"{path}: JSON nested too deeply") from None
+    except ValueError as exc:  # the only other ValueError: int() refuses a long literal
+        raise ScenarioError(f"{path}: integer literal has too many digits") from exc
     try:
         return scenario_from_dict(doc)
     except ScenarioError as exc:

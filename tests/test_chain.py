@@ -253,3 +253,53 @@ def test_submit_stamps_a_new_message_and_keeps_every_field():
     stamped = chain.submit(sent)
     assert stamped == Message("alice", "c", MessageKind.REVEAL, b"\x05", submitted_at=3)
     assert sent.submitted_at == 99
+
+
+def per_block_oracle(chain: ChainState, height: int, policy: MinerPolicy | None) -> None:
+    """``advance_to`` as one ``censors`` test per message per block."""
+    rule = policy or MinerPolicy.honest()
+    while chain.height < height:
+        new_height = chain.height + 1
+        chain.blocks.append([m for m in chain.mempool if not rule.censors(m, new_height)])
+        chain.mempool = [m for m in chain.mempool if rule.censors(m, new_height)]
+        chain.height = new_height
+
+
+# "ghost" is a censor target that never sends
+censor_policies = st.one_of(
+    st.none(),
+    st.just(MinerPolicy.honest()),
+    st.builds(
+        MinerPolicy.censor,
+        st.frozensets(st.sampled_from((*SENDERS, "ghost"))),
+        st.integers(min_value=-1, max_value=40),
+    ),
+)
+advances = st.lists(
+    st.tuples(
+        st.lists(st.tuples(st.sampled_from(SENDERS), st.sampled_from(MessageKind)), max_size=4),
+        censor_policies,
+        st.integers(min_value=-2, max_value=8),  # target height, relative to the tip
+        st.booleans(),  # one block instead of advance_to
+    ),
+    max_size=10,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(advances)
+def test_advance_to_matches_the_per_block_rule(plan):
+    chain, oracle = ChainState(), ChainState()
+    for step, (submissions, policy, ahead, one_block) in enumerate(plan):
+        for i, (sender, kind) in enumerate(submissions):
+            msg = Message(sender, "c", kind, bytes([step, i]))
+            chain.submit(msg)
+            oracle.submit(msg)
+        target = chain.height + (1 if one_block else ahead)
+        if one_block:
+            chain.advance_block(policy)
+        else:
+            chain.advance_to(target, policy)
+        per_block_oracle(oracle, target, policy)
+        assert chain.canonical_bytes() == oracle.canonical_bytes()
+        assert chain.mempool == oracle.mempool

@@ -8,26 +8,45 @@
    censoring scenario miners.
 3. The scenario parser answers any JSON document with a `Scenario` or a
    `ScenarioError` naming the field, never with another exception.
+4. Reports hold the same strings whether utilities are `int` or `Fraction`,
+   and the report JSON writer gives the bytes of the stdlib's indented
+   `json.dumps`.
+5. `run` writes the same bytes on a rerun, a sealed view yields no rebids,
+   and every wire codec round-trips.
 """
 
+import contextlib
+import dataclasses
+import io
 import json
+import tempfile
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trustless_mech import (
+    CommitOpening,
     ExecutionMode,
     LeakStrategy,
     LeakStrategyKind,
+    OperatorView,
     Scenario,
     ScenarioError,
+    plan_deviation,
     run_with_adversary,
     scenario_from_dict,
 )
 from trustless_mech.adversaries import execute_run
+from trustless_mech.auctions import decode_bid, encode_bid
+from trustless_mech.beacon import decode_contribution, encode_contribution
+from trustless_mech.cli import _json_text, main
+from trustless_mech.commitments import DIGEST_SIZE, SALT_SIZE
+from trustless_mech.contract import parse_reveal_payload, reveal_message
 from trustless_mech.scenario import bundled_scenario_names
+from trustless_mech.school_choice import decode_ranking, encode_ranking
 
 AGENT_NAMES = ("ann", "bo", "cy", "dee", "eli", "fay")
 SCHOOL_NAMES = ("north", "south", "east")
@@ -230,3 +249,107 @@ def _replaced(doc, path: tuple, value):
 def test_a_bundled_scenario_with_any_node_replaced_parses_or_names_a_field(node, value):
     doc, path = node
     _parses_or_names_a_field(_replaced(doc, path, value))
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_the_report_json_writer_matches_indented_json_dumps(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def _as_fractions(values: dict) -> dict:
+    return {key: Fraction(value) for key, value in values.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(adversary_runs())
+def test_reports_read_the_same_with_every_utility_a_fraction(run):
+    doc, strategy, mode = run
+    report = run_with_adversary(scenario_from_dict(doc), strategy, mode)
+    as_fractions = dataclasses.replace(
+        report,
+        honest_utilities=_as_fractions(report.honest_utilities),
+        manipulated_utilities=_as_fractions(report.manipulated_utilities),
+        gain_per_party=_as_fractions(report.gain_per_party),
+    )
+    canonical = report.canonical()
+    assert canonical == as_fractions.canonical()
+    assert _json_text(canonical) == json.dumps(canonical, indent=2, sort_keys=True)
+
+
+def _scenario_doc(doc: dict, strategy: LeakStrategy) -> dict:
+    """``doc`` with ``strategy`` as its adversary, where a scenario file may
+    name it (a censor must outlast the commit deadline)."""
+    if strategy.censor_until is not None and strategy.censor_until <= 2:
+        return doc
+    adversary = {"kind": strategy.kind.value}
+    if strategy.target is not None:
+        adversary["target"] = strategy.target
+    if strategy.censor_until is not None:
+        adversary["censor_until"] = strategy.censor_until
+    return {**doc, "adversary": adversary}
+
+
+def _run_into(scenario_path: Path, out: Path) -> tuple[int, str]:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["run", str(scenario_path), "--out", str(out)])
+    return code, stdout.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(adversary_runs())
+def test_run_reruns_write_identical_bytes(run):
+    doc, strategy, _ = run
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        scenario_path = root / "scenario.json"
+        scenario_path.write_text(json.dumps(_scenario_doc(doc, strategy)))
+        first, second = root / "first", root / "second"
+        code_1, out_1 = _run_into(scenario_path, first)
+        code_2, out_2 = _run_into(scenario_path, second)
+        assert code_1 == code_2 == 0
+        assert out_2 == out_1.replace(str(first), str(second))
+        for name in ("generated.report.json", "generated.report.txt"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(adversary_runs(), st.data())
+def test_a_sealed_view_yields_no_rebids(run, data):
+    doc, strategy, mode = run
+    scenario = scenario_from_dict(doc)
+    digests = {
+        spec.agent: data.draw(st.binary(min_size=DIGEST_SIZE, max_size=DIGEST_SIZE))
+        for spec in scenario.agents
+    }
+    view = OperatorView(mode=mode, digests=digests, plaintext=None)
+    assert not plan_deviation(strategy, scenario.mechanism, view).rebids
+
+
+u64s = st.integers(0, 2**64 - 1)
+
+
+@given(u64s)
+def test_bids_round_trip(amount):
+    assert decode_bid(encode_bid(amount)) == amount
+
+
+@given(u64s)
+def test_contributions_round_trip(value):
+    assert decode_contribution(encode_contribution(value)) == value
+
+
+@given(st.lists(st.integers(0, 255), max_size=255))
+def test_rankings_round_trip(indices):
+    assert decode_ranking(encode_ranking(indices)) == tuple(indices)
+
+
+@given(
+    st.text(st.characters(exclude_categories=["Cs"]), min_size=1, max_size=20),
+    st.binary(min_size=1, max_size=64),
+    st.binary(min_size=SALT_SIZE, max_size=SALT_SIZE),
+)
+def test_reveal_payloads_round_trip(agent, payload, salt):
+    opening = CommitOpening(payload=payload, salt=salt)
+    assert parse_reveal_payload(reveal_message(agent, "c", opening).payload) == opening

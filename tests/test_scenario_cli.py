@@ -352,6 +352,26 @@ def test_cli_missing_file_exits_1(tmp_path, monkeypatch, capsys):
     assert "absent.json" in err
 
 
+@pytest.mark.parametrize(
+    "content, problem",
+    [
+        (b"\xff\xfe", "not UTF-8 text"),
+        (b"[" * 100_000, "JSON nested too deeply"),
+        (b'{"seed": ' + b"9" * 5000 + b"}", "integer literal has too many digits"),
+    ],
+    ids=["not-utf8", "deep-nesting", "long-integer"],
+)
+def test_undecodable_scenario_files_exit_1(content, problem, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(ScenarioError, match=problem):
+        load_scenario(path)
+    code, out, err = run_cli(["run", "bad.json"], tmp_path, monkeypatch, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: bad.json: ") and problem in err
+
+
 @pytest.mark.parametrize("name, out", [("probe", "taken"), ("n" * 250, "reports")])
 def test_cli_unwritable_reports_exit_1(name, out, tmp_path, monkeypatch, capsys):
     # "taken" is a file, not a directory; a 250-byte name is a valid contract
