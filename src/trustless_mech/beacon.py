@@ -8,16 +8,19 @@ Permutations for lotteries and tie-breaking come from a deterministic
 SHA-256 byte stream seeded by the beacon value. Index draws use rejection
 sampling, so a uniform seed stream yields exactly uniform permutations.
 
-The uniformity experiment checks the one-honest-player claim: a histogram
-of beacon outputs and an exact, stdlib-only chi-square test of it.
+The uniformity experiment checks the one-honest-player claim on sums that
+never wrap mod 2^64 (see ``uniformity_histogram``): a histogram of beacon
+outputs and an exact, stdlib-only chi-square test of it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
+import struct
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ValidationError, WireFormatError
 
@@ -31,6 +34,11 @@ DOMAIN_TIE_BREAK = 0
 DOMAIN_SALTS = 2**32 + 1
 DOMAIN_CONTRIBUTIONS = 2**32 + 2
 DOMAIN_UNIFORMITY = 2**32 + 3
+
+# Most words ``HashStream.randbelow_many`` reads at once, so a long run of
+# draws holds at most 1024 words in memory however many are asked for.
+DRAW_ROUND = 1024
+_WORD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _check_u64(value: int, what: str) -> int:
@@ -120,6 +128,46 @@ class HashStream:
             if draw < limit:
                 return draw % bound
 
+    def randbelow_many(self, bound: int, count: int) -> Iterator[int]:
+        """The values of ``count`` successive ``randbelow(bound)`` calls.
+
+        Once the iterator is exhausted the stream stands exactly where those
+        calls would leave it. Words are read in rounds of at most
+        ``DRAW_ROUND``, never more than the draws still owed, so no round
+        reads past the last accepted draw; a round is read before its draws
+        are yielded. The arguments are checked here, not on the first
+        ``next()``.
+        """
+        if bound < 1:
+            raise ValidationError(f"randbelow bound must be positive, got {bound}")
+        if count < 0:
+            raise ValidationError(f"draw count must be non-negative, got {count}")
+        if bound == 1:
+            return itertools.repeat(0, count)
+        return self._draw_rounds(bound, count)
+
+    def _draw_rounds(self, bound: int, count: int) -> Iterator[int]:
+        # randbelow's rejection rule; randbelow keeps its own copy so that a
+        # single draw pays for no extra call
+        nbytes = ((bound - 1).bit_length() + 7) // 8
+        span = 1 << (8 * nbytes)
+        limit = span - span % bound
+        code = _WORD_FORMATS.get(nbytes)
+        missing = count
+        while missing:
+            words = min(missing, DRAW_ROUND)
+            data = self.read(words * nbytes)
+            if code:
+                values = struct.unpack(f">{words}{code}", data)
+            else:
+                values = [
+                    int.from_bytes(data[i : i + nbytes], "big")
+                    for i in range(0, len(data), nbytes)
+                ]
+            accepted = [value % bound for value in values if value < limit]
+            missing -= len(accepted)
+            yield from accepted
+
     def permutation(self, n: int) -> list[int]:
         """Fisher-Yates shuffle of the identity permutation on {0..n-1}."""
         perm = list(range(n))
@@ -153,9 +201,10 @@ def beacon_order(
     return tuple(ordered[p] for p in derive_permutation(output, len(ordered), domain))
 
 
-# A worst-case-flavored set of fixed contributions: zero, the wraparound
-# extremes, and a dense bit pattern. One honest uniform player must wash
-# all of them out.
+# The uniformity experiment's fixed contributions: zero, 1 and 2^64 - 1
+# (which cancel mod 2^64), and a dense bit pattern. They sum to
+# 0x0123456789ABCDEF, so with an honest draw of at most 2^63 no trial's sum
+# reaches 2^64.
 ADVERSARY_CONSTANTS = {
     "adv_zero": 0,
     "adv_one": 1,
@@ -170,18 +219,22 @@ def uniformity_histogram(trials: int, seed: int = 0, bins: int = 64) -> list[int
     Each trial sums one uniform draw on {0..2^63} with the four fixed
     adversarial constants; the returned counts feed a chi-square check of
     the claim that a single honest player keeps the output uniform. The
-    constants' sum is aggregated once: every draw is a valid u64, so adding
-    it mod 2^64 is exactly ``aggregate`` over all five contributions.
+    constants sum to 0x0123456789ABCDEF and 2^63 + 0x0123456789ABCDEF <
+    2^64, so no trial wraps: the counts show that the honest draw stays
+    uniform mod ``bins`` after a constant shift, and do not exercise the
+    reduction mod 2^64. The constants' sum is aggregated once: every draw is
+    a valid u64, so adding it mod 2^64 is exactly ``aggregate`` over all
+    five contributions. The draws are those of a per-trial ``randbelow``
+    loop, taken in bulk by ``randbelow_many``.
     """
     if trials < 1:
         raise ValidationError(f"need at least one trial, got {trials}")
     if bins < 2:
         raise ValidationError(f"bins must be at least 2, got {bins}")
     adversary_sum = aggregate(ADVERSARY_CONSTANTS).value
-    randbelow = HashStream(seed, DOMAIN_UNIFORMITY).randbelow
     counts = [0] * bins
-    for _ in range(trials):
-        counts[((randbelow(2**63 + 1) + adversary_sum) & U64_MASK) % bins] += 1
+    for honest in HashStream(seed, DOMAIN_UNIFORMITY).randbelow_many(2**63 + 1, trials):
+        counts[((honest + adversary_sum) & U64_MASK) % bins] += 1
     return counts
 
 

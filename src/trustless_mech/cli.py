@@ -28,7 +28,7 @@ from .adversaries import (
     exact_str,
     run_with_adversary,
 )
-from .beacon import chi_square_test, uniformity_histogram
+from .beacon import U64_MASK, chi_square_test, uniformity_histogram
 from .errors import InvariantViolation, ValidationError
 from .scenario import (
     Scenario,
@@ -198,6 +198,10 @@ def cmd_attack_suite(args: argparse.Namespace) -> int:
 
 
 def cmd_beacon_uniformity(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise ValidationError(f"--trials must be at least 1, got {args.trials}")
+    if not 0 <= args.seed <= U64_MASK:
+        raise ValidationError(f"--seed must be an unsigned 64-bit integer, got {args.seed}")
     counts = uniformity_histogram(args.trials, seed=args.seed)
     statistic, p_value = chi_square_test(counts)
     print(f"trials: {args.trials}")

@@ -7,6 +7,7 @@ by different code paths.
 
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 import scipy.stats
@@ -17,6 +18,7 @@ from trustless_mech import BeaconOutput, HashStream, aggregate, derive_permutati
 from trustless_mech.beacon import (
     ADVERSARY_CONSTANTS,
     CONTRIBUTION_SIZE,
+    DRAW_ROUND,
     U64_MASK,
     chi_square_sf,
     chi_square_test,
@@ -242,6 +244,70 @@ def test_uniformity_histogram_matches_manual_aggregation(seed, trials, bins):
         value = aggregate({"honest": honest, **ADVERSARY_CONSTANTS}).value
         expected[value % bins] += 1
     assert uniformity_histogram(trials, seed=seed, bins=bins) == expected
+
+
+@pytest.mark.parametrize("trials", [1023, 1024, 1025, 2049, 5000])
+def test_uniformity_histogram_matches_the_per_draw_loop_across_rounds(trials):
+    seed = 17 * trials
+    stream = HashStream(seed, 2**32 + 3)
+    expected = [0] * 64
+    for _ in range(trials):
+        honest = stream.randbelow(2**63 + 1)
+        expected[aggregate({"honest": honest, **ADVERSARY_CONSTANTS}).value % 64] += 1
+    assert uniformity_histogram(trials, seed=seed) == expected
+
+
+def test_uniformity_histogram_memory_stays_flat():
+    # draws are read DRAW_ROUND words at a time; drawing every trial at once
+    # would hold several MB here
+    tracemalloc.start()
+    try:
+        uniformity_histogram(50_000, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def assert_bulk_draws_match_single_draws(seed, bound, count):
+    bulk, single = HashStream(seed, 9), HashStream(seed, 9)
+    assert list(bulk.randbelow_many(bound, count)) == [single.randbelow(bound) for _ in range(count)]
+    # the stream is left at the same byte
+    assert bulk.read(13) == single.read(13)
+    assert bulk.permutation(50) == single.permutation(50)
+
+
+# 256**(w-1) + 1 is the w-byte bound that rejects the most words, here for
+# w = 3, 4, 5, 6, 7 and 9; 2**63 + 1 is the uniformity experiment's bound
+@pytest.mark.parametrize(
+    "bound",
+    [1, 2, 255, 256, 257, 2**16 - 1, 2**16 + 1, 2**24 + 1, 2**32 + 1, 2**40 + 1, 2**48 + 1, 2**63 + 1, 2**64 + 1],
+)
+@pytest.mark.parametrize("count", [0, 1, DRAW_ROUND - 1, DRAW_ROUND, DRAW_ROUND + 1, 3 * DRAW_ROUND])
+def test_randbelow_many_matches_randbelow(bound, count):
+    assert_bulk_draws_match_single_draws(bound % 1009 + count, bound, count)
+
+
+@st.composite
+def bounds_of_every_width(draw):
+    width = draw(st.integers(1, 9))
+    return draw(st.integers(256 ** (width - 1) + 1, 256**width))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, U64_MASK),
+    bound=st.one_of(st.integers(1, 3), bounds_of_every_width()),
+    count=st.integers(0, 3 * DRAW_ROUND + 1),
+)
+def test_randbelow_many_matches_randbelow_on_generated_bounds(seed, bound, count):
+    assert_bulk_draws_match_single_draws(seed, bound, count)
+
+
+@pytest.mark.parametrize("bound, count", [(0, 5), (-3, 5), (5, -1)])
+def test_randbelow_many_rejects_bad_arguments_at_the_call(bound, count):
+    with pytest.raises(ValidationError):
+        HashStream(0).randbelow_many(bound, count)
 
 
 @pytest.mark.parametrize("bins", [0, -3, 1])

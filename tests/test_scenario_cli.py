@@ -406,6 +406,40 @@ def test_cli_beacon_uniformity_passes(tmp_path, monkeypatch, capsys):
     assert out.rstrip().splitlines()[-1].startswith("PASS")
 
 
+# sha256 of `beacon-uniformity --trials 20000 --seed S` stdout, the op the
+# benchmark times, frozen from the per-draw histogram loop
+BEACON_UNIFORMITY_SHA256 = {
+    0: "97cf49ebfac597343f7b8a75f024dab6004cd44794ad719b34e147e8b6e4fa2d",
+    1: "0a6bd7db55e26b2656140c9dc69cf79eea3ebd233140f46fcbbf054c9560e127",
+    7: "ca8e95e532f831979bc80ec64fc445a6e572d92ff2903e59c7afa146e247c87f",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BEACON_UNIFORMITY_SHA256))
+def test_cli_beacon_uniformity_output_matches_the_pinned_digest(seed, tmp_path, monkeypatch, capsys):
+    code, out, _ = run_cli(
+        ["beacon-uniformity", "--trials", "20000", "--seed", str(seed)], tmp_path, monkeypatch, capsys
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BEACON_UNIFORMITY_SHA256[seed]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--trials", "0"], "--trials"),
+        (["--trials", "-5"], "--trials"),
+        (["--trials", "10", "--seed", "-1"], "--seed"),
+        (["--trials", "10", "--seed", str(2**64)], "--seed"),
+    ],
+)
+def test_cli_beacon_uniformity_names_the_bad_flag(argv, flag, tmp_path, monkeypatch, capsys):
+    code, out, err = run_cli(["beacon-uniformity", *argv], tmp_path, monkeypatch, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {flag} ")
+
+
 def test_cli_beacon_uniformity_prints_what_scipy_prints(tmp_path, monkeypatch, capsys):
     mismatched = []
     for seed in range(60):
