@@ -32,7 +32,6 @@ from .beacon import U64_MASK, chi_square_test, uniformity_histogram
 from .errors import InvariantViolation, ValidationError
 from .scenario import (
     Scenario,
-    ScenarioError,
     bundled_scenario_names,
     load_bundled,
     load_scenario,
@@ -258,10 +257,8 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ScenarioError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:  # an unwritable --out, or a report name the filesystem refuses
+    # OSError: an unwritable --out, or a report name the filesystem refuses
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvariantViolation as exc:

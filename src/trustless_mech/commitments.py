@@ -36,9 +36,6 @@ class Commitment:
                 f"commitment digest must be {DIGEST_SIZE} bytes, got {len(self.digest)}"
             )
 
-    def hex(self) -> str:
-        return self.digest.hex()
-
 
 @dataclass(frozen=True)
 class CommitOpening:

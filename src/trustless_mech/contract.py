@@ -169,6 +169,8 @@ class ContractState:
         return self.schedule.phase_at(height)
 
     def accept_commit(self, height: int, agent: str, commitment: Commitment) -> None:
+        if self.settled:
+            raise AlreadySettled(f"contract {self.contract_id!r} already settled")
         if height > self.schedule.commit_deadline:
             raise LateCommit(
                 f"commit from {agent!r} at height {height}, deadline "
@@ -180,6 +182,8 @@ class ContractState:
 
     def accept_reveal(self, height: int, agent: str, opening: CommitOpening) -> None:
         """Record a verified reveal, or exclude the agent on a digest mismatch."""
+        if self.settled:
+            raise AlreadySettled(f"contract {self.contract_id!r} already settled")
         if not (self.schedule.commit_deadline < height <= self.schedule.reveal_deadline):
             raise RevealOutsideWindow(
                 f"reveal from {agent!r} at height {height} outside "

@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from enum import Enum
 from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 
 from importlib import resources
 
-from .adversaries import LeakStrategy, LeakStrategyKind, check_compatible, exact_str
+from .adversaries import (
+    SEARCH_BOUND_SCHOOLS, LeakStrategy, LeakStrategyKind, check_compatible, exact_str,
+)
 from .auctions import SlotCTRs
 from .beacon import DOMAIN_CONTRIBUTIONS, DOMAIN_SALTS, U64_MASK, HashStream
 from .chain import MinerPolicy
@@ -149,6 +152,10 @@ def _validate(s: Scenario) -> None:
             check_compatible(s.adversary, s.mechanism)
         except ValidationError as exc:
             raise _fail("adversary.kind", str(exc)) from exc
+        n = len(s.mechanism.schools)
+        if s.adversary.kind is LeakStrategyKind.BOSTON_SELL_RANKINGS and n > SEARCH_BOUND_SCHOOLS:
+            raise _fail("adversary.kind", f"the ranking search is capped at "
+                        f"SEARCH_BOUND_SCHOOLS = {SEARCH_BOUND_SCHOOLS} schools, got {n}")
         if s.adversary.target is not None and s.adversary.target not in seen:
             raise _fail("adversary.target", f"unknown agent {s.adversary.target!r}")
         if s.adversary.censor_until is not None:
@@ -191,6 +198,24 @@ def _get(doc: dict, key: str, kind: type, path: str, *, required: bool = True, d
     return value
 
 
+def _get_enum(
+    doc: dict, key: str, enum: type[Enum], path: str, noun: str, *, required: bool = True
+):
+    raw = _get(doc, key, str, path, required=required)
+    try:
+        return None if raw is None else enum(raw)
+    except ValueError:
+        raise _fail(f"{path}{key}", f"unknown {noun} {raw!r}") from None
+
+
+def _build(record: type, path: str, **values):
+    """Construct a record from fields already read; ``path`` names the rule it breaks."""
+    try:
+        return record(**values)
+    except ValidationError as exc:
+        raise _fail(path, str(exc)) from exc
+
+
 def _get_strings(doc: dict, key: str, path: str, *, required: bool = True) -> list[str] | None:
     """A list field whose entries must all be strings."""
     value = _get(doc, key, list, path, required=required)
@@ -211,58 +236,33 @@ def _parse_rate(value: object) -> Fraction:
 
 def _parse_mechanism(doc: dict, path: str = "mechanism.") -> MechanismKind:
     _check_keys(doc, ("kind", "ctrs", "schools", "priority_mode", "with_beacon"), path)
-    kind_name = _get(doc, "kind", str, path)
+    tag = _get_enum(doc, "kind", MechanismTag, path, "mechanism")
+
+    rates = _get(doc, "ctrs", list, path, required=False)
     try:
-        tag = MechanismTag(kind_name)
-    except ValueError:
-        raise _fail(f"{path}kind", f"unknown mechanism {kind_name!r}") from None
+        ctrs = None if rates is None else SlotCTRs(rates=tuple(_parse_rate(x) for x in rates))
+    except (ValueError, ZeroDivisionError, ValidationError) as exc:
+        raise _fail(f"{path}ctrs", str(exc)) from None
 
-    ctrs = None
-    if "ctrs" in doc and doc["ctrs"] is not None:
-        raw = _get(doc, "ctrs", list, path)
-        try:
-            ctrs = SlotCTRs(rates=tuple(_parse_rate(x) for x in raw))
-        except (ValueError, ZeroDivisionError, ValidationError) as exc:
-            raise _fail(f"{path}ctrs", str(exc)) from None
+    schools = []
+    for i, entry in enumerate(_get(doc, "schools", list, path, required=False, default=())):
+        spath = f"{path}schools[{i}]."
+        if not isinstance(entry, dict):
+            raise _fail(spath[:-1], "expected an object")
+        _check_keys(entry, ("school", "capacity", "priority"), spath)
+        school = _get(entry, "school", str, spath)
+        capacity = _get(entry, "capacity", int, spath)
+        if capacity < 0:
+            raise _fail(f"{spath}capacity", "must be nonnegative")
+        priority = _get_strings(entry, "priority", spath, required=False) or []
+        schools.append(_build(SchoolSpec, f"{spath}priority", school=school,
+                              capacity=capacity, priority=tuple(priority)))
 
-    schools: tuple[SchoolSpec, ...] = ()
-    if "schools" in doc and doc["schools"] is not None:
-        out = []
-        for i, entry in enumerate(_get(doc, "schools", list, path)):
-            spath = f"{path}schools[{i}]."
-            if not isinstance(entry, dict):
-                raise _fail(spath[:-1], "expected an object")
-            _check_keys(entry, ("school", "capacity", "priority"), spath)
-            school = _get(entry, "school", str, spath)
-            capacity = _get(entry, "capacity", int, spath)
-            if capacity < 0:
-                raise _fail(f"{spath}capacity", "must be nonnegative")
-            priority = _get_strings(entry, "priority", spath, required=False) or []
-            try:
-                out.append(SchoolSpec(school=school, capacity=capacity, priority=tuple(priority)))
-            except ValidationError as exc:
-                raise _fail(f"{spath}priority", str(exc)) from exc
-        schools = tuple(out)
-
-    priority_mode = None
-    raw_mode = _get(doc, "priority_mode", str, path, required=False)
-    if raw_mode is not None:
-        try:
-            priority_mode = LotteryMode(raw_mode)
-        except ValueError:
-            raise _fail(f"{path}priority_mode", f"unknown mode {raw_mode!r}") from None
-
-    with_beacon = _get(doc, "with_beacon", bool, path, required=False, default=False)
-    try:
-        return MechanismKind(
-            tag=tag,
-            ctrs=ctrs,
-            schools=schools,
-            priority_mode=priority_mode,
-            with_beacon=with_beacon,
-        )
-    except ValidationError as exc:
-        raise _fail(path[:-1], str(exc)) from exc
+    return _build(
+        MechanismKind, path[:-1], tag=tag, ctrs=ctrs, schools=tuple(schools),
+        priority_mode=_get_enum(doc, "priority_mode", LotteryMode, path, "mode", required=False),
+        with_beacon=_get(doc, "with_beacon", bool, path, required=False, default=False),
+    )
 
 
 def _parse_agents(raw: list, path: str = "agents") -> tuple[AgentSpec, ...]:
@@ -290,17 +290,12 @@ def _parse_adversary(doc: dict | None) -> LeakStrategy | None:
         return None
     path = "adversary."
     _check_keys(doc, ("kind", "target", "censor_until"), path)
-    kind_name = _get(doc, "kind", str, path)
-    try:
-        kind = LeakStrategyKind(kind_name)
-    except ValueError:
-        raise _fail(f"{path}kind", f"unknown strategy {kind_name!r}") from None
-    target = _get(doc, "target", str, path, required=False)
-    censor_until = _get(doc, "censor_until", int, path, required=False)
-    try:
-        return LeakStrategy(kind=kind, target=target, censor_until=censor_until)
-    except ValidationError as exc:
-        raise _fail(path[:-1], str(exc)) from exc
+    return _build(
+        LeakStrategy, path[:-1],
+        kind=_get_enum(doc, "kind", LeakStrategyKind, path, "strategy"),
+        target=_get(doc, "target", str, path, required=False),
+        censor_until=_get(doc, "censor_until", int, path, required=False),
+    )
 
 
 def _parse_miner(doc: dict | None) -> MinerPolicy:
@@ -331,12 +326,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
     )
     schedule_doc = _get(doc, "schedule", dict, "")
     _check_keys(schedule_doc, ("commit_deadline", "reveal_deadline"), "schedule.")
-    commit_deadline = _get(schedule_doc, "commit_deadline", int, "schedule.")
-    reveal_deadline = _get(schedule_doc, "reveal_deadline", int, "schedule.")
-    try:
-        schedule = PhaseSchedule(commit_deadline=commit_deadline, reveal_deadline=reveal_deadline)
-    except ValidationError as exc:
-        raise _fail("schedule", str(exc)) from exc
+    schedule = _build(
+        PhaseSchedule, "schedule",
+        commit_deadline=_get(schedule_doc, "commit_deadline", int, "schedule."),
+        reveal_deadline=_get(schedule_doc, "reveal_deadline", int, "schedule."),
+    )
     return Scenario(
         name=_get(doc, "name", str, ""),
         seed=_get(doc, "seed", int, ""),
@@ -348,50 +342,34 @@ def scenario_from_dict(doc: dict) -> Scenario:
     )
 
 
+def _set_fields(record) -> dict:
+    """A record's set fields under their own names: tuples as lists, enums as values."""
+    values = ((f.name, getattr(record, f.name)) for f in fields(record))
+    return {
+        name: list(v) if isinstance(v, tuple) else v.value if isinstance(v, Enum) else v
+        for name, v in values if v is not None
+    }
+
+
 def scenario_to_dict(s: Scenario) -> dict:
     mech: dict = {"kind": s.mechanism.tag.value}
     if s.mechanism.ctrs is not None:
         mech["ctrs"] = [exact_str(r) for r in s.mechanism.ctrs.rates]
     if s.mechanism.schools:
-        mech["schools"] = [
-            {"school": sc.school, "capacity": sc.capacity, "priority": list(sc.priority)}
-            for sc in s.mechanism.schools
-        ]
+        mech["schools"] = [_set_fields(sc) for sc in s.mechanism.schools]
     if s.mechanism.priority_mode is not None:
         mech["priority_mode"] = s.mechanism.priority_mode.value
     if s.mechanism.with_beacon:
         mech["with_beacon"] = True
-
-    agents = []
-    for spec in s.agents:
-        entry: dict = {"agent": spec.agent}
-        if spec.bid is not None:
-            entry["bid"] = spec.bid
-        if spec.valuation is not None:
-            entry["valuation"] = spec.valuation
-        if spec.ranking is not None:
-            entry["ranking"] = list(spec.ranking)
-        if spec.contribution is not None:
-            entry["contribution"] = spec.contribution
-        agents.append(entry)
-
     doc: dict = {
         "name": s.name,
         "seed": s.seed,
         "mechanism": mech,
-        "schedule": {
-            "commit_deadline": s.schedule.commit_deadline,
-            "reveal_deadline": s.schedule.reveal_deadline,
-        },
-        "agents": agents,
+        "schedule": _set_fields(s.schedule),
+        "agents": [_set_fields(spec) for spec in s.agents],
     }
     if s.adversary is not None:
-        adv: dict = {"kind": s.adversary.kind.value}
-        if s.adversary.target is not None:
-            adv["target"] = s.adversary.target
-        if s.adversary.censor_until is not None:
-            adv["censor_until"] = s.adversary.censor_until
-        doc["adversary"] = adv
+        doc["adversary"] = _set_fields(s.adversary)
     if s.miner.censor_targets:
         doc["miner"] = {
             "mode": "censor",
@@ -399,6 +377,22 @@ def scenario_to_dict(s: Scenario) -> dict:
             "until": s.miner.censor_until,
         }
     return doc
+
+
+def _from_text(text: str, source: str) -> Scenario:
+    """Decode one scenario document; every error is prefixed with ``source``."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ScenarioError(f"{source}: JSON nested too deeply") from None
+    except ValueError as exc:  # the only other ValueError: int() refuses a long literal
+        raise ScenarioError(f"{source}: integer literal has too many digits") from exc
+    try:
+        return scenario_from_dict(doc)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{source}: {exc}") from exc
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -409,18 +403,7 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"{path}: not UTF-8 text: byte {exc.start}: {exc.reason}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except RecursionError:
-        raise ScenarioError(f"{path}: JSON nested too deeply") from None
-    except ValueError as exc:  # the only other ValueError: int() refuses a long literal
-        raise ScenarioError(f"{path}: integer literal has too many digits") from exc
-    try:
-        return scenario_from_dict(doc)
-    except ScenarioError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+    return _from_text(text, str(path))
 
 
 def dump_scenario(s: Scenario, path: str | Path) -> None:
@@ -435,12 +418,9 @@ def bundled_scenario_names() -> list[str]:
 def load_bundled(name: str) -> Scenario:
     ref = resources.files("trustless_mech") / "scenarios" / f"{name}.json"
     try:
-        text = ref.read_text()
+        text = ref.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ScenarioError(
             f"no bundled scenario {name!r}; available: {bundled_scenario_names()}"
         ) from None
-    try:
-        return scenario_from_dict(json.loads(text))
-    except ScenarioError as exc:
-        raise ScenarioError(f"bundled scenario {name!r}: {exc}") from exc
+    return _from_text(text, f"bundled scenario {name!r}")

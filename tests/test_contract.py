@@ -75,6 +75,27 @@ def test_settled_contract_reports_settled_phase_everywhere():
     assert state.phase_at(1) is Phase.SETTLED
 
 
+def test_an_open_contract_reads_its_phase_from_the_schedule():
+    state, _ = committed_contract({"alice": b"a"})
+    phases = [state.phase_at(h) for h in (1, 3, 4, 8, 9)]
+    assert phases == [Phase.COMMIT, Phase.COMMIT, Phase.REVEAL, Phase.REVEAL, Phase.SETTLED]
+
+
+def test_a_settled_contract_takes_no_more_messages():
+    state, openings = committed_contract({"alice": b"a"})
+    state.finalize(8)
+    late = opening_for("bo", b"b")
+    with pytest.raises(AlreadySettled):
+        state.accept_commit(1, "bo", make_commitment("bo", CID, late))
+    with pytest.raises(AlreadySettled):
+        state.accept_reveal(5, "bo", late)
+    with pytest.raises(AlreadySettled):
+        state.accept_reveal(5, "alice", openings["alice"])
+    assert list(state.commitments) == ["alice"]
+    assert state.reveals == {}
+    assert state.excluded == {"alice"}
+
+
 def test_commit_accepted_at_exactly_the_deadline():
     state = ContractState(CID, SCHEDULE, FPA)
     state.accept_commit(3, "alice", make_commitment("alice", CID, opening_for("alice", b"x")))

@@ -1,8 +1,16 @@
-"""The package's hand-kept export list."""
+"""The package's hand-kept export list, and the imports of each module."""
 
+import ast
 import types
+from pathlib import Path
+
+import pytest
 
 import trustless_mech
+
+MODULES = sorted(
+    path for path in Path(trustless_mech.__file__).parent.glob("*.py") if path.name != "__init__.py"
+)
 
 
 def test_all_is_sorted_unique_and_names_every_public_binding():
@@ -15,3 +23,33 @@ def test_all_is_sorted_unique_and_names_every_public_binding():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(exported) == public
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, including those inside string annotations."""
+    nodes = list(ast.walk(tree))
+    for annotation in filter(None, _annotations(tree)):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                nodes.extend(ast.walk(ast.parse(node.value, mode="eval")))
+    return {node.id for node in nodes if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    assert sorted(imported - _used_names(tree)) == []

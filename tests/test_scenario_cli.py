@@ -6,12 +6,15 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 import scipy.stats
 
+import trustless_mech.scenario as scenario_module
 from trustless_mech import (
+    InvariantViolation,
     MechanismTag,
     MinerPolicy,
     ScenarioError,
@@ -23,6 +26,8 @@ from trustless_mech import (
     scenario_to_dict,
     uniformity_histogram,
 )
+from trustless_mech import cli
+from trustless_mech.adversaries import SEARCH_BOUND_SCHOOLS
 from trustless_mech.cli import OUT_DIR_ENV, main
 
 
@@ -64,6 +69,64 @@ def test_bundled_scenarios_round_trip_through_dicts():
     for name in names:
         scenario = load_bundled(name)
         assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
+
+
+def lottery_doc() -> dict:
+    """Per-school lotteries, a ranking sale and a censoring miner: every
+    optional field the writer emits, on one scenario."""
+    return {
+        "name": "probe-lottery",
+        "seed": 8,
+        "mechanism": {
+            "kind": "boston",
+            "schools": [
+                {"school": "north", "capacity": 1},
+                {"school": "south", "capacity": 2, "priority": []},
+            ],
+            "priority_mode": "per_school_lottery",
+            "with_beacon": True,
+        },
+        "schedule": {"commit_deadline": 2, "reveal_deadline": 6},
+        "agents": [
+            {"agent": "ann", "ranking": ["north", "south"], "contribution": 11},
+            {"agent": "bo", "ranking": ["north"], "valuation": 3},
+            {"agent": "cy", "ranking": ["south", "north"]},
+        ],
+        "adversary": {"kind": "boston_sell_rankings", "target": "bo"},
+        "miner": {"mode": "censor", "targets": ["cy", "ann"], "until": 4},
+    }
+
+
+# sha256 of the `dump_scenario` bytes of each bundled scenario and of
+# lottery_doc(), frozen from the writer that spelled out every field
+DUMP_SHA256 = {
+    "beacon_censor": "ef5c69600642e821c36fd6552534fdd56d892050876a94291f6586e852d17b66",
+    "boston_informed": "a58f396ffd64eb8548394f46a1c0512c5780539d1a0991955eb8916692b8f27e",
+    "fpa_leak": "1e1d84167ca91b2eeba3848280110f60c0af8910c4d06b4a27faa66b1b24374b",
+    "gsp_demote_top": "97674074ddad8cabc8bbcc76331a28de421dd5e31696c4d92a4d911c418e9dc4",
+    "gsp_raise_kplus1": "1a60208cfd86e824073470a8ddcd34f9e61bbada4a635caa7ee11e5a5ec9b2e9",
+    "probe-lottery": "6cabccf5d5b4b759afc5f5b991a75cef9e8f24bf53c638cbb84dfa1ef31b5640",
+    "spa_raise": "e03868f10d075efdb3614558bc7f3a66ed9ce29e98cc1899f6c5bda12edf92f9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUMP_SHA256))
+def test_dumped_scenarios_match_the_pinned_digest(name, tmp_path):
+    assert set(DUMP_SHA256) == {*bundled_scenario_names(), "probe-lottery"}
+    scenario = scenario_from_dict(lottery_doc()) if name == "probe-lottery" else load_bundled(name)
+    path = tmp_path / "dumped.json"
+    dump_scenario(scenario, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DUMP_SHA256[name]
+    assert load_scenario(path) == scenario
+
+
+def test_a_malformed_bundled_file_is_named_by_its_label(tmp_path, monkeypatch):
+    (tmp_path / "scenarios").mkdir()
+    (tmp_path / "scenarios" / "broken.json").write_text('{\n  "name": "x",\n  oops\n}\n')
+    fake_resources = types.SimpleNamespace(files=lambda package: tmp_path)
+    monkeypatch.setattr(scenario_module, "resources", fake_resources)
+    with pytest.raises(ScenarioError, match=r"^bundled scenario 'broken':3:3: "):
+        load_bundled("broken")
 
 
 def test_bundled_scenarios_cover_every_mechanism():
@@ -158,6 +221,34 @@ def test_adversary_must_fit_the_mechanism():
         scenario_from_dict(doc)
 
 
+def wide_boston_doc(n_schools: int) -> dict:
+    doc = boston_doc()
+    doc["mechanism"]["schools"] = [
+        {"school": f"s{i}", "capacity": 1, "priority": ["ann", "bo"]} for i in range(n_schools)
+    ]
+    doc["agents"] = [{"agent": "ann", "ranking": ["s0"]}, {"agent": "bo", "ranking": ["s1"]}]
+    doc["adversary"] = {"kind": "boston_sell_rankings", "target": "bo"}
+    return doc
+
+
+def test_a_ranking_sale_past_the_search_bound_names_the_field(tmp_path, monkeypatch, capsys):
+    assert scenario_from_dict(wide_boston_doc(SEARCH_BOUND_SCHOOLS)).adversary is not None
+    doc = wide_boston_doc(SEARCH_BOUND_SCHOOLS + 1)
+    problem = f"= {SEARCH_BOUND_SCHOOLS} schools, got {SEARCH_BOUND_SCHOOLS + 1}"
+    with pytest.raises(ScenarioError, match=r"^field 'adversary\.kind': .*SEARCH_BOUND_SCHOOLS "
+                       + re.escape(problem)):
+        scenario_from_dict(doc)
+    # rejected before any run, so the sealed mode that never searches fails too
+    (tmp_path / "wide.json").write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        ["run", "wide.json", "--mode", "decentralized"], tmp_path, monkeypatch, capsys
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: wide.json: field 'adversary.kind': ")
+    del doc["adversary"]
+    assert len(scenario_from_dict(doc).mechanism.schools) == SEARCH_BOUND_SCHOOLS + 1
+
+
 def test_unknown_mechanism_kind():
     doc = minimal_doc()
     doc["mechanism"]["kind"] = "dutch"
@@ -199,6 +290,7 @@ OUT_OF_RANGE = [
     ("agents[0].contribution", minimal_doc, ("agents", 0, "contribution"), 2**64),
     ("agents[0].valuation", minimal_doc, ("agents", 0, "valuation"), -1),
     ("agents[1].ranking", boston_doc, ("agents", 1, "ranking"), ["north", "north"]),
+    ("agents[0].ranking", boston_doc, ("agents", 0, "ranking"), None),
     ("mechanism", minimal_doc, ("mechanism",), {"kind": "gsp"}),
     ("mechanism.priority_mode", boston_doc, ("mechanism", "priority_mode"), "raffle"),
     ("miner.mode", minimal_doc, ("miner",), {"mode": "bribed"}),
@@ -404,6 +496,22 @@ def test_cli_beacon_uniformity_passes(tmp_path, monkeypatch, capsys):
     assert code == 0
     assert "trials: 3000" in out
     assert out.rstrip().splitlines()[-1].startswith("PASS")
+
+
+def test_cli_beacon_uniformity_fails_on_skewed_counts(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "uniformity_histogram", lambda trials, seed: [trials] + [0] * 63)
+    code, out, _ = run_cli(["beacon-uniformity", "--trials", "640"], tmp_path, monkeypatch, capsys)
+    assert code == 2
+    assert out.splitlines()[-1].startswith("FAIL: uniformity rejected")
+
+
+def test_cli_invariant_violation_exits_2(tmp_path, monkeypatch, capsys):
+    def broken(trials, seed):
+        raise InvariantViolation("a trial went missing")
+
+    monkeypatch.setattr(cli, "uniformity_histogram", broken)
+    code, out, err = run_cli(["beacon-uniformity", "--trials", "10"], tmp_path, monkeypatch, capsys)
+    assert (code, out, err) == (2, "", "invariant violation: a trial went missing\n")
 
 
 # sha256 of `beacon-uniformity --trials 20000 --seed S` stdout, the op the
