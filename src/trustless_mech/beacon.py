@@ -86,6 +86,8 @@ def decode_contribution(data: bytes) -> int:
 class HashStream:
     """Deterministic byte stream: block j = SHA-256(seed_8be || domain_8be || j_8be).
 
+    The stream is blocks 0, 1, 2, ... joined end to end; ``read`` hands it
+    out in order, hashing each block once, when a read first reaches it.
     One seeded source backs every derived random quantity in the simulator:
     beacon permutations, scenario salts, honest contributions, and the
     uniformity experiment's draws.
@@ -99,14 +101,29 @@ class HashStream:
         self._buffer = b""
 
     def read(self, n: int) -> bytes:
-        while len(self._buffer) < n:
-            block = hashlib.sha256(
-                self._prefix + self._block_index.to_bytes(8, "big")
-            ).digest()
-            self._buffer += block
-            self._block_index += 1
-        out, self._buffer = self._buffer[:n], self._buffer[n:]
-        return out
+        """The next ``n`` bytes of the stream; ``read(0)`` is ``b""``.
+
+        The blocks a read is short of are hashed in one pass and joined
+        once; a read short of one block appends that block alone, which is
+        cheaper than a join. ``n`` below 0 raises ``ValidationError``.
+        """
+        if n < 0:
+            raise ValidationError(f"read size n must be non-negative, got {n}")
+        buffer = self._buffer
+        if len(buffer) < n:
+            start = self._block_index
+            stop = start + (n - len(buffer) + 31) // 32
+            prefix = self._prefix
+            if stop == start + 1:
+                buffer += hashlib.sha256(prefix + start.to_bytes(8, "big")).digest()
+            else:
+                sha256 = hashlib.sha256
+                buffer += b"".join(
+                    [sha256(prefix + j.to_bytes(8, "big")).digest() for j in range(start, stop)]
+                )
+            self._block_index = stop
+        self._buffer = buffer[n:]
+        return buffer[:n]
 
     def u64(self) -> int:
         return int.from_bytes(self.read(8), "big")
@@ -134,9 +151,9 @@ class HashStream:
         Once the iterator is exhausted the stream stands exactly where those
         calls would leave it. Words are read in rounds of at most
         ``DRAW_ROUND``, never more than the draws still owed, so no round
-        reads past the last accepted draw; a round is read before its draws
-        are yielded. The arguments are checked here, not on the first
-        ``next()``.
+        reads past the last accepted draw; a round is read when the iterator
+        reaches its first draw, and its accepted draws are handed out as one
+        list. The arguments are checked here, not on the first ``next()``.
         """
         if bound < 1:
             raise ValidationError(f"randbelow bound must be positive, got {bound}")
@@ -144,9 +161,9 @@ class HashStream:
             raise ValidationError(f"draw count must be non-negative, got {count}")
         if bound == 1:
             return itertools.repeat(0, count)
-        return self._draw_rounds(bound, count)
+        return itertools.chain.from_iterable(self._draw_rounds(bound, count))
 
-    def _draw_rounds(self, bound: int, count: int) -> Iterator[int]:
+    def _draw_rounds(self, bound: int, count: int) -> Iterator[list[int]]:
         # randbelow's rejection rule; randbelow keeps its own copy so that a
         # single draw pays for no extra call
         nbytes = ((bound - 1).bit_length() + 7) // 8
@@ -166,7 +183,7 @@ class HashStream:
                 ]
             accepted = [value % bound for value in values if value < limit]
             missing -= len(accepted)
-            yield from accepted
+            yield accepted
 
     def permutation(self, n: int) -> list[int]:
         """Fisher-Yates shuffle of the identity permutation on {0..n-1}."""

@@ -395,14 +395,21 @@ def _from_text(text: str, source: str) -> Scenario:
         raise ScenarioError(f"{source}: {exc}") from exc
 
 
+def _read_text(ref, source: str) -> str:
+    """The UTF-8 text of ``ref`` (a path or a package resource); other bytes
+    fail naming ``source`` and the first bad byte."""
+    try:
+        return ref.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{source}: not UTF-8 text: byte {exc.start}: {exc.reason}") from exc
+
+
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = _read_text(path, str(path))
     except OSError as exc:
         raise ScenarioError(f"{path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ScenarioError(f"{path}: not UTF-8 text: byte {exc.start}: {exc.reason}") from exc
     return _from_text(text, str(path))
 
 
@@ -417,10 +424,11 @@ def bundled_scenario_names() -> list[str]:
 
 def load_bundled(name: str) -> Scenario:
     ref = resources.files("trustless_mech") / "scenarios" / f"{name}.json"
+    source = f"bundled scenario {name!r}"
     try:
-        text = ref.read_text(encoding="utf-8")
+        text = _read_text(ref, source)
     except FileNotFoundError:
         raise ScenarioError(
             f"no bundled scenario {name!r}; available: {bundled_scenario_names()}"
         ) from None
-    return _from_text(text, f"bundled scenario {name!r}")
+    return _from_text(text, source)

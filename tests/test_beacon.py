@@ -14,6 +14,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trustless_mech import beacon as beacon_module
 from trustless_mech import BeaconOutput, HashStream, aggregate, derive_permutation, uniformity_histogram
 from trustless_mech.beacon import (
     ADVERSARY_CONSTANTS,
@@ -308,6 +309,88 @@ def test_randbelow_many_matches_randbelow_on_generated_bounds(seed, bound, count
 def test_randbelow_many_rejects_bad_arguments_at_the_call(bound, count):
     with pytest.raises(ValidationError):
         HashStream(0).randbelow_many(bound, count)
+
+
+class CountingHashlib:
+    """Stands in for ``beacon.hashlib`` and counts the ``sha256`` calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def sha256(self, data):
+        self.calls += 1
+        return hashlib.sha256(data)
+
+
+def test_read_of_a_negative_size_raises_and_leaves_the_stream_alone(monkeypatch):
+    counting = CountingHashlib()
+    monkeypatch.setattr(beacon_module, "hashlib", counting)
+    ours = HashStream(11, 3)
+    ours.read(8)
+    with pytest.raises(ValidationError, match=r"\bn\b"):
+        ours.read(-1)
+    assert ours.read(0) == b""
+    assert counting.calls == 1
+    fresh = HashStream(11, 3)
+    fresh.read(8)
+    assert ours.read(8) == fresh.read(8)
+
+
+def test_read_of_zero_bytes_hashes_nothing(monkeypatch):
+    counting = CountingHashlib()
+    monkeypatch.setattr(beacon_module, "hashlib", counting)
+    assert HashStream(0).read(0) == b""
+    assert counting.calls == 0
+
+
+# read sizes from 0 to 300 blocks' worth, weighted towards block boundaries
+# and one byte either side of them
+READ_SIZES = st.one_of(
+    st.sampled_from([0, 1, 8, 31, 32, 33, 63, 64, 65, 8191, 8192, 8193]),
+    st.integers(0, 300 * 32),
+)
+STREAM_CALLS = st.one_of(
+    st.tuples(st.just("read"), READ_SIZES),
+    st.tuples(st.just("u64")),
+    st.tuples(st.just("salt")),
+    st.tuples(st.just("randbelow"), st.one_of(st.integers(1, 3), bounds_of_every_width())),
+    st.tuples(
+        st.just("randbelow_many"),
+        st.one_of(st.integers(1, 3), bounds_of_every_width()),
+        st.integers(0, 2 * DRAW_ROUND + 1),
+    ),
+    st.tuples(st.just("permutation"), st.integers(0, 300)),
+)
+
+
+def reference_call(ref: ReferenceStream, call: tuple):
+    name, *args = call
+    if name == "u64":
+        return int.from_bytes(ref.read(8), "big")
+    if name == "salt":
+        return ref.read(32)
+    if name == "randbelow_many":
+        bound, count = args
+        return [ref.randbelow(bound) for _ in range(count)]
+    return getattr(ref, name)(*args)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, U64_MASK), calls=st.lists(STREAM_CALLS, max_size=12))
+def test_stream_matches_reference_bytes_across_many_blocks(seed, calls):
+    counting = CountingHashlib()
+    ours, ref = HashStream(seed, 5), ReferenceStream(seed, 5)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(beacon_module, "hashlib", counting)
+        for name, *args in calls:
+            got = getattr(ours, name)(*args)
+            if name == "randbelow_many":
+                got = list(got)
+            assert got == reference_call(ref, (name, *args))
+        # both streams stand at the same byte
+        assert ours.read(40) == ref.read(40)
+    # every block consumed was hashed exactly once
+    assert counting.calls == ref.block
 
 
 @pytest.mark.parametrize("bins", [0, -3, 1])

@@ -5,7 +5,8 @@
    beacon, under every school priority mode.
 2. The coalition gain that `plan_deviation` names the parties of equals the
    per-strategy rule, for every strategy in both modes, under honest and
-   censoring scenario miners.
+   censoring scenario miners; in decentralized mode, a strategy whose plan
+   sets no reveal-phase miner settles exactly as the honest run.
 3. The scenario parser answers any JSON document with a `Scenario` or a
    `ScenarioError` naming the field, never with another exception.
 4. Reports hold the same strings whether utilities are `int` or `Fraction`,
@@ -24,7 +25,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trustless_mech import (
@@ -174,6 +175,20 @@ def test_coalition_gain_is_the_gain_of_the_planned_parties(run):
     agent_deltas = {agent: gains[f"agent:{agent}"] for agent in report.honest_utilities}
     expected = coalition_gain_oracle(strategy, scenario, agent_deltas, gains["seller"])
     assert gains["coalition"] == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(adversary_runs())
+def test_a_decentralized_run_without_a_reveal_miner_settles_as_the_honest_run(run):
+    # under commit-reveal only a strategy that mines the reveal phase can
+    # change the outcome; every other one sees sealed digests and rebids nothing
+    doc, strategy, _ = run
+    scenario = scenario_from_dict(doc)
+    mode = ExecutionMode.DECENTRALIZED_COMMIT_REVEAL
+    _, plan = execute_run(scenario, mode, strategy)
+    assume(plan.miner is None)
+    report = run_with_adversary(scenario, strategy, mode)
+    assert report.manipulated == report.honest
 
 
 # Words the format uses, so generated documents reach past the first check.

@@ -129,6 +129,17 @@ def test_a_malformed_bundled_file_is_named_by_its_label(tmp_path, monkeypatch):
         load_bundled("broken")
 
 
+def test_a_bundled_file_that_is_not_utf8_is_named_by_its_label(tmp_path, monkeypatch):
+    (tmp_path / "scenarios").mkdir()
+    (tmp_path / "scenarios" / "garbled.json").write_bytes(b"\xff\xfe")
+    fake_resources = types.SimpleNamespace(files=lambda package: tmp_path)
+    monkeypatch.setattr(scenario_module, "resources", fake_resources)
+    with pytest.raises(
+        ScenarioError, match=r"^bundled scenario 'garbled': not UTF-8 text: byte 0: invalid start byte$"
+    ):
+        load_bundled("garbled")
+
+
 def test_bundled_scenarios_cover_every_mechanism():
     tags = {load_bundled(name).mechanism.tag for name in bundled_scenario_names()}
     assert tags == set(MechanismTag)
