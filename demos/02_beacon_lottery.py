@@ -3,9 +3,10 @@
 Each player contributes an unsigned 64-bit number; the beacon output is
 their sum mod 2^64. Because addition mod 2^64 is a group, ONE honestly
 uniform contribution makes the output uniform no matter how the others
-collude, and the histogram below shows it: four players always submit
-the same adversarial constants, one plays honestly, and the output still
-spreads evenly.
+collude: a fixed shift maps the honest values one-to-one. The histogram
+below, of four fixed adversarial constants plus one honest draw, samples
+the hash stream behind that draw; with 16 bins it cannot see the
+reduction mod 2^64, so it illustrates the spread rather than proving it.
 """
 
 from trustless_mech import aggregate, beacon_order, uniformity_histogram

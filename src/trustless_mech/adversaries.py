@@ -122,11 +122,16 @@ class LeakStrategy:
 
 
 def check_compatible(strategy: LeakStrategy, mechanism: MechanismKind) -> None:
+    """Reject a strategy its mechanism cannot host, or a ranking sale too wide to search."""
     if mechanism.tag not in _COMPATIBLE[strategy.kind]:
         raise StrategyMismatch(
             f"strategy {strategy.kind.value} does not apply to a "
             f"{mechanism.tag.value} contract"
         )
+    n = len(mechanism.schools)
+    if strategy.kind is LeakStrategyKind.BOSTON_SELL_RANKINGS and n > SEARCH_BOUND_SCHOOLS:
+        raise SearchBoundExceeded(f"the ranking search is capped at "
+                                  f"SEARCH_BOUND_SCHOOLS = {SEARCH_BOUND_SCHOOLS} schools, got {n}")
 
 
 @dataclass(frozen=True)
@@ -174,6 +179,17 @@ def _nothing(note: str) -> PlannedDeviation:
     return PlannedDeviation(rebids=MappingProxyType({}), notes=(note,))
 
 
+def _rebid(
+    plaintext: Mapping[str, AgentInput], agent: str, bid: int, party: str, note: str
+) -> PlannedDeviation:
+    """``agent`` rebids ``bid``; ``party`` is the coalition that gains by it."""
+    return PlannedDeviation(
+        rebids={agent: replace(plaintext[agent], bid=bid)},
+        notes=(note,),
+        coalition=frozenset({party}),
+    )
+
+
 def plan_deviation(
     strategy: LeakStrategy | None,
     mechanism: MechanismKind,
@@ -205,39 +221,31 @@ def plan_deviation(
         return _nothing(NOTE_SEALED_VIEW)
     plaintext = view.plaintext
     assert plaintext is not None
+    ranked = _ranked_bids(plaintext)
 
     if strategy.kind is LeakStrategyKind.FPA_TELL_TOP_THE_SECOND:
-        ranked = _ranked_bids(plaintext)
         if len(ranked) < 2:
             return _nothing("fewer than two bids; nothing to undercut")
         (b1, top), (b2, _) = ranked[0], ranked[1]
         if b1 <= b2:
             return _nothing("top two bids tie; the leak buys nothing")
         rebid = b2 + EPSILON_TICKS
-        return PlannedDeviation(
-            rebids={top: replace(plaintext[top], bid=rebid)},
-            notes=(f"operator tells {top!r} the standing second bid {b2}; rebid {rebid}",),
-            coalition=frozenset({f"agent:{top}"}),
-        )
+        return _rebid(plaintext, top, rebid, f"agent:{top}",
+                      f"operator tells {top!r} the standing second bid {b2}; rebid {rebid}")
 
     if strategy.kind is LeakStrategyKind.SPA_RAISE_SECOND_BELOW_TOP:
-        ranked = _ranked_bids(plaintext)
         if len(ranked) < 2:
             return _nothing("fewer than two bids; no second bid to raise")
         (b1, _), (b2, second) = ranked[0], ranked[1]
         if b1 <= b2:
             return _nothing("top two bids tie; raising the second changes nothing")
         rebid = b1 - EPSILON_TICKS
-        return PlannedDeviation(
-            rebids={second: replace(plaintext[second], bid=rebid)},
-            notes=(f"operator has {second!r} rebid {rebid}, right below the top bid {b1}",),
-            coalition=frozenset({"seller"}),
-        )
+        return _rebid(plaintext, second, rebid, "seller",
+                      f"operator has {second!r} rebid {rebid}, right below the top bid {b1}")
 
     if strategy.kind is LeakStrategyKind.GSP_RAISE_K_PLUS_ONE:
         assert mechanism.ctrs is not None
         k = len(mechanism.ctrs)
-        ranked = _ranked_bids(plaintext)
         if len(ranked) < k + 1:
             return _nothing(f"no bidder outside the {k} slots; nothing to raise")
         b_k = ranked[k - 1][0]
@@ -245,20 +253,14 @@ def plan_deviation(
         if b_k <= b_k1:
             return _nothing("boundary bids tie; raising would contest the last slot")
         rebid = b_k - EPSILON_TICKS
-        return PlannedDeviation(
-            rebids={outsider: replace(plaintext[outsider], bid=rebid)},
-            notes=(
-                f"operator has losing bidder {outsider!r} rebid {rebid}, right "
-                f"below the last winning bid {b_k}",
-            ),
-            coalition=frozenset({"seller"}),
-        )
+        return _rebid(plaintext, outsider, rebid, "seller",
+                      f"operator has losing bidder {outsider!r} rebid {rebid}, right "
+                      f"below the last winning bid {b_k}")
 
     if strategy.kind is LeakStrategyKind.GSP_DEMOTE_TOP_BIDDER:
         assert mechanism.ctrs is not None
         if len(mechanism.ctrs) < 2:
             return _nothing("a single slot leaves no lower slot to fall to")
-        ranked = _ranked_bids(plaintext)
         if len(ranked) < 3:
             return _nothing("fewer than three bids; the demotion window is undefined")
         b2 = ranked[1][0]
@@ -267,14 +269,9 @@ def plan_deviation(
         rebid = b3 + EPSILON_TICKS
         if rebid >= b2:
             return _nothing("no bid lies strictly between the second and third bids")
-        return PlannedDeviation(
-            rebids={top: replace(plaintext[top], bid=rebid)},
-            notes=(
-                f"operator tells {top!r} the standing bids; rebid {rebid} takes "
-                f"the second slot at the third bid",
-            ),
-            coalition=frozenset({f"agent:{top}"}),
-        )
+        return _rebid(plaintext, top, rebid, f"agent:{top}",
+                      f"operator tells {top!r} the standing bids; rebid {rebid} takes "
+                      f"the second slot at the third bid")
 
     if strategy.kind is LeakStrategyKind.BOSTON_SELL_RANKINGS:
         target = strategy.target

@@ -8,9 +8,10 @@ Permutations for lotteries and tie-breaking come from a deterministic
 SHA-256 byte stream seeded by the beacon value. Index draws use rejection
 sampling, so a uniform seed stream yields exactly uniform permutations.
 
-The uniformity experiment checks the one-honest-player claim on sums that
-never wrap mod 2^64 (see ``uniformity_histogram``): a histogram of beacon
-outputs and an exact, stdlib-only chi-square test of it.
+The uniformity experiment (``uniformity_histogram``) chi-squares a 64-bin
+histogram of beacon outputs, exactly and stdlib-only. It samples the SHA-256
+stream behind the honest draw and cannot see the reduction mod 2^64; the
+tests check that reduction exactly against ``aggregate``.
 """
 
 from __future__ import annotations
@@ -234,15 +235,14 @@ def uniformity_histogram(trials: int, seed: int = 0, bins: int = 64) -> list[int
     """Histogram of aggregate(...) mod ``bins`` with one honest contributor.
 
     Each trial sums one uniform draw on {0..2^63} with the four fixed
-    adversarial constants; the returned counts feed a chi-square check of
-    the claim that a single honest player keeps the output uniform. The
+    adversarial constants; the returned counts feed a chi-square check. The
     constants sum to 0x0123456789ABCDEF and 2^63 + 0x0123456789ABCDEF <
-    2^64, so no trial wraps: the counts show that the honest draw stays
-    uniform mod ``bins`` after a constant shift, and do not exercise the
-    reduction mod 2^64. The constants' sum is aggregated once: every draw is
-    a valid u64, so adding it mod 2^64 is exactly ``aggregate`` over all
-    five contributions. The draws are those of a per-trial ``randbelow``
-    loop, taken in bulk by ``randbelow_many``.
+    2^64, so no trial wraps, and a ``bins`` dividing 2^64 (64 by default)
+    could not see a wrap anyway: the counts sample the SHA-256 stream behind
+    the honest draw and cannot see the reduction mod 2^64. The constants'
+    sum is aggregated once: every draw is a valid u64, so adding it mod 2^64
+    is exactly ``aggregate`` over all five contributions. The draws are those
+    of a per-trial ``randbelow`` loop, taken in bulk by ``randbelow_many``.
     """
     if trials < 1:
         raise ValidationError(f"need at least one trial, got {trials}")

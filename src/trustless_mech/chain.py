@@ -76,17 +76,24 @@ class MinerPolicy:
 
 
 class ChainState:
-    """Block height, ordered per-block message lists, and the pending mempool.
+    """Block height, the non-empty blocks, and the pending mempool.
 
-    Blocks are 1-indexed by height: ``blocks[k - 1]`` is the block mined at
-    height ``k``. Height 0 is the empty genesis state.
+    ``nonempty_blocks`` holds ``(height, messages)`` for each block with a
+    message, in height order; empty blocks leave no entry. Height 0 is the
+    empty genesis state.
     """
 
     def __init__(self, max_payload: int = MAX_PAYLOAD_BYTES):
         self.height = 0
-        self.blocks: list[list[Message]] = []
+        self.nonempty_blocks: list[tuple[int, list[Message]]] = []
         self.mempool: list[Message] = []
         self.max_payload = max_payload
+
+    @property
+    def blocks(self) -> list[list[Message]]:
+        """Every block, empty ones too: ``blocks[k - 1]`` is block ``k``. Not for the run path."""
+        by_height = dict(self.nonempty_blocks)
+        return [by_height.get(k, []) for k in range(1, self.height + 1)]
 
     def submit(self, msg: Message) -> Message:
         """Append ``msg`` to the mempool, stamped with the current height."""
@@ -101,35 +108,33 @@ class ChainState:
 
     def advance_block(self, policy: MinerPolicy | None = None) -> None:
         """Mine one block: move every non-censored mempool message into it, in order."""
-        policy = policy or MinerPolicy.honest()
-        new_height = self.height + 1
-        if not policy.censor_targets or new_height > policy.censor_until:
-            included, held = self.mempool, []  # nothing can be censored at this height
-        else:
-            included, held = [], []
-            for m in self.mempool:
-                (held if policy.censors(m, new_height) else included).append(m)
-        self.mempool = held
-        self.blocks.append(included)
-        self.height = new_height
+        self.advance_to(self.height + 1, policy)
 
     def advance_to(self, height: int, policy: MinerPolicy | None = None) -> None:
         """Mine blocks until the chain reaches ``height``.
 
-        Nothing is submitted in between, so after the first block the
-        mempool holds only reveals censored at that height, and they stay
-        censored through ``censor_until``: those blocks are mined empty.
+        Nothing is submitted in between, so one rule mines the range: the
+        first new block takes what the policy does not hold at its height;
+        what it holds stays held through ``censor_until`` and enters block
+        ``censor_until + 1`` if the range reaches it.
         """
         if self.height >= height:
             return
         policy = policy or MinerPolicy.honest()
-        self.advance_block(policy)
-        quiet = min(height, policy.censor_until) - self.height
-        if quiet > 0:
-            self.blocks.extend([] for _ in range(quiet))
-            self.height += quiet
-        while self.height < height:
-            self.advance_block(policy)
+        first = self.height + 1
+        if not policy.censor_targets or first > policy.censor_until:
+            included, held = self.mempool, []  # nothing can be censored at this height
+        else:
+            included, held = [], []
+            for m in self.mempool:
+                (held if policy.censors(m, first) else included).append(m)
+        if included:
+            self.nonempty_blocks.append((first, included))
+        if held and policy.censor_until < height:
+            self.nonempty_blocks.append((policy.censor_until + 1, held))
+            held = []
+        self.mempool = held
+        self.height = height
 
     def messages_through(self, deadline: int) -> list[Message]:
         """All messages included in blocks 1..deadline, in inclusion order."""
@@ -143,7 +148,7 @@ class ChainState:
                 f"deadline {deadline} outside chain height {self.height}"
             )
         return [
-            (k + 1, m) for k in range(deadline) for m in self.blocks[k]
+            (h, m) for h, block in self.nonempty_blocks if h <= deadline for m in block
         ]
 
     def canonical_bytes(self) -> bytes:
@@ -160,7 +165,7 @@ class ChainState:
 
         doc = {
             "height": self.height,
-            "blocks": [[enc(m) for m in block] for block in self.blocks],
+            "blocks": [[height, [enc(m) for m in block]] for height, block in self.nonempty_blocks],
             "mempool": [enc(m) for m in self.mempool],
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()

@@ -3,7 +3,7 @@
 Subcommands:
   run               one scenario file, honest vs. manipulated, both modes
   attack-suite      every bundled scenario, with a coalition-gain summary
-  beacon-uniformity chi-square check of the one-honest-player claim
+  beacon-uniformity chi-square check of the hash stream behind the honest draw
 
 Reports are written as JSON plus an aligned text table. They contain no
 timestamps and all numbers are exact strings, so the same scenario and seed
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_beacon = sub.add_parser(
-        "beacon-uniformity", help="chi-square the beacon output with one honest contributor"
+        "beacon-uniformity", help="64-bin chi-square: samples the hash stream, blind to mod 2^64"
     )
     p_beacon.add_argument("--trials", type=int, required=True, help="number of aggregations")
     p_beacon.add_argument("--seed", type=int, default=0, help="stream seed for the honest draws")

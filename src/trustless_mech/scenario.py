@@ -19,15 +19,13 @@ from pathlib import Path
 
 from importlib import resources
 
-from .adversaries import (
-    SEARCH_BOUND_SCHOOLS, LeakStrategy, LeakStrategyKind, check_compatible, exact_str,
-)
+from .adversaries import LeakStrategy, LeakStrategyKind, check_compatible, exact_str
 from .auctions import SlotCTRs
 from .beacon import DOMAIN_CONTRIBUTIONS, DOMAIN_SALTS, U64_MASK, HashStream
 from .chain import MinerPolicy
 from .contract import AUCTION_TAGS, MechanismKind, MechanismTag, PhaseSchedule
-from .errors import ValidationError
-from .school_choice import LotteryMode, SchoolSpec
+from .errors import ValidationError, WireFormatError
+from .school_choice import LotteryMode, SchoolSpec, encode_ranking
 from .settlement import AgentInput
 
 
@@ -130,13 +128,17 @@ def _validate(s: Scenario) -> None:
             if spec.bid is None:
                 raise _fail(f"agents[{i}].bid", f"required for a {tag.value} auction")
     if tag is MechanismTag.BOSTON:
-        known = set(s.mechanism.school_ids())
+        index_of = {school: i for i, school in enumerate(s.mechanism.school_ids())}
         for i, spec in enumerate(s.agents):
             if spec.ranking is None:
                 raise _fail(f"agents[{i}].ranking", "required for school choice")
             for school in spec.ranking:
-                if school not in known:
+                if school not in index_of:
                     raise _fail(f"agents[{i}].ranking", f"unknown school {school!r}")
+            try:  # the reveal carries the ranking as one byte per school index
+                encode_ranking([index_of[school] for school in spec.ranking])
+            except WireFormatError as exc:
+                raise _fail(f"agents[{i}].ranking", str(exc)) from exc
         if s.mechanism.priority_mode is None:
             for school_spec in s.mechanism.schools:
                 missing = seen - set(school_spec.priority)
@@ -152,10 +154,6 @@ def _validate(s: Scenario) -> None:
             check_compatible(s.adversary, s.mechanism)
         except ValidationError as exc:
             raise _fail("adversary.kind", str(exc)) from exc
-        n = len(s.mechanism.schools)
-        if s.adversary.kind is LeakStrategyKind.BOSTON_SELL_RANKINGS and n > SEARCH_BOUND_SCHOOLS:
-            raise _fail("adversary.kind", f"the ranking search is capped at "
-                        f"SEARCH_BOUND_SCHOOLS = {SEARCH_BOUND_SCHOOLS} schools, got {n}")
         if s.adversary.target is not None and s.adversary.target not in seen:
             raise _fail("adversary.target", f"unknown agent {s.adversary.target!r}")
         if s.adversary.censor_until is not None:

@@ -6,6 +6,7 @@ commit-reveal execution, where the pre-deadline view holds digests only.
 """
 
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
@@ -33,6 +34,7 @@ from trustless_mech import (
     best_response_ranking,
     boston,
     exact_str,
+    load_bundled,
     plan_deviation,
     rank_utility,
     run_with_adversary,
@@ -539,3 +541,23 @@ def test_report_canonical_is_json_ready():
     assert doc["gains"]["coalition"] == "6.2"
     assert doc["utilities"]["manipulated"]["ada"] == "7.2"
     json.dumps(doc)
+
+
+def test_a_reveal_window_of_10_to_the_30_blocks_runs_at_once():
+    # mining and replay walk the non-empty blocks only, so the cost of a
+    # run follows its messages, not the length of its reveal window
+    bundled = load_bundled("beacon_censor")
+    wide = replace(
+        bundled,
+        schedule=PhaseSchedule(bundled.schedule.commit_deadline, 10**30),
+        adversary=replace(bundled.adversary, censor_until=10**29),
+    )
+    for mode in ExecutionMode:
+        start = time.perf_counter()
+        report = run_with_adversary(wide, wide.adversary, mode).canonical()
+        assert time.perf_counter() - start < 1
+        expected = run_with_adversary(bundled, bundled.adversary, mode).canonical()
+        if mode is DECENTRAL:
+            assert expected["notes"] == ["miner withholds reveals from 'p1' while height <= 8"]
+            expected["notes"] = [f"miner withholds reveals from 'p1' while height <= {10**29}"]
+        assert report == expected

@@ -429,3 +429,29 @@ def test_chi_square_sf_does_not_overflow_far_in_the_tail():
 def test_chi_square_sf_rejects_zero_degrees_of_freedom():
     with pytest.raises(ValidationError, match="df"):
         chi_square_sf(1.0, 0)
+
+
+# Fixed adversary vectors for the exact one-honest-player check. The first
+# two sum below 2^64; the rest wrap once or twice on their own.
+SHIFT_VECTORS = [
+    {"bits": 0x0123456789ABCDEF},
+    {"a": 2**62, "b": 2**62 + 7},
+    ADVERSARY_CONSTANTS,
+    {"a": 2**63, "b": 2**63 + 2**20},
+    {"a": U64_MASK, "b": U64_MASK, "c": 2**40},
+]
+WINDOW = 2**16
+
+
+@pytest.mark.parametrize("adversary", SHIFT_VECTORS)
+def test_one_honest_value_maps_a_window_one_to_one_across_the_wrap(adversary):
+    # For a fixed adversary sum s, h -> (h + s) mod 2^64 is a bijection. The
+    # honest window is placed so that h + s crosses a multiple of 2^64 in
+    # its middle, so the reduction itself is what is checked.
+    shift = sum(adversary.values()) % 2**64
+    start = 2**64 - shift - WINDOW // 2
+    assert 0 <= start and start + WINDOW <= 2**64  # every honest value is a u64
+    outputs = [aggregate({**adversary, "honest": start + k}).value for k in range(WINDOW)]
+    assert outputs == [(start + shift + k) % 2**64 for k in range(WINDOW)]
+    assert outputs[WINDOW // 2 - 1] == U64_MASK and outputs[WINDOW // 2] == 0
+    assert len(set(outputs)) == WINDOW

@@ -189,6 +189,30 @@ def test_advance_to_mines_exactly_to_target():
     assert chain.height == 7
 
 
+def test_a_long_window_keeps_only_its_nonempty_blocks():
+    # one block of commits, one of reveals released after the censor: the
+    # heights between leave no entry, however many there are
+    chain = ChainState()
+    chain.submit(commit_msg("alice"))
+    chain.submit(reveal_msg("bob"))
+    chain.advance_to(10**30, MinerPolicy.censor({"bob"}, until=10**29))
+    assert chain.height == 10**30
+    assert [(h, [m.sender for m in b]) for h, b in chain.nonempty_blocks] == [
+        (1, ["alice"]),
+        (10**29 + 1, ["bob"]),
+    ]
+    assert chain.mempool == []
+    assert [(h, m.sender) for h, m in chain.included_with_heights(10**29)] == [(1, "alice")]
+
+
+def test_a_reveal_held_past_the_target_height_stays_in_the_mempool():
+    chain = ChainState()
+    chain.submit(reveal_msg("bob"))
+    chain.advance_to(10**20, MinerPolicy.censor({"bob"}, until=10**29))
+    assert chain.nonempty_blocks == []
+    assert [m.sender for m in chain.mempool] == ["bob"]
+
+
 def test_included_with_heights_is_one_indexed():
     chain = ChainState()
     chain.advance_block()
@@ -242,6 +266,7 @@ def test_advance_block_matches_the_two_pass_rule(plan):
         blocks.append([m for m in mempool if not rule.censors(m, height + 1)])
         mempool = [m for m in mempool if rule.censors(m, height + 1)]
         chain.advance_block(policy)
+        assert chain.height == height + 1
         assert chain.blocks == blocks
         assert chain.mempool == mempool
 
@@ -255,7 +280,16 @@ def test_submit_stamps_a_new_message_and_keeps_every_field():
     assert sent.submitted_at == 99
 
 
-def per_block_oracle(chain: ChainState, height: int, policy: MinerPolicy | None) -> None:
+class EveryBlock:
+    """The oracle's ledger: one message list per height, empty blocks too."""
+
+    def __init__(self) -> None:
+        self.height = 0
+        self.blocks: list[list[Message]] = []
+        self.mempool: list[Message] = []
+
+
+def per_block_oracle(chain: EveryBlock, height: int, policy: MinerPolicy | None) -> None:
     """``advance_to`` as one ``censors`` test per message per block."""
     rule = policy or MinerPolicy.honest()
     while chain.height < height:
@@ -289,17 +323,18 @@ advances = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(advances)
 def test_advance_to_matches_the_per_block_rule(plan):
-    chain, oracle = ChainState(), ChainState()
+    chain, oracle = ChainState(), EveryBlock()
     for step, (submissions, policy, ahead, one_block) in enumerate(plan):
         for i, (sender, kind) in enumerate(submissions):
             msg = Message(sender, "c", kind, bytes([step, i]))
-            chain.submit(msg)
-            oracle.submit(msg)
+            oracle.mempool.append(chain.submit(msg))
         target = chain.height + (1 if one_block else ahead)
         if one_block:
             chain.advance_block(policy)
         else:
             chain.advance_to(target, policy)
         per_block_oracle(oracle, target, policy)
-        assert chain.canonical_bytes() == oracle.canonical_bytes()
+        assert chain.height == oracle.height
+        assert chain.blocks == oracle.blocks
         assert chain.mempool == oracle.mempool
+        assert all(block for _, block in chain.nonempty_blocks)

@@ -10,6 +10,8 @@ from trustless_mech import (
     ContractState,
     MechanismKind,
     MechanismTag,
+    Message,
+    MessageKind,
     MinerPolicy,
     Phase,
     PhaseSchedule,
@@ -310,6 +312,29 @@ def test_drive_rejects_malformed_commit_digest():
     state, _ = drive(chain, CID, SCHEDULE, FPA)
     assert state.commitments == {}
     assert len(state.rejections) == 1
+
+
+@pytest.mark.parametrize("kind, size, rejection", [
+    (MessageKind.COMMIT, 31, "height 1: commitment digest must be 32 bytes, got 31"),
+    (MessageKind.COMMIT, 33, "height 1: commitment digest must be 32 bytes, got 33"),
+    (MessageKind.REVEAL, 0, "height 5: opening payload must be non-empty"),
+    (MessageKind.REVEAL, 32, "height 5: opening payload must be non-empty"),
+])
+def test_drive_records_a_message_of_the_wrong_size_as_a_rejection(kind, size, rejection):
+    # the wire sizes are enforced by Commitment and CommitOpening alone
+    chain = ChainState()
+    if kind is MessageKind.COMMIT:
+        chain.submit(Message("alice", CID, kind, bytes(size)))
+    else:
+        opening = opening_for("alice", b"1")
+        chain.submit(commit_message("alice", CID, make_commitment("alice", CID, opening)))
+        chain.advance_to(4)
+        chain.submit(Message("alice", CID, kind, bytes(size)))
+    chain.advance_to(8)
+    state, settlement = drive(chain, CID, SCHEDULE, FPA)
+    assert state.rejections == [rejection]
+    assert state.reveals == {}
+    assert settlement.payloads == ()
 
 
 def test_censorship_past_the_reveal_deadline_excludes():

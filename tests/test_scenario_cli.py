@@ -260,6 +260,43 @@ def test_a_ranking_sale_past_the_search_bound_names_the_field(tmp_path, monkeypa
     assert len(scenario_from_dict(doc).mechanism.schools) == SEARCH_BOUND_SCHOOLS + 1
 
 
+def many_schools_doc(n_schools: int, ranked: list[int]) -> dict:
+    names = [f"s{i}" for i in range(n_schools)]
+    return {
+        "name": "many-schools",
+        "seed": 3,
+        "mechanism": {
+            "kind": "boston",
+            "schools": [{"school": n, "capacity": 1, "priority": ["ann", "bo"]} for n in names],
+        },
+        "schedule": {"commit_deadline": 2, "reveal_deadline": 6},
+        "agents": [
+            {"agent": "ann", "ranking": [names[i] for i in ranked]},
+            {"agent": "bo", "ranking": [names[0]]},
+        ],
+    }
+
+
+@pytest.mark.parametrize("n_schools, ranked, problem", [
+    (256, list(range(256)), "ranking longer than 255 schools"),
+    (257, [256], "school index 256 outside one byte"),
+])
+def test_a_ranking_a_reveal_cannot_carry_names_the_field(
+    n_schools, ranked, problem, tmp_path, monkeypatch, capsys
+):
+    (tmp_path / "wide.json").write_text(json.dumps(many_schools_doc(n_schools, ranked)))
+    code, out, err = run_cli(["run", "wide.json"], tmp_path, monkeypatch, capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: wide.json: field 'agents[0].ranking': {problem}\n"
+
+
+def test_a_255_school_ranking_up_to_index_255_runs(tmp_path, monkeypatch, capsys):
+    (tmp_path / "wide.json").write_text(json.dumps(many_schools_doc(256, list(range(1, 256)))))
+    code, _, err = run_cli(["run", "wide.json"], tmp_path, monkeypatch, capsys)
+    assert (code, err) == (0, "")
+    assert (tmp_path / "reports" / "many-schools.report.json").exists()
+
+
 def test_unknown_mechanism_kind():
     doc = minimal_doc()
     doc["mechanism"]["kind"] = "dutch"
