@@ -359,9 +359,10 @@ def execute_run(
     Centralized: inputs reach the operator in plaintext and settle directly.
     Decentralized: inputs travel as commitments, the strategy is planned
     against the sealed view at the commit deadline, reveals follow, and the
-    contract is driven off the chain. The scenario's miner mines the commit
-    phase (it cannot censor a commit), the plan's miner, if it has one, the
-    reveal phase; everything else about the run is identical.
+    contract is driven off the chain. A miner policy acts only on the reveal
+    phase, so the commit phase is mined honestly and the reveal phase by
+    the plan's miner if it has one, else by the scenario's; everything else
+    about the run is identical.
     """
     resolved = scenario.resolved_inputs()
     truthful = {agent: inp for agent, (_, inp) in resolved.items()}
@@ -380,11 +381,11 @@ def execute_run(
         openings[agent] = opening
         commitment = make_commitment(agent, contract_id, opening)
         chain.submit(commit_message(agent, contract_id, commitment))
-    chain.advance_to(scenario.schedule.commit_deadline, scenario.miner)
+    chain.advance_to(scenario.schedule.commit_deadline)
 
     digests = {
         msg.sender: msg.payload
-        for msg in chain.messages_through(scenario.schedule.commit_deadline)
+        for _, msg in chain.included_with_heights(scenario.schedule.commit_deadline)
         if msg.kind is MessageKind.COMMIT
     }
     view = OperatorView(mode=mode, digests=MappingProxyType(digests), plaintext=None)

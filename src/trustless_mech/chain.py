@@ -7,7 +7,6 @@ enough reveal window defeats.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -22,7 +21,7 @@ class MessageKind(Enum):
 
 
 class PayloadTooLarge(MechSimError):
-    """Submitted payload exceeds the configured size bound."""
+    """Submitted payload exceeds ``MAX_PAYLOAD_BYTES``."""
 
 
 class DeadlineOutOfRange(MechSimError):
@@ -46,12 +45,13 @@ class Message:
 
 @dataclass(frozen=True)
 class MinerPolicy:
-    """Single monolithic miner policy for a run.
+    """A miner's censorship rule; it acts only on the reveal phase.
 
     Delays reveal messages from ``censor_targets`` while the new block's
     height is still <= ``censor_until``; a miner with no targets is honest.
-    Commit messages are never censored: the modeled manipulation is the
-    miner "not processing" second-phase messages.
+    Commit messages are never censored, so every policy mines the commit
+    phase honestly: the modeled manipulation is the miner "not processing"
+    second-phase messages.
     """
 
     censor_targets: frozenset[str] = frozenset()
@@ -83,32 +83,21 @@ class ChainState:
     empty genesis state.
     """
 
-    def __init__(self, max_payload: int = MAX_PAYLOAD_BYTES):
+    def __init__(self) -> None:
         self.height = 0
         self.nonempty_blocks: list[tuple[int, list[Message]]] = []
         self.mempool: list[Message] = []
-        self.max_payload = max_payload
-
-    @property
-    def blocks(self) -> list[list[Message]]:
-        """Every block, empty ones too: ``blocks[k - 1]`` is block ``k``. Not for the run path."""
-        by_height = dict(self.nonempty_blocks)
-        return [by_height.get(k, []) for k in range(1, self.height + 1)]
 
     def submit(self, msg: Message) -> Message:
         """Append ``msg`` to the mempool, stamped with the current height."""
-        if len(msg.payload) > self.max_payload:
+        if len(msg.payload) > MAX_PAYLOAD_BYTES:
             raise PayloadTooLarge(
                 f"payload from {msg.sender!r} is {len(msg.payload)} bytes, "
-                f"limit {self.max_payload}"
+                f"limit {MAX_PAYLOAD_BYTES}"
             )
         stamped = Message(msg.sender, msg.contract_id, msg.kind, msg.payload, self.height)
         self.mempool.append(stamped)
         return stamped
-
-    def advance_block(self, policy: MinerPolicy | None = None) -> None:
-        """Mine one block: move every non-censored mempool message into it, in order."""
-        self.advance_to(self.height + 1, policy)
 
     def advance_to(self, height: int, policy: MinerPolicy | None = None) -> None:
         """Mine blocks until the chain reaches ``height``.
@@ -136,10 +125,6 @@ class ChainState:
         self.mempool = held
         self.height = height
 
-    def messages_through(self, deadline: int) -> list[Message]:
-        """All messages included in blocks 1..deadline, in inclusion order."""
-        return [m for _, m in self.included_with_heights(deadline)]
-
     def included_with_heights(self, deadline: int | None = None) -> list[tuple[int, Message]]:
         """(inclusion height, message) pairs through ``deadline`` (default: tip)."""
         deadline = self.height if deadline is None else deadline
@@ -150,22 +135,3 @@ class ChainState:
         return [
             (h, m) for h, block in self.nonempty_blocks if h <= deadline for m in block
         ]
-
-    def canonical_bytes(self) -> bytes:
-        """Stable byte serialization of the full ledger state (for determinism checks)."""
-
-        def enc(m: Message) -> dict:
-            return {
-                "sender": m.sender,
-                "contract": m.contract_id,
-                "kind": m.kind.value,
-                "payload": m.payload.hex(),
-                "submitted_at": m.submitted_at,
-            }
-
-        doc = {
-            "height": self.height,
-            "blocks": [[height, [enc(m) for m in block]] for height, block in self.nonempty_blocks],
-            "mempool": [enc(m) for m in self.mempool],
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()

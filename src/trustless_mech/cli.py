@@ -138,7 +138,7 @@ def _write_pair(out_dir: Path, stem: str, doc: dict, text: str) -> tuple[Path, P
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path, txt_path = out_dir / f"{stem}.json", out_dir / f"{stem}.txt"
     json_path.write_text(_json_text(doc) + "\n")
-    txt_path.write_text(text)
+    txt_path.write_text(text, encoding="utf-8")
     return json_path, txt_path
 
 
@@ -257,8 +257,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    # OSError: an unwritable --out, or a report name the filesystem refuses
-    except (ValidationError, OSError) as exc:
+    # OSError: an unwritable --out, or a report name the filesystem refuses;
+    # UnicodeError: a path or report text the locale cannot encode
+    except (ValidationError, OSError, UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvariantViolation as exc:

@@ -2,8 +2,9 @@
 exclusion for everything else, then settlement input for the mechanism.
 
 Deadlines are inclusive: commits are valid at heights <= T, reveals at
-T < height <= T'. Exclusion is the only punishment; an excluded agent
-receives no good.
+T < height <= T', and a contract settles at T' or later; ``accept_commit``,
+``accept_reveal``, ``finalize`` and ``drive`` enforce them. Exclusion is
+the only punishment; an excluded agent receives no good.
 """
 
 from __future__ import annotations
@@ -21,12 +22,6 @@ from .commitments import (
 )
 from .errors import MechSimError, ValidationError, WireFormatError
 from .school_choice import LotteryMode, SchoolSpec
-
-
-class Phase(Enum):
-    COMMIT = "commit"
-    REVEAL = "reveal"
-    SETTLED = "settled"
 
 
 class ContractRejection(MechSimError):
@@ -78,13 +73,6 @@ class PhaseSchedule:
                 f"need 0 < commit deadline < reveal deadline, got "
                 f"{self.commit_deadline} and {self.reveal_deadline}"
             )
-
-    def phase_at(self, height: int) -> Phase:
-        if height <= self.commit_deadline:
-            return Phase.COMMIT
-        if height <= self.reveal_deadline:
-            return Phase.REVEAL
-        return Phase.SETTLED
 
 
 class MechanismTag(Enum):
@@ -162,11 +150,6 @@ class ContractState:
         self.excluded: set[str] = set()
         self.settled = False
         self.rejections: list[str] = []
-
-    def phase_at(self, height: int) -> Phase:
-        if self.settled:
-            return Phase.SETTLED
-        return self.schedule.phase_at(height)
 
     def accept_commit(self, height: int, agent: str, commitment: Commitment) -> None:
         if self.settled:

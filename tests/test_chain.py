@@ -18,14 +18,28 @@ def reveal_msg(sender: str, payload: bytes = b"\x01") -> Message:
     return Message(sender=sender, contract_id="c", kind=MessageKind.REVEAL, payload=payload)
 
 
+def senders_by_height(chain: ChainState) -> list[tuple[int, list[str]]]:
+    return [(h, [m.sender for m in block]) for h, block in chain.nonempty_blocks]
+
+
+def state(chain: ChainState) -> tuple:
+    """The whole ledger state; messages compare by value."""
+    return chain.height, chain.nonempty_blocks, chain.mempool
+
+
+def nonempty(blocks: list[list[Message]]) -> list[tuple[int, list[Message]]]:
+    """Per-height blocks, block ``k`` at index ``k - 1``, as ``nonempty_blocks`` stores them."""
+    return [(h, block) for h, block in enumerate(blocks, 1) if block]
+
+
 def test_honest_miner_includes_next_block():
     chain = ChainState()
     chain.submit(commit_msg("alice"))
     chain.submit(commit_msg("bob"))
     assert chain.height == 0
-    chain.advance_block()
+    chain.advance_to(chain.height + 1)
     assert chain.height == 1
-    assert [m.sender for m in chain.blocks[0]] == ["alice", "bob"]
+    assert senders_by_height(chain) == [(1, ["alice", "bob"])]
     assert chain.mempool == []
 
 
@@ -34,16 +48,16 @@ def test_submit_stamps_current_height():
     chain.advance_to(4)
     stamped = chain.submit(commit_msg("alice"))
     assert stamped.submitted_at == 4
-    chain.advance_block()
-    assert chain.blocks[4][0].submitted_at == 4
+    chain.advance_to(chain.height + 1)
+    assert [(h, m.submitted_at) for h, m in chain.included_with_heights()] == [(5, 4)]
 
 
 def test_inclusion_order_is_submission_order_within_block():
     chain = ChainState()
     for name in ["carol", "alice", "bob"]:
         chain.submit(commit_msg(name))
-    chain.advance_block()
-    assert [m.sender for m in chain.blocks[0]] == ["carol", "alice", "bob"]
+    chain.advance_to(chain.height + 1)
+    assert senders_by_height(chain) == [(1, ["carol", "alice", "bob"])]
 
 
 def test_censored_reveal_is_delayed_until_after_window():
@@ -54,11 +68,11 @@ def test_censored_reveal_is_delayed_until_after_window():
     chain.advance_to(3, policy)
     chain.submit(reveal_msg("alice"))
     chain.advance_to(5, policy)
-    assert all("alice" not in [m.sender for m in b] for b in chain.blocks)
+    assert chain.nonempty_blocks == []
     assert [m.sender for m in chain.mempool] == ["alice"]
-    chain.advance_block(policy)
+    chain.advance_to(chain.height + 1, policy)
     assert chain.height == 6
-    assert [m.sender for m in chain.blocks[5]] == ["alice"]
+    assert senders_by_height(chain) == [(6, ["alice"])]
     assert chain.mempool == []
 
 
@@ -83,8 +97,8 @@ def test_commits_are_never_censored():
     chain = ChainState()
     policy = MinerPolicy.censor({"alice"}, until=100)
     chain.submit(commit_msg("alice"))
-    chain.advance_block(policy)
-    assert [m.sender for m in chain.blocks[0]] == ["alice"]
+    chain.advance_to(chain.height + 1, policy)
+    assert senders_by_height(chain) == [(1, ["alice"])]
 
 
 def test_non_targets_pass_through_a_censoring_miner():
@@ -92,8 +106,8 @@ def test_non_targets_pass_through_a_censoring_miner():
     policy = MinerPolicy.censor({"alice"}, until=100)
     chain.submit(reveal_msg("alice"))
     chain.submit(reveal_msg("bob"))
-    chain.advance_block(policy)
-    assert [m.sender for m in chain.blocks[0]] == ["bob"]
+    chain.advance_to(chain.height + 1, policy)
+    assert senders_by_height(chain) == [(1, ["bob"])]
     assert [m.sender for m in chain.mempool] == ["alice"]
 
 
@@ -109,31 +123,30 @@ def test_every_message_is_in_exactly_one_place():
             kind = rng.choice([MessageKind.COMMIT, MessageKind.REVEAL])
             chain.submit(Message(sender, "c", kind, b"\x07"))
             submitted += 1
-        chain.advance_block(policy if rng.random() < 0.7 else None)
-    in_blocks = sum(len(b) for b in chain.blocks)
+        chain.advance_to(chain.height + 1, policy if rng.random() < 0.7 else None)
+    in_blocks = sum(len(b) for _, b in chain.nonempty_blocks)
     assert in_blocks + len(chain.mempool) == submitted
 
 
 def test_messages_through_slices_by_deadline():
     chain = ChainState()
     chain.submit(commit_msg("a"))
-    chain.advance_block()
+    chain.advance_to(1)
     chain.submit(commit_msg("b"))
-    chain.advance_block()
-    chain.advance_block()
-    assert [m.sender for m in chain.messages_through(1)] == ["a"]
-    assert [m.sender for m in chain.messages_through(2)] == ["a", "b"]
-    assert [m.sender for m in chain.messages_through(3)] == ["a", "b"]
-    assert chain.messages_through(0) == []
+    chain.advance_to(3)
+    assert [m.sender for _, m in chain.included_with_heights(1)] == ["a"]
+    assert [m.sender for _, m in chain.included_with_heights(2)] == ["a", "b"]
+    assert [m.sender for _, m in chain.included_with_heights(3)] == ["a", "b"]
+    assert chain.included_with_heights(0) == []
 
 
 def test_messages_through_rejects_out_of_range_deadlines():
     chain = ChainState()
     chain.advance_to(2)
     with pytest.raises(DeadlineOutOfRange):
-        chain.messages_through(3)
+        chain.included_with_heights(3)
     with pytest.raises(DeadlineOutOfRange):
-        chain.messages_through(-1)
+        chain.included_with_heights(-1)
 
 
 def test_payload_size_limit():
@@ -141,9 +154,7 @@ def test_payload_size_limit():
     chain.submit(commit_msg("a", payload=bytes(MAX_PAYLOAD_BYTES)))
     with pytest.raises(PayloadTooLarge):
         chain.submit(commit_msg("a", payload=bytes(MAX_PAYLOAD_BYTES + 1)))
-    small = ChainState(max_payload=4)
-    with pytest.raises(PayloadTooLarge):
-        small.submit(commit_msg("a", payload=bytes(5)))
+    assert [m.payload for m in chain.mempool] == [bytes(MAX_PAYLOAD_BYTES)]
 
 
 def test_canonical_bytes_deterministic_and_history_sensitive():
@@ -151,16 +162,16 @@ def test_canonical_bytes_deterministic_and_history_sensitive():
         chain = ChainState()
         for name in order:
             chain.submit(commit_msg(name))
-        chain.advance_block()
+        chain.advance_to(1)
         chain.submit(reveal_msg(order[0]))
-        chain.advance_block()
+        chain.advance_to(2)
         return chain
 
     a = build(["x", "y"])
     b = build(["x", "y"])
     c = build(["y", "x"])
-    assert a.canonical_bytes() == b.canonical_bytes()
-    assert a.canonical_bytes() != c.canonical_bytes()
+    assert state(a) == state(b)
+    assert state(a) != state(c)
 
 
 def test_canonical_bytes_distinguishes_block_boundaries():
@@ -168,23 +179,23 @@ def test_canonical_bytes_distinguishes_block_boundaries():
     one = ChainState()
     one.submit(commit_msg("a"))
     one.submit(commit_msg("b"))
-    one.advance_block()
-    one.advance_block()
+    one.advance_to(2)
 
     two = ChainState()
     two.submit(commit_msg("a"))
-    two.advance_block()
+    two.advance_to(1)
     two.submit(commit_msg("b"))
-    two.advance_block()
+    two.advance_to(2)
 
-    assert one.canonical_bytes() != two.canonical_bytes()
+    assert state(one) != state(two)
 
 
 def test_advance_to_mines_exactly_to_target():
     chain = ChainState()
     chain.advance_to(7)
     assert chain.height == 7
-    assert len(chain.blocks) == 7
+    assert chain.nonempty_blocks == []
+    assert chain.included_with_heights(7) == []
     chain.advance_to(7)
     assert chain.height == 7
 
@@ -215,9 +226,9 @@ def test_a_reveal_held_past_the_target_height_stays_in_the_mempool():
 
 def test_included_with_heights_is_one_indexed():
     chain = ChainState()
-    chain.advance_block()
+    chain.advance_to(1)
     chain.submit(commit_msg("a"))
-    chain.advance_block()
+    chain.advance_to(2)
     pairs = chain.included_with_heights()
     assert [(h, m.sender) for h, m in pairs] == [(2, "a")]
 
@@ -227,8 +238,8 @@ def test_honest_policy_is_the_default():
     assert MinerPolicy.censor(set(), 5) == MinerPolicy.honest()
     chain = ChainState()
     chain.submit(reveal_msg("alice"))
-    chain.advance_block()
-    assert [m.sender for m in chain.blocks[0]] == ["alice"]
+    chain.advance_to(chain.height + 1)
+    assert senders_by_height(chain) == [(1, ["alice"])]
 
 
 SENDERS = ("t0", "t1", "u0", "u1")
@@ -265,9 +276,9 @@ def test_advance_block_matches_the_two_pass_rule(plan):
         rule = policy or MinerPolicy.honest()
         blocks.append([m for m in mempool if not rule.censors(m, height + 1)])
         mempool = [m for m in mempool if rule.censors(m, height + 1)]
-        chain.advance_block(policy)
+        chain.advance_to(chain.height + 1, policy)
         assert chain.height == height + 1
-        assert chain.blocks == blocks
+        assert chain.nonempty_blocks == nonempty(blocks)
         assert chain.mempool == mempool
 
 
@@ -314,7 +325,7 @@ advances = st.lists(
         st.lists(st.tuples(st.sampled_from(SENDERS), st.sampled_from(MessageKind)), max_size=4),
         censor_policies,
         st.integers(min_value=-2, max_value=8),  # target height, relative to the tip
-        st.booleans(),  # one block instead of advance_to
+        st.booleans(),  # one block instead of the relative target
     ),
     max_size=10,
 )
@@ -329,12 +340,9 @@ def test_advance_to_matches_the_per_block_rule(plan):
             msg = Message(sender, "c", kind, bytes([step, i]))
             oracle.mempool.append(chain.submit(msg))
         target = chain.height + (1 if one_block else ahead)
-        if one_block:
-            chain.advance_block(policy)
-        else:
-            chain.advance_to(target, policy)
+        chain.advance_to(target, policy)
         per_block_oracle(oracle, target, policy)
         assert chain.height == oracle.height
-        assert chain.blocks == oracle.blocks
+        assert chain.nonempty_blocks == nonempty(oracle.blocks)
         assert chain.mempool == oracle.mempool
         assert all(block for _, block in chain.nonempty_blocks)

@@ -13,7 +13,6 @@ from trustless_mech import (
     Message,
     MessageKind,
     MinerPolicy,
-    Phase,
     PhaseSchedule,
     SchoolSpec,
     drive,
@@ -21,6 +20,7 @@ from trustless_mech import (
 )
 from trustless_mech.contract import (
     AlreadySettled,
+    ContractRejection,
     DuplicateCommit,
     DuplicateReveal,
     ExcludedAgentReveal,
@@ -63,24 +63,63 @@ def test_schedule_requires_positive_ordered_deadlines():
         PhaseSchedule(6, 5)
 
 
+def accepted_at(height: int) -> list[str]:
+    """Which of a commit, a reveal and then finalize an open contract takes at ``height``."""
+    state, openings = committed_contract({"alice": b"a"})
+    calls = {
+        "commit": lambda: state.accept_commit(
+            height, "bo", make_commitment("bo", CID, opening_for("bo", b"b"))
+        ),
+        "reveal": lambda: state.accept_reveal(height, "alice", openings["alice"]),
+        "finalize": lambda: state.finalize(height),
+    }
+    accepted = []
+    for name, call in calls.items():
+        try:
+            call()
+        except ContractRejection:
+            continue
+        accepted.append(name)
+    return accepted
+
+
 def test_phase_boundaries():
-    assert SCHEDULE.phase_at(1) is Phase.COMMIT
-    assert SCHEDULE.phase_at(3) is Phase.COMMIT
-    assert SCHEDULE.phase_at(4) is Phase.REVEAL
-    assert SCHEDULE.phase_at(8) is Phase.REVEAL
-    assert SCHEDULE.phase_at(9) is Phase.SETTLED
+    # T = 3 and T' = 8 are inclusive: each window ends at its deadline
+    state, openings = committed_contract({"alice": b"a"})
+    with pytest.raises(LateCommit):
+        state.accept_commit(4, "bo", make_commitment("bo", CID, opening_for("bo", b"b")))
+    state.accept_commit(3, "bo", make_commitment("bo", CID, opening_for("bo", b"b")))
+    with pytest.raises(RevealOutsideWindow):
+        state.accept_reveal(3, "alice", openings["alice"])
+    with pytest.raises(RevealOutsideWindow):
+        state.accept_reveal(9, "alice", openings["alice"])
+    state.accept_reveal(4, "alice", openings["alice"])
+    state.accept_reveal(8, "bo", opening_for("bo", b"b"))
+    with pytest.raises(FinalizeTooEarly):
+        state.finalize(7)
+    assert state.finalize(8).excluded == frozenset()
 
 
 def test_settled_contract_reports_settled_phase_everywhere():
-    state, _ = committed_contract({})
+    state, openings = committed_contract({"alice": b"a"})
     state.finalize(8)
-    assert state.phase_at(1) is Phase.SETTLED
+    for height in (1, 3, 4, 8, 9):
+        with pytest.raises(AlreadySettled):
+            state.accept_commit(height, "bo", make_commitment("bo", CID, opening_for("bo", b"b")))
+        with pytest.raises(AlreadySettled):
+            state.accept_reveal(height, "alice", openings["alice"])
+        with pytest.raises(AlreadySettled):
+            state.finalize(height)
 
 
 def test_an_open_contract_reads_its_phase_from_the_schedule():
-    state, _ = committed_contract({"alice": b"a"})
-    phases = [state.phase_at(h) for h in (1, 3, 4, 8, 9)]
-    assert phases == [Phase.COMMIT, Phase.COMMIT, Phase.REVEAL, Phase.REVEAL, Phase.SETTLED]
+    assert {h: accepted_at(h) for h in (1, 3, 4, 8, 9)} == {
+        1: ["commit"],
+        3: ["commit"],
+        4: ["reveal"],
+        8: ["reveal", "finalize"],
+        9: ["finalize"],
+    }
 
 
 def test_a_settled_contract_takes_no_more_messages():

@@ -1,6 +1,7 @@
-"""Every script under demos/ runs to completion against the package source."""
+"""Every script under demos/, and the README's example, runs against the package source."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +28,18 @@ def test_demo_exits_cleanly(demo, tmp_path):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_the_readme_example_prints_what_it_says():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    done = subprocess.run(
+        [sys.executable, "-c", blocks[0]],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "4\nTrue\n"

@@ -626,6 +626,45 @@ def test_the_cli_imports_neither_scipy_nor_numpy():
     assert done.stdout.strip() == "[]"
 
 
+def _run_cli_in_c_locale(utf8_mode: int, args: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    """The CLI in a subprocess under the C locale, with UTF-8 mode set by ``utf8_mode``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {
+        key: value
+        for key, value in os.environ.items()
+        if not key.startswith(("LC_", "LANG", "PYTHONUTF8", "PYTHONIOENCODING"))
+    }
+    env.update(PYTHONPATH=str(src), PYTHONCOERCECLOCALE="0", LC_ALL="C")
+    cwd.mkdir()
+    return subprocess.run(
+        [sys.executable, "-X", f"utf8={utf8_mode}", "-m", "trustless_mech.cli", *args],
+        cwd=cwd, env=env, capture_output=True, timeout=60,
+    )
+
+
+@pytest.mark.parametrize("field", ["agent", "name"])
+def test_run_under_an_ascii_locale_ends_in_a_diagnostic_or_the_utf8_bytes(field, tmp_path):
+    # an agent name reaches only the report text and stdout; a scenario name
+    # also reaches the report paths
+    doc = scenario_to_dict(load_bundled("fpa_leak"))
+    if field == "agent":
+        doc["agents"][0]["agent"] = "zo\u00eb"
+    else:
+        doc["name"] = "zo\u00eb"
+    (tmp_path / "s.json").write_text(json.dumps(doc))
+    args = ["run", str(tmp_path / "s.json"), "--out", "out"]
+    utf8 = _run_cli_in_c_locale(1, args, tmp_path / "utf8")
+    assert utf8.returncode == 0, utf8.stderr
+    ascii_run = _run_cli_in_c_locale(0, args, tmp_path / "ascii")
+    assert b"Traceback" not in ascii_run.stderr
+    if ascii_run.returncode != 0:
+        assert ascii_run.returncode == 1
+        assert ascii_run.stderr.startswith(b"error: ")
+    written = tmp_path / "ascii" / "out"
+    for path in written.iterdir() if written.exists() else ():
+        assert path.read_bytes() == (tmp_path / "utf8" / "out" / path.name).read_bytes()
+
+
 def test_a_bad_field_is_named_once():
     # the type error comes from the field itself, not from wrapping the
     # dataclass that holds it
