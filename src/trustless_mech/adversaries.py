@@ -21,12 +21,7 @@ from itertools import permutations
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .auctions import (
-    EPSILON_TICKS,
-    gsp_utility,
-    seller_revenue,
-    single_item_utility,
-)
+from .auctions import EPSILON_TICKS, auction_utility, seller_revenue
 from .chain import ChainState, MessageKind, MinerPolicy
 from .commitments import CommitOpening, make_commitment
 from .contract import (
@@ -419,13 +414,7 @@ def agent_utilities(
         agent = spec.agent
         if mech.tag in AUCTION_TAGS:
             value = spec.valuation if spec.valuation is not None else (spec.bid or 0)
-            if result.auction is None:
-                util = 0
-            elif mech.tag is MechanismTag.GSP:
-                assert mech.ctrs is not None
-                util = gsp_utility(value, result.auction.slot_of(agent), result.auction, mech.ctrs)
-            else:
-                util = single_item_utility(value, agent, result.auction)
+            util = 0 if result.auction is None else auction_utility(value, agent, result.auction)
         elif mech.tag is MechanismTag.BOSTON:
             truthful = PreferenceRanking(agent=agent, ranking=spec.ranking or ())
             assigned = (
@@ -439,10 +428,10 @@ def agent_utilities(
     return out
 
 
-def seller_take(mechanism: MechanismKind, result: SettlementResult) -> Fraction:
+def seller_take(result: SettlementResult) -> Fraction:
     if result.auction is None:
         return Fraction(0)
-    return seller_revenue(result.auction, mechanism.ctrs)
+    return seller_revenue(result.auction)
 
 
 @dataclass(frozen=True)
@@ -501,8 +490,8 @@ def run_with_adversary(
 
     honest_u = agent_utilities(scenario, honest_result)
     manip_u = agent_utilities(scenario, manipulated_result)
-    honest_rev = seller_take(scenario.mechanism, honest_result)
-    manip_rev = seller_take(scenario.mechanism, manipulated_result)
+    honest_rev = seller_take(honest_result)
+    manip_rev = seller_take(manipulated_result)
 
     gains: dict[str, Fraction | int] = {"seller": manip_rev - honest_rev}
     for agent in honest_u:

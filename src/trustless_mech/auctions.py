@@ -62,12 +62,16 @@ class AuctionOutcome:
     """Allocation (slot index -> agent) plus payments.
 
     Payments are per-item totals for single-item auctions and per-click
-    prices when ``per_click`` is set (GSP).
+    prices when the outcome carries its slot rates ``ctrs`` (GSP).
     """
 
     allocation: dict[int, str] = field(default_factory=dict)
     payments: dict[str, int] = field(default_factory=dict)
-    per_click: bool = False
+    ctrs: SlotCTRs | None = None
+
+    @property
+    def per_click(self) -> bool:
+        return self.ctrs is not None
 
     def slot_of(self, agent: str) -> int | None:
         for slot, holder in self.allocation.items():
@@ -127,42 +131,27 @@ def gsp(
     ranked = rank_bids(bids, tie_break)
     allocation = {slot: ranked[slot].agent for slot in range(k)}
     payments = {ranked[slot].agent: ranked[slot + 1].amount for slot in range(k)}
-    return AuctionOutcome(allocation=allocation, payments=payments, per_click=True)
+    return AuctionOutcome(allocation=allocation, payments=payments, ctrs=ctrs)
 
 
-def gsp_utility(
-    valuation: int,
-    slot_index: int | None,
-    outcome: AuctionOutcome,
-    ctrs: SlotCTRs,
-) -> Fraction | int:
-    """Expected utility of holding ``slot_index``: ctr * (valuation - per-click price).
-
-    ``slot_index`` of None means the agent holds no slot; by convention that
-    is worth exactly 0 (returned as the ``int``, not an error).
-    """
-    if slot_index is None:
+def auction_utility(valuation: int, agent: str, outcome: AuctionOutcome) -> Fraction | int:
+    """Valuation minus payment for a slot holder, times the slot's rate when
+    the outcome has rates. An agent with no slot gets exactly the ``int`` 0,
+    so a single-item utility stays an ``int``."""
+    slot = outcome.slot_of(agent)
+    if slot is None:
         return 0
-    agent = outcome.allocation[slot_index]
-    return ctrs.rates[slot_index] * (valuation - outcome.payments[agent])
+    margin = valuation - outcome.payments[agent]
+    return margin if outcome.ctrs is None else outcome.ctrs.rates[slot] * margin
 
 
-def single_item_utility(valuation: int, agent: str, outcome: AuctionOutcome) -> int:
-    """First/second-price utility: valuation minus payment for the winner, else 0."""
-    if outcome.allocation.get(0) != agent:
-        return 0
-    return valuation - outcome.payments[agent]
-
-
-def seller_revenue(outcome: AuctionOutcome, ctrs: SlotCTRs | None = None) -> Fraction:
+def seller_revenue(outcome: AuctionOutcome) -> Fraction:
     """Total payment flow to the seller; GSP prices weight by expected clicks."""
-    if not outcome.per_click:
+    if outcome.ctrs is None:
         return Fraction(sum(outcome.payments.values()))
-    if ctrs is None:
-        raise ValidationError("per-click outcome needs slot rates to value revenue")
     total = Fraction(0)
     for slot, agent in outcome.allocation.items():
-        total += ctrs.rates[slot] * outcome.payments[agent]
+        total += outcome.ctrs.rates[slot] * outcome.payments[agent]
     return total
 
 

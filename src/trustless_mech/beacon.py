@@ -231,24 +231,27 @@ ADVERSARY_CONSTANTS = {
 }
 
 
-def uniformity_histogram(trials: int, seed: int = 0, bins: int = 64) -> list[int]:
-    """Histogram of aggregate(...) mod ``bins`` with one honest contributor.
+UNIFORMITY_BINS = 64
+
+
+def uniformity_histogram(trials: int, seed: int = 0) -> list[int]:
+    """Histogram of aggregate(...) mod ``UNIFORMITY_BINS`` with one honest
+    contributor.
 
     Each trial sums one uniform draw on {0..2^63} with the four fixed
     adversarial constants; the returned counts feed a chi-square check. The
     constants sum to 0x0123456789ABCDEF and 2^63 + 0x0123456789ABCDEF <
-    2^64, so no trial wraps, and a ``bins`` dividing 2^64 (64 by default)
-    could not see a wrap anyway: the counts sample the SHA-256 stream behind
-    the honest draw and cannot see the reduction mod 2^64. The constants'
-    sum is aggregated once: every draw is a valid u64, so adding it mod 2^64
-    is exactly ``aggregate`` over all five contributions. The draws are those
+    2^64, so no trial wraps, and 64 bins, which divide 2^64, could not see
+    a wrap anyway: the counts sample the SHA-256 stream behind the honest
+    draw and cannot see the reduction mod 2^64. The constants' sum is
+    aggregated once: every draw is a valid u64, so adding it mod 2^64 is
+    exactly ``aggregate`` over all five contributions. The draws are those
     of a per-trial ``randbelow`` loop, taken in bulk by ``randbelow_many``.
     """
     if trials < 1:
         raise ValidationError(f"need at least one trial, got {trials}")
-    if bins < 2:
-        raise ValidationError(f"bins must be at least 2, got {bins}")
     adversary_sum = aggregate(ADVERSARY_CONSTANTS).value
+    bins = UNIFORMITY_BINS
     counts = [0] * bins
     for honest in HashStream(seed, DOMAIN_UNIFORMITY).randbelow_many(2**63 + 1, trials):
         counts[((honest + adversary_sum) & U64_MASK) % bins] += 1

@@ -200,4 +200,6 @@ def decode_ranking(data: bytes) -> tuple[int, ...]:
         raise WireFormatError(
             f"ranking payload declares {length} entries but carries {len(data) - 1}"
         )
+    if len(set(data[1:])) != length:
+        raise WireFormatError("ranking payload repeats a school index")
     return tuple(data[1:])

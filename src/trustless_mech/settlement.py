@@ -206,7 +206,7 @@ def settle_inputs(
                 f"degenerate GSP instance after exclusions: {len(bids)} bidders "
                 f"for {len(mechanism.ctrs)} slots; empty outcome"
             )
-            result["auction"] = AuctionOutcome(per_click=True)
+            result["auction"] = AuctionOutcome(ctrs=mechanism.ctrs)
         else:
             result["auction"] = gsp(bids, mechanism.ctrs, tie_break)
     return SettlementResult(notes=tuple(notes), **result)

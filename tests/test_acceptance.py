@@ -29,6 +29,7 @@ from trustless_mech import (
     Scenario,
     SchoolSpec,
     SlotCTRs,
+    auction_utility,
     bundled_scenario_names,
     chi_square_test,
     dump_scenario,
@@ -36,7 +37,6 @@ from trustless_mech import (
     make_commitment,
     run_with_adversary,
     second_price,
-    single_item_utility,
     uniformity_histogram,
 )
 from trustless_mech.auctions import Bid
@@ -229,14 +229,14 @@ def test_criterion_5_spa_truthfulness_exhaustive():
                 truthful = [Bid(names[i], values[i]) for i in range(3)]
                 base = second_price(truthful)
                 for i in range(3):
-                    honest = single_item_utility(values[i], names[i], base)
+                    honest = auction_utility(values[i], names[i], base)
                     for deviation in range(11):
                         if deviation == values[i]:
                             continue
                         moved = list(truthful)
                         moved[i] = Bid(names[i], deviation)
                         outcome = second_price(moved)
-                        if single_item_utility(values[i], names[i], outcome) > honest:
+                        if auction_utility(values[i], names[i], outcome) > honest:
                             violations += 1
     _check(
         violations == 0,
@@ -246,7 +246,7 @@ def test_criterion_5_spa_truthfulness_exhaustive():
 
 
 def test_criterion_6_beacon_uniformity_chi_square():
-    counts = uniformity_histogram(100_000, seed=0, bins=64)
+    counts = uniformity_histogram(100_000, seed=0)
     result = scipy.stats.chisquare(counts)
     statistic, p_value = chi_square_test(counts)
     assert math.isclose(statistic, result.statistic, rel_tol=1e-12)

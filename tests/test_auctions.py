@@ -9,12 +9,11 @@ from trustless_mech import (
     Bid,
     EPSILON_TICKS,
     SlotCTRs,
+    auction_utility,
     first_price,
     gsp,
-    gsp_utility,
     second_price,
     seller_revenue,
-    single_item_utility,
 )
 from trustless_mech.auctions import InstanceShape, NoParticipants, decode_bid, encode_bid
 from trustless_mech.errors import ValidationError, WireFormatError
@@ -98,8 +97,8 @@ def test_gsp_two_slot_ladder():
     outcome = gsp(bids(A=10, B=9, C=1), ctrs)
     assert outcome.allocation == {0: "A", 1: "B"}
     assert outcome.payments == {"A": 9, "B": 1}
-    assert outcome.per_click
-    assert seller_revenue(outcome, ctrs) == Fraction(1) * 9 + Fraction(4, 5) * 1
+    assert outcome.per_click and outcome.ctrs == ctrs
+    assert seller_revenue(outcome) == Fraction(1) * 9 + Fraction(4, 5) * 1
 
 
 def test_gsp_with_one_slot_is_second_price():
@@ -143,9 +142,9 @@ def test_slot_rates_must_strictly_decrease_within_unit_interval():
 def test_gsp_utility_examples_are_exact_fractions():
     ctrs = SlotCTRs((Fraction(1), Fraction(4, 5)))
     outcome = gsp(bids(A=10, B=9, C=1), ctrs)
-    top = gsp_utility(10, outcome.slot_of("A"), outcome, ctrs)
+    top = auction_utility(10, "A", outcome)
     assert top == Fraction(1)
-    lower = gsp_utility(10, outcome.slot_of("B"), outcome, ctrs)
+    lower = auction_utility(10, "B", outcome)
     assert lower == Fraction(36, 5)
     assert lower == Fraction(8, 10) * (10 - 1)
 
@@ -154,14 +153,15 @@ def test_gsp_utility_without_a_slot_is_zero():
     ctrs = SlotCTRs((Fraction(1), Fraction(4, 5)))
     outcome = gsp(bids(A=10, B=9, C=1), ctrs)
     assert outcome.slot_of("C") is None
-    assert gsp_utility(7, None, outcome, ctrs) == Fraction(0)
+    assert auction_utility(7, "C", outcome) == Fraction(0)
+    assert type(auction_utility(7, "C", outcome)) is int
 
 
 def test_gsp_utility_zero_margin():
     # per-click price equal to valuation nets exactly zero
     ctrs = SlotCTRs((Fraction(1),))
     outcome = gsp(bids(A=10, B=6), ctrs)
-    assert gsp_utility(6, 0, outcome, ctrs) == Fraction(0)
+    assert auction_utility(6, "A", outcome) == Fraction(0)
 
 
 def test_allocation_is_scale_free():
@@ -199,7 +199,7 @@ def test_truthful_first_price_winner_nets_zero():
         outcome = first_price(entries)
         winner = outcome.allocation[0]
         valuation = {b.agent: b.amount for b in entries}[winner]
-        assert single_item_utility(valuation, winner, outcome) == 0
+        assert auction_utility(valuation, winner, outcome) == 0
 
 
 def test_second_price_truthfulness_on_random_instances():
@@ -211,12 +211,12 @@ def test_second_price_truthfulness_on_random_instances():
         truthful = [Bid(f"a{i}", v) for i, v in enumerate(values)]
         base = second_price(truthful)
         for i in range(n):
-            honest = single_item_utility(values[i], f"a{i}", base)
+            honest = auction_utility(values[i], f"a{i}", base)
             for deviation in range(0, 13):
                 moved = list(truthful)
                 moved[i] = Bid(f"a{i}", deviation)
                 outcome = second_price(moved)
-                assert single_item_utility(values[i], f"a{i}", outcome) <= honest
+                assert auction_utility(values[i], f"a{i}", outcome) <= honest
 
 
 def test_losers_never_pay():

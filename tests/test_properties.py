@@ -14,6 +14,10 @@
    `json.dumps`.
 5. `run` writes the same bytes on a rerun, a sealed view yields no rebids,
    and every wire codec round-trips.
+6. `settle` answers any payload bytes: each agent either takes part, with an
+   input that re-encodes to its payload, or is reported as malformed.
+7. Every auction's utilities and revenue split the slot-weighted value of
+   the allocation exactly.
 """
 
 import contextlib
@@ -25,20 +29,35 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trustless_mech import (
+    AgentInput,
     CommitOpening,
     ExecutionMode,
     LeakStrategy,
     LeakStrategyKind,
+    LotteryMode,
+    MechanismKind,
+    MechanismTag,
     OperatorView,
     Scenario,
     ScenarioError,
+    SchoolSpec,
+    SettlementInput,
+    SlotCTRs,
+    WireFormatError,
+    auction_utility,
+    decode_agent_payload,
+    encode_agent_payload,
     plan_deviation,
     run_with_adversary,
     scenario_from_dict,
+    seller_revenue,
+    settle,
+    settle_inputs,
 )
 from trustless_mech.adversaries import execute_run
 from trustless_mech.auctions import decode_bid, encode_bid
@@ -357,7 +376,11 @@ def test_contributions_round_trip(value):
 
 @given(st.lists(st.integers(0, 255), max_size=255))
 def test_rankings_round_trip(indices):
-    assert decode_ranking(encode_ranking(indices)) == tuple(indices)
+    if len(set(indices)) < len(indices):
+        with pytest.raises(WireFormatError, match="repeats"):
+            decode_ranking(encode_ranking(indices))
+    else:
+        assert decode_ranking(encode_ranking(indices)) == tuple(indices)
 
 
 @given(
@@ -368,3 +391,86 @@ def test_rankings_round_trip(indices):
 def test_reveal_payloads_round_trip(agent, payload, salt):
     opening = CommitOpening(payload=payload, salt=salt)
     assert parse_reveal_payload(reveal_message(agent, "c", opening).payload) == opening
+
+
+@st.composite
+def mechanisms(draw, kinds=MECHANISMS) -> MechanismKind:
+    """A mechanism of one of ``kinds``: auctions with or without a beacon,
+    school choice with fixed priorities or a beacon lottery."""
+    tag = MechanismTag(draw(st.sampled_from(kinds)))
+    if tag is MechanismTag.BEACON:
+        return MechanismKind(tag=tag)
+    with_beacon = draw(st.booleans())
+    if tag is MechanismTag.GSP:
+        slots = draw(st.integers(1, 3))
+        ctrs = SlotCTRs(tuple(Fraction(slots - i, slots + 1) for i in range(slots)))
+        return MechanismKind(tag=tag, ctrs=ctrs, with_beacon=with_beacon)
+    if tag is not MechanismTag.BOSTON:
+        return MechanismKind(tag=tag, with_beacon=with_beacon)
+    mode = draw(st.sampled_from([None, *LotteryMode])) if with_beacon else None
+    schools = tuple(
+        SchoolSpec(
+            school,
+            draw(st.integers(0, 2)),
+            draw(st.permutations(AGENT_NAMES)) if mode is None else (),
+        )
+        for school in SCHOOL_NAMES[: draw(st.integers(1, 3))]
+    )
+    return MechanismKind(tag=tag, schools=schools, priority_mode=mode, with_beacon=with_beacon)
+
+
+# a body shaped like a ranking (small, often repeated indices), a bid, or
+# anything, then an optional contribution-sized tail
+payload_bodies = st.one_of(
+    st.lists(st.integers(0, 3), max_size=4).map(lambda xs: bytes([len(xs), *xs])),
+    st.binary(min_size=8, max_size=8),
+    st.binary(max_size=12),
+)
+payloads = st.tuples(payload_bodies, st.sampled_from([b"", bytes(8), b"\xff" * 8])).map(
+    lambda parts: parts[0] + parts[1]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mechanisms(), st.dictionaries(st.sampled_from(AGENT_NAMES), payloads))
+def test_settle_reports_any_undecodable_payload_as_malformed(mechanism, by_agent):
+    payload_of = dict(sorted(by_agent.items()))
+    result = settle(
+        SettlementInput("c", mechanism, tuple(payload_of.items()), frozenset({"zed"}))
+    )
+    assert set(result.participants).isdisjoint(result.malformed)
+    assert set(result.participants) | set(result.malformed) == set(payload_of)
+    assert result.excluded == ("zed",)
+    for agent in result.participants:
+        agent_input = decode_agent_payload(mechanism, payload_of[agent])
+        assert encode_agent_payload(mechanism, agent_input) == payload_of[agent]
+
+
+@st.composite
+def auction_inputs(draw) -> tuple[MechanismKind, dict, dict]:
+    """An auction, the bids (and maybe contributions) of some agents, and a
+    valuation for every agent; no bids and too few GSP bidders included."""
+    mechanism = draw(mechanisms(kinds=("first_price", "second_price", "gsp")))
+    bidders = draw(st.lists(st.sampled_from(AGENT_NAMES), max_size=6, unique=True))
+    inputs = {
+        agent: AgentInput(
+            bid=draw(st.integers(0, 12)),
+            contribution=draw(st.none() | st.integers(0, 2**64 - 1))
+            if mechanism.with_beacon
+            else None,
+        )
+        for agent in bidders
+    }
+    valuations = {agent: draw(st.integers(0, 20)) for agent in AGENT_NAMES}
+    return mechanism, inputs, valuations
+
+
+@settings(max_examples=300, deadline=None)
+@given(auction_inputs())
+def test_auction_utilities_and_revenue_split_the_allocated_value(case):
+    mechanism, inputs, valuations = case
+    outcome = settle_inputs(mechanism, inputs).auction
+    rates = mechanism.ctrs.rates if mechanism.ctrs is not None else [1]
+    welfare = sum(rates[slot] * valuations[agent] for slot, agent in outcome.allocation.items())
+    utilities = sum(auction_utility(v, agent, outcome) for agent, v in valuations.items())
+    assert utilities + seller_revenue(outcome) == welfare

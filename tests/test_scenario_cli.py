@@ -562,6 +562,28 @@ def test_cli_invariant_violation_exits_2(tmp_path, monkeypatch, capsys):
     assert (code, out, err) == (2, "", "invariant violation: a trial went missing\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "x.json", "--mode", "bogus"],
+        ["beacon-uniformity"],
+        ["beacon-uniformity", "--trials", "abc"],
+    ],
+    ids=["unknown-choice", "missing-trials", "non-integer-trials"],
+)
+def test_cli_usage_error_exits_2_with_usage_and_no_traceback(argv, tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "trustless_mech.cli", *argv],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("usage:")
+    assert "Traceback" not in done.stderr
+
+
 # sha256 of `beacon-uniformity --trials 20000 --seed S` stdout, the op the
 # benchmark times, frozen from the per-draw histogram loop
 BEACON_UNIFORMITY_SHA256 = {

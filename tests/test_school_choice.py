@@ -266,3 +266,5 @@ def test_ranking_wire_codec():
         decode_ranking(b"\x02\x00")
     with pytest.raises(WireFormatError):
         decode_ranking(b"\x01\x00\x01")
+    with pytest.raises(WireFormatError):
+        decode_ranking(b"\x03\x01\x00\x01")
