@@ -63,8 +63,8 @@ def main() -> None:
     chain.advance_to(SCHEDULE.reveal_deadline)
 
     # settlement: replay the chain, verify every opening, run the auction
-    state, settlement_input = drive(chain, CONTRACT, SCHEDULE, MECHANISM)
-    result = settle(settlement_input)
+    state, settlement_input = drive(chain, CONTRACT, SCHEDULE)
+    result = settle(MECHANISM, settlement_input)
 
     print()
     print(f"verified reveals: {', '.join(sorted(state.reveals))}")

@@ -24,18 +24,14 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from .auctions import EPSILON_TICKS, auction_utility, seller_revenue
 from .chain import ChainState, MessageKind, MinerPolicy
 from .commitments import CommitOpening, make_commitment
-from .contract import (
-    AUCTION_TAGS,
-    MechanismKind,
-    MechanismTag,
-    commit_message,
-    drive,
-    reveal_message,
-)
+from .contract import commit_message, drive, reveal_message
 from .errors import InvariantViolation, ValidationError
 from .school_choice import PreferenceRanking, SchoolSpec, admission_table, rank_utility
 from .settlement import (
+    AUCTION_TAGS,
     AgentInput,
+    MechanismKind,
+    MechanismTag,
     SettlementResult,
     encode_agent_payload,
     input_beacon,
@@ -392,9 +388,9 @@ def execute_run(
         chain.submit(reveal_message(agent, contract_id, openings[agent]))
     chain.advance_to(scenario.schedule.reveal_deadline, plan.miner or scenario.miner)
 
-    _, settlement_input = drive(chain, contract_id, scenario.schedule, scenario.mechanism)
+    _, settlement_input = drive(chain, contract_id, scenario.schedule)
     assert settlement_input is not None
-    return settle(settlement_input), plan
+    return settle(scenario.mechanism, settlement_input), plan
 
 
 def agent_utilities(

@@ -23,10 +23,10 @@ from .adversaries import LeakStrategy, LeakStrategyKind, check_compatible, exact
 from .auctions import SlotCTRs
 from .beacon import DOMAIN_CONTRIBUTIONS, DOMAIN_SALTS, U64_MASK, HashStream
 from .chain import MinerPolicy
-from .contract import AUCTION_TAGS, MechanismKind, MechanismTag, PhaseSchedule
+from .contract import PhaseSchedule
 from .errors import ValidationError, WireFormatError
 from .school_choice import LotteryMode, SchoolSpec, encode_ranking
-from .settlement import AgentInput
+from .settlement import AUCTION_TAGS, AgentInput, MechanismKind, MechanismTag
 
 
 # Bounds on one GSP rate string, checked before `Fraction` expands its
@@ -377,10 +377,23 @@ def scenario_to_dict(s: Scenario) -> dict:
     return doc
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """One JSON object, refusing a key given twice: plain decoding keeps the
+    last value and drops the rest without a word."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ScenarioError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def _from_text(text: str, source: str) -> Scenario:
     """Decode one scenario document; every error is prefixed with ``source``."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except ScenarioError as exc:  # raised by _unique_keys
+        raise ScenarioError(f"{source}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except RecursionError:

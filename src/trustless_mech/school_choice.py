@@ -48,7 +48,7 @@ class SchoolSpec:
             raise ValidationError(f"priority order for {self.school!r} repeats a student")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Matching:
     assignment: dict[str, str | None] = field(default_factory=dict)
     round_assigned: dict[str, int] = field(default_factory=dict)

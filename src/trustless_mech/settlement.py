@@ -1,16 +1,18 @@
 """Turns verified reveal payloads into mechanism outcomes.
 
-This is the glue between the contract runtime and the pure mechanisms: it
-decodes each payload for the contract's mechanism kind, aggregates beacon
-contributions when present, derives the tie-break permutation or lottery
-priorities, and runs the allocation rule. Both execution modes funnel
-through `settle_inputs`, so a centralized run and a decentralized run of
-the same inputs settle identically by construction.
+This is the glue between the contract runtime and the pure mechanisms, and
+the one module that knows which mechanism a run uses: it defines
+`MechanismKind`, decodes each opaque payload the contract verified for that
+kind, aggregates beacon contributions when present, derives the tie-break
+permutation or lottery priorities, and runs the allocation rule. Both
+execution modes funnel through `settle_inputs`, so a centralized run and a
+decentralized run of the same inputs settle identically by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from typing import Mapping
 
 from .auctions import (
@@ -21,6 +23,7 @@ from .auctions import (
     gsp,
     second_price,
     AuctionOutcome,
+    SlotCTRs,
 )
 from .beacon import (
     CONTRIBUTION_SIZE,
@@ -30,9 +33,10 @@ from .beacon import (
     decode_contribution,
     encode_contribution,
 )
-from .contract import MechanismKind, MechanismTag, SettlementInput
+from .contract import SettlementInput
 from .errors import ValidationError, WireFormatError
 from .school_choice import (
+    LotteryMode,
     Matching,
     PreferenceRanking,
     SchoolSpec,
@@ -45,6 +49,59 @@ from .school_choice import (
 NOTE_DEGENERATE_BEACON = "degenerate beacon: no verified contributions, identifier-order fallback"
 NOTE_NO_PARTICIPANTS = "no participants after exclusions; empty outcome"
 NOTE_RANK_UTILITY = "school-choice utilities are ordinal ranks (package convention, not from the mechanism)"
+
+
+class MechanismTag(Enum):
+    BEACON = "beacon"
+    FIRST_PRICE = "first_price"
+    SECOND_PRICE = "second_price"
+    GSP = "gsp"
+    BOSTON = "boston"
+
+
+AUCTION_TAGS = (MechanismTag.FIRST_PRICE, MechanismTag.SECOND_PRICE, MechanismTag.GSP)
+
+
+@dataclass(frozen=True)
+class MechanismKind:
+    """Which allocation rule settles the contract, plus its configuration.
+
+    ``with_beacon`` appends an 8-byte beacon contribution to every reveal
+    payload (the combined report-plus-random-bit message flow); the settled
+    beacon then drives tie-breaking and school lotteries. A priority lottery
+    mode requires it.
+    """
+
+    tag: MechanismTag
+    ctrs: SlotCTRs | None = None
+    schools: tuple[SchoolSpec, ...] = ()
+    priority_mode: LotteryMode | None = None
+    with_beacon: bool = False
+
+    def __post_init__(self) -> None:
+        if self.tag is MechanismTag.GSP and self.ctrs is None:
+            raise ValidationError("GSP requires slot click-through rates")
+        if self.tag is not MechanismTag.GSP and self.ctrs is not None:
+            raise ValidationError(f"{self.tag.value} takes no slot rates")
+        if self.tag is MechanismTag.BOSTON:
+            if not self.schools:
+                raise ValidationError("school choice requires at least one school")
+            if len({s.school for s in self.schools}) != len(self.schools):
+                raise ValidationError("school identifiers must be unique")
+            if self.priority_mode is not None and not self.with_beacon:
+                raise ValidationError("a priority lottery needs beacon contributions")
+        else:
+            if self.schools or self.priority_mode is not None:
+                raise ValidationError(f"{self.tag.value} takes no school parameters")
+        if self.tag is MechanismTag.BEACON and self.with_beacon:
+            raise ValidationError("beacon contracts already carry contributions")
+
+    @property
+    def uses_beacon(self) -> bool:
+        return self.tag is MechanismTag.BEACON or self.with_beacon
+
+    def school_ids(self) -> tuple[str, ...]:
+        return tuple(s.school for s in self.schools)
 
 
 @dataclass(frozen=True)
@@ -194,7 +251,7 @@ def settle_inputs(
     bids = [Bid(agent=a, amount=inputs[a].bid) for a in participants if inputs[a].bid is not None]
     if not bids:
         notes.append(NOTE_NO_PARTICIPANTS)
-        result["auction"] = AuctionOutcome()
+        result["auction"] = AuctionOutcome(ctrs=mechanism.ctrs)
     elif mechanism.tag is MechanismTag.FIRST_PRICE:
         result["auction"] = first_price(bids, tie_break)
     elif mechanism.tag is MechanismTag.SECOND_PRICE:
@@ -228,10 +285,9 @@ def lottery_schools(
     return lottery_priorities(participants, schools, beacon_output, mechanism.priority_mode)
 
 
-def settle(settlement_input: SettlementInput) -> SettlementResult:
-    """Decode verified payloads, then settle. Undecodable payloads drop their
-    agent from the mechanism and are reported as malformed."""
-    mechanism = settlement_input.mechanism
+def settle(mechanism: MechanismKind, settlement_input: SettlementInput) -> SettlementResult:
+    """Decode verified payloads for the mechanism, then settle. Undecodable
+    payloads drop their agent from the mechanism and are reported as malformed."""
     inputs: dict[str, AgentInput] = {}
     malformed: list[str] = []
     for agent, payload in settlement_input.payloads:

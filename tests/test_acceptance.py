@@ -301,13 +301,12 @@ def test_criterion_7_censorship_window_boundary():
 def test_criterion_8_commitment_binding_under_mutation():
     rng = random.Random(1008)
     schedule = PhaseSchedule(2, 6)
-    mech = MechanismKind(tag=MechanismTag.FIRST_PRICE)
     violations = 0
     for trial in range(10_000):
         payload = rng.randbytes(rng.randrange(1, 24))
         salt = rng.randbytes(32)
         opening = CommitOpening(payload=payload, salt=salt)
-        state = ContractState("bind", schedule, mech)
+        state = ContractState("bind", schedule)
         state.accept_commit(1, "agent", make_commitment("agent", "bind", opening))
 
         mutated_payload, mutated_salt = bytearray(payload), bytearray(salt)

@@ -21,13 +21,6 @@ from trustless_mech import (
 from trustless_mech.contract import (
     AlreadySettled,
     ContractRejection,
-    DuplicateCommit,
-    DuplicateReveal,
-    ExcludedAgentReveal,
-    FinalizeTooEarly,
-    LateCommit,
-    RevealOutsideWindow,
-    UnknownAgentReveal,
     commit_message,
     parse_reveal_payload,
     reveal_message,
@@ -36,7 +29,6 @@ from trustless_mech.errors import ValidationError, WireFormatError
 from trustless_mech.school_choice import LotteryMode
 
 CID = "auction-42"
-FPA = MechanismKind(tag=MechanismTag.FIRST_PRICE)
 SCHEDULE = PhaseSchedule(commit_deadline=3, reveal_deadline=8)
 
 
@@ -46,7 +38,7 @@ def opening_for(agent: str, payload: bytes) -> CommitOpening:
 
 
 def committed_contract(agents: dict[str, bytes]) -> tuple[ContractState, dict[str, CommitOpening]]:
-    state = ContractState(CID, SCHEDULE, FPA)
+    state = ContractState(CID, SCHEDULE)
     openings = {}
     for agent, payload in agents.items():
         openings[agent] = opening_for(agent, payload)
@@ -86,16 +78,16 @@ def accepted_at(height: int) -> list[str]:
 def test_phase_boundaries():
     # T = 3 and T' = 8 are inclusive: each window ends at its deadline
     state, openings = committed_contract({"alice": b"a"})
-    with pytest.raises(LateCommit):
+    with pytest.raises(ContractRejection, match="commit from"):
         state.accept_commit(4, "bo", make_commitment("bo", CID, opening_for("bo", b"b")))
     state.accept_commit(3, "bo", make_commitment("bo", CID, opening_for("bo", b"b")))
-    with pytest.raises(RevealOutsideWindow):
+    with pytest.raises(ContractRejection, match="outside"):
         state.accept_reveal(3, "alice", openings["alice"])
-    with pytest.raises(RevealOutsideWindow):
+    with pytest.raises(ContractRejection, match="outside"):
         state.accept_reveal(9, "alice", openings["alice"])
     state.accept_reveal(4, "alice", openings["alice"])
     state.accept_reveal(8, "bo", opening_for("bo", b"b"))
-    with pytest.raises(FinalizeTooEarly):
+    with pytest.raises(ContractRejection, match="finalize at height"):
         state.finalize(7)
     assert state.finalize(8).excluded == frozenset()
 
@@ -138,21 +130,21 @@ def test_a_settled_contract_takes_no_more_messages():
 
 
 def test_commit_accepted_at_exactly_the_deadline():
-    state = ContractState(CID, SCHEDULE, FPA)
+    state = ContractState(CID, SCHEDULE)
     state.accept_commit(3, "alice", make_commitment("alice", CID, opening_for("alice", b"x")))
     assert "alice" in state.commitments
 
 
 def test_commit_rejected_one_block_after_the_deadline():
-    state = ContractState(CID, SCHEDULE, FPA)
-    with pytest.raises(LateCommit):
+    state = ContractState(CID, SCHEDULE)
+    with pytest.raises(ContractRejection, match="commit from"):
         state.accept_commit(4, "alice", make_commitment("alice", CID, opening_for("alice", b"x")))
 
 
 def test_second_commit_rejected_and_first_stands():
     state, openings = committed_contract({"alice": b"one"})
     replacement = make_commitment("alice", CID, opening_for("alice", b"two"))
-    with pytest.raises(DuplicateCommit):
+    with pytest.raises(ContractRejection, match="already committed"):
         state.accept_commit(2, "alice", replacement)
     state.accept_reveal(4, "alice", openings["alice"])
     assert state.reveals["alice"].payload == b"one"
@@ -160,13 +152,13 @@ def test_second_commit_rejected_and_first_stands():
 
 def test_reveal_rejected_during_commit_phase():
     state, openings = committed_contract({"alice": b"x"})
-    with pytest.raises(RevealOutsideWindow):
+    with pytest.raises(ContractRejection, match="outside"):
         state.accept_reveal(3, "alice", openings["alice"])
 
 
 def test_reveal_rejected_after_reveal_deadline():
     state, openings = committed_contract({"alice": b"x"})
-    with pytest.raises(RevealOutsideWindow):
+    with pytest.raises(ContractRejection, match="outside"):
         state.accept_reveal(9, "alice", openings["alice"])
 
 
@@ -179,7 +171,7 @@ def test_reveal_accepted_across_the_whole_window():
 
 def test_reveal_without_commit_rejected():
     state, _ = committed_contract({})
-    with pytest.raises(UnknownAgentReveal):
+    with pytest.raises(ContractRejection, match="never committed"):
         state.accept_reveal(4, "ghost", opening_for("ghost", b"x"))
 
 
@@ -200,14 +192,14 @@ def test_altered_salt_also_excludes():
 def test_excluded_agent_cannot_reveal_again_even_correctly():
     state, openings = committed_contract({"alice": b"x"})
     state.accept_reveal(4, "alice", opening_for("alice", b"y"))
-    with pytest.raises(ExcludedAgentReveal):
+    with pytest.raises(ContractRejection, match="is excluded"):
         state.accept_reveal(5, "alice", openings["alice"])
 
 
 def test_duplicate_reveal_rejected():
     state, openings = committed_contract({"alice": b"x"})
     state.accept_reveal(4, "alice", openings["alice"])
-    with pytest.raises(DuplicateReveal):
+    with pytest.raises(ContractRejection, match="already revealed"):
         state.accept_reveal(5, "alice", openings["alice"])
 
 
@@ -239,7 +231,7 @@ def test_finalize_with_no_commitments():
 
 def test_finalize_too_early_and_at_the_deadline():
     state, _ = committed_contract({})
-    with pytest.raises(FinalizeTooEarly):
+    with pytest.raises(ContractRejection, match="finalize at height"):
         state.finalize(7)
     state.finalize(8)
 
@@ -289,9 +281,9 @@ def test_drive_matches_manual_replay():
     openings = {a: opening_for(a, p) for a, p in
                 {"alice": b"10", "bob": b"20", "carol": b"30"}.items()}
     chain = build_chain(openings, {"alice": 3, "bob": 4, "carol": 5})
-    driven, settlement = drive(chain, CID, SCHEDULE, FPA)
+    driven, settlement = drive(chain, CID, SCHEDULE)
 
-    manual = ContractState(CID, SCHEDULE, FPA)
+    manual = ContractState(CID, SCHEDULE)
     for agent, opening in openings.items():
         manual.accept_commit(1, agent, make_commitment(agent, CID, opening))
     manual.accept_reveal(4, "alice", openings["alice"])
@@ -306,15 +298,15 @@ def test_drive_matches_manual_replay():
 def test_drive_is_idempotent():
     openings = {"alice": opening_for("alice", b"1")}
     chain = build_chain(openings, {"alice": 4})
-    first = drive(chain, CID, SCHEDULE, FPA)[1]
-    second = drive(chain, CID, SCHEDULE, FPA)[1]
+    first = drive(chain, CID, SCHEDULE)[1]
+    second = drive(chain, CID, SCHEDULE)[1]
     assert first == second
 
 
 def test_drive_before_the_deadline_returns_no_settlement():
     openings = {"alice": opening_for("alice", b"1")}
     chain = build_chain(openings, {"alice": 4}, through=7)
-    state, settlement = drive(chain, CID, SCHEDULE, FPA)
+    state, settlement = drive(chain, CID, SCHEDULE)
     assert settlement is None
     assert "alice" in state.reveals
 
@@ -326,7 +318,7 @@ def test_drive_records_late_commit_as_rejection():
     opening = opening_for("alice", b"1")
     chain.submit(commit_message("alice", CID, make_commitment("alice", CID, opening)))
     chain.advance_to(8)
-    state, settlement = drive(chain, CID, SCHEDULE, FPA)
+    state, settlement = drive(chain, CID, SCHEDULE)
     assert state.commitments == {}
     assert settlement.payloads == ()
     assert len(state.rejections) == 1
@@ -338,7 +330,7 @@ def test_drive_ignores_other_contracts():
     opening = opening_for("alice", b"1")
     chain.submit(commit_message("alice", "other", make_commitment("alice", "other", opening)))
     chain.advance_to(8)
-    state, settlement = drive(chain, CID, SCHEDULE, FPA)
+    state, settlement = drive(chain, CID, SCHEDULE)
     assert state.commitments == {}
     assert state.rejections == []
 
@@ -348,7 +340,7 @@ def test_drive_rejects_malformed_commit_digest():
     from trustless_mech import Message, MessageKind
     chain.submit(Message("alice", CID, MessageKind.COMMIT, b"short"))
     chain.advance_to(8)
-    state, _ = drive(chain, CID, SCHEDULE, FPA)
+    state, _ = drive(chain, CID, SCHEDULE)
     assert state.commitments == {}
     assert len(state.rejections) == 1
 
@@ -370,7 +362,7 @@ def test_drive_records_a_message_of_the_wrong_size_as_a_rejection(kind, size, re
         chain.advance_to(4)
         chain.submit(Message("alice", CID, kind, bytes(size)))
     chain.advance_to(8)
-    state, settlement = drive(chain, CID, SCHEDULE, FPA)
+    state, settlement = drive(chain, CID, SCHEDULE)
     assert state.rejections == [rejection]
     assert state.reveals == {}
     assert settlement.payloads == ()
@@ -382,7 +374,7 @@ def test_censorship_past_the_reveal_deadline_excludes():
     openings = {"alice": opening_for("alice", b"1"), "bob": opening_for("bob", b"2")}
     policy = MinerPolicy.censor({"alice"}, until=8)
     chain = build_chain(openings, {"alice": 3, "bob": 3}, policy=policy, through=10)
-    state, settlement = drive(chain, CID, SCHEDULE, FPA)
+    state, settlement = drive(chain, CID, SCHEDULE)
     assert settlement.excluded == frozenset({"alice"})
     assert [a for a, _ in settlement.payloads] == ["bob"]
 
@@ -392,7 +384,7 @@ def test_censorship_inside_the_window_only_delays():
     openings = {"alice": opening_for("alice", b"1")}
     policy = MinerPolicy.censor({"alice"}, until=7)
     chain = build_chain(openings, {"alice": 3}, policy=policy, through=10)
-    state, settlement = drive(chain, CID, SCHEDULE, FPA)
+    state, settlement = drive(chain, CID, SCHEDULE)
     assert settlement.excluded == frozenset()
     assert [a for a, _ in settlement.payloads] == ["alice"]
 

@@ -53,3 +53,20 @@ def test_every_imported_name_is_used(path):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(alias.asname or alias.name for alias in node.names)
     assert sorted(imported - _used_names(tree)) == []
+
+
+@pytest.mark.parametrize("name", ["chain", "commitments", "contract"])
+def test_the_commit_reveal_layer_imports_no_mechanism(name):
+    # payloads stay opaque bytes until settlement, so these modules import
+    # nothing from the package but each other and errors
+    path = Path(trustless_mech.__file__).parent / f"{name}.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            prefix = "." * node.level
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            imported.update(prefix + name for name in names)
+    package = {module for module in imported if module.startswith((".", "trustless_mech"))}
+    assert package <= {".chain", ".commitments", ".contract", ".errors"}

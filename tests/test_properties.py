@@ -435,9 +435,7 @@ payloads = st.tuples(payload_bodies, st.sampled_from([b"", bytes(8), b"\xff" * 8
 @given(mechanisms(), st.dictionaries(st.sampled_from(AGENT_NAMES), payloads))
 def test_settle_reports_any_undecodable_payload_as_malformed(mechanism, by_agent):
     payload_of = dict(sorted(by_agent.items()))
-    result = settle(
-        SettlementInput("c", mechanism, tuple(payload_of.items()), frozenset({"zed"}))
-    )
+    result = settle(mechanism, SettlementInput("c", tuple(payload_of.items()), frozenset({"zed"})))
     assert set(result.participants).isdisjoint(result.malformed)
     assert set(result.participants) | set(result.malformed) == set(payload_of)
     assert result.excluded == ("zed",)

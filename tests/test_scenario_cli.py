@@ -512,6 +512,42 @@ def test_undecodable_scenario_files_exit_1(content, problem, tmp_path, monkeypat
     assert err.startswith("error: bad.json: ") and problem in err
 
 
+@pytest.mark.parametrize(
+    "doc, member, repeated, key",
+    [
+        (minimal_doc, '"seed": 5', '"seed": 1, "seed": 5', "seed"),
+        (minimal_doc, '"reveal_deadline": 6', '"reveal_deadline": 6, "reveal_deadline": 7',
+         "reveal_deadline"),
+        (minimal_doc, '"bid": 9', '"bid": 3, "bid": 9', "bid"),
+        (boston_doc, '"capacity": 1', '"capacity": 1, "capacity": 2', "capacity"),
+    ],
+    ids=["top-level", "schedule", "agent", "school"],
+)
+def test_a_repeated_key_exits_1_naming_the_key(
+    doc, member, repeated, key, tmp_path, monkeypatch, capsys
+):
+    # plain JSON decoding would keep the last value and drop the first silently
+    text = json.dumps(doc())
+    assert text.count(member) >= 1
+    (tmp_path / "dup.json").write_text(text.replace(member, repeated, 1))
+    code, out, err = run_cli(
+        ["run", "dup.json", "--out", str(tmp_path / "out")], tmp_path, monkeypatch, capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: dup.json: duplicate key '{key}'\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_bundled_file_with_a_repeated_key_is_named_by_its_label(tmp_path, monkeypatch):
+    (tmp_path / "scenarios").mkdir()
+    (tmp_path / "scenarios" / "x.json").write_text('{"name": "x", "name": "y"}')
+    fake_resources = types.SimpleNamespace(files=lambda package: tmp_path)
+    monkeypatch.setattr(scenario_module, "resources", fake_resources)
+    with pytest.raises(ScenarioError, match=r"^bundled scenario 'x': duplicate key 'name'$"):
+        load_bundled("x")
+
+
 @pytest.mark.parametrize("name, out", [("probe", "taken"), ("n" * 250, "reports")])
 def test_cli_unwritable_reports_exit_1(name, out, tmp_path, monkeypatch, capsys):
     # "taken" is a file, not a directory; a 250-byte name is a valid contract

@@ -1,5 +1,6 @@
 """Immediate-acceptance school assignment and beacon-drawn lottery priorities."""
 
+import dataclasses
 import random
 
 import pytest
@@ -147,6 +148,13 @@ def test_distinct_first_choices_all_land_in_round_one():
         for pref in prefs:
             assert matching.assignment[pref.agent] == pref.ranking[0]
             assert matching.round_assigned[pref.agent] == 1
+
+
+def test_a_matching_is_frozen():
+    prefs, schools = two_college_instance()
+    matching = boston(prefs, schools)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        matching.assignment = {}
 
 
 def test_unknown_school_error_names_the_student():

@@ -133,6 +133,15 @@ def test_degenerate_gsp_after_exclusions_is_noted_not_fatal():
     assert any("degenerate GSP" in note for note in result.notes)
 
 
+@pytest.mark.parametrize("bids", [{}, {"alice": 4}, {"alice": 4, "bob": 7, "cy": 2}],
+                         ids=["no-bids", "too-few-bids", "enough-bids"])
+def test_a_gsp_outcome_is_always_per_click(bids):
+    gsp_kind = MechanismKind(tag=MechanismTag.GSP, ctrs=SlotCTRs((Fraction(1), Fraction(1, 2))))
+    result = settle_inputs(gsp_kind, {a: AgentInput(bid=b) for a, b in bids.items()})
+    assert result.auction.ctrs == gsp_kind.ctrs
+    assert result.canonical()["per_click"] is True
+
+
 def test_beacon_contract_settles_to_permuted_lottery():
     inputs = {"A": AgentInput(contribution=3), "B": AgentInput(contribution=5)}
     result = settle_inputs(BEACON, inputs)
@@ -218,9 +227,9 @@ def test_settle_drops_and_reports_malformed_payloads():
         ("bob", encode_agent_payload(FPA, AgentInput(bid=4))),
     )
     settlement_input = SettlementInput(
-        contract_id="c", mechanism=FPA, payloads=payloads, excluded=frozenset({"dave"})
+        contract_id="c", payloads=payloads, excluded=frozenset({"dave"})
     )
-    result = settle(settlement_input)
+    result = settle(FPA, settlement_input)
     assert result.malformed == ("mallory",)
     assert result.participants == ("alice", "bob")
     assert result.excluded == ("dave",)
