@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from itertools import permutations
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -54,7 +53,8 @@ class StrategyMismatch(ValidationError):
 
 
 class SearchBoundExceeded(ValidationError):
-    """Exhaustive ranking search is capped at a small school count."""
+    """The ranking search is capped at the school count up to which its
+    tests check it against every ranking."""
 
 
 class ExecutionMode(Enum):
@@ -296,23 +296,33 @@ def best_response_ranking(
     others_reports: Sequence[PreferenceRanking],
     schools: Sequence[SchoolSpec],
 ) -> PreferenceRanking:
-    """Search every ranking (all ordered subsets of schools) and return one
-    maximizing the student's rank utility under Boston, others' reports fixed.
+    """A ranking maximizing the student's rank utility under Boston, others'
+    reports fixed, among all ordered subsets of ``schools``.
 
-    The truthful ranking wins ties; otherwise the first maximizer in
-    enumeration order (shorter rankings first, school order as given) is
-    returned, which keeps the search deterministic.
+    The truthful ranking wins ties; otherwise the answer is the first
+    maximizer in enumeration order (shorter rankings first, then
+    lexicographic in the order of ``schools``), which keeps the search
+    deterministic. The answer is read from one run of the others alone
+    (``admission_table``) with no candidate scored, and is exact:
 
-    Each candidate is answered from one run of the others alone
-    (``admission_table``) rather than a full ``boston`` run. This is exact:
-    a student rejected at a school is not among its top ``seats``
-    applicants, so its application changes no one's admission there. By
-    induction over rounds, while the student is unplaced the seats left and
-    the applicants of round ``r`` are those of the others-only run, and the
-    student is admitted at its round-``r`` school iff fewer of that school's
-    round-``r`` applicants in that run outrank it than it has seats left.
-    A candidate's outcome is therefore its first school that admits the
-    student in that school's round, or none.
+    - A candidate's outcome is its first school that admits the student in
+      that school's round of the table, or none. A student rejected at a
+      school is not among its top ``seats`` applicants, so its application
+      changes no one's admission there; by induction over rounds, while the
+      student is unplaced the seats left and the applicants of round ``r``
+      are those of the others-only run.
+    - A refusal is final. A school refuses when at least as many of its
+      applicants outrank the student as it has seats left, and those
+      applicants then take every seat. So a school that admits the student
+      in any round admits it in the first, and ranking it first wins it.
+    - The best value is therefore the first school of the true ranking that
+      admits the student in the first round, and the one-school ranking of
+      it is the first candidate with that value. With no such school every
+      candidate leaves the student unplaced, and the empty ranking comes
+      first. Since only that school has the best value, the truthful
+      ranking ties exactly when it is assigned that school, or nothing
+      when there is none; naming a school outside ``schools``, it is no
+      candidate and cannot tie.
     """
     if len(schools) > SEARCH_BOUND_SCHOOLS:
         raise SearchBoundExceeded(
@@ -325,19 +335,15 @@ def best_response_ranking(
         raise ValidationError(f"ranking for {student.agent!r} repeats a school")
     if any(p.agent == student.agent for p in others_reports):
         raise ValidationError(f"student {student.agent!r} is also among the other reports")
-    n = len(ids)
-    best_ranking: tuple[str, ...] | None = None
-    best_value: int | None = None
-    for size in range(n + 1):
-        for candidate in permutations(ids, size):
-            assigned = next((s for s, row in zip(candidate, table) if row[s]), None)
-            value = rank_utility(student, assigned, n)
-            if best_value is None or value > best_value:
-                best_value, best_ranking = value, candidate
-            elif value == best_value and candidate == student.ranking:
-                best_ranking = candidate
-    assert best_ranking is not None
-    return PreferenceRanking(agent=student.agent, ranking=best_ranking)
+    known = set(ids)
+    # rank_utility values a school listed past the n-th place (behind unknown
+    # schools) no higher than none, and the empty ranking comes first
+    best = next(((s,) for s in student.ranking[: len(ids)] if s in known and table[0][s]), ())
+    if known.issuperset(student.ranking):
+        truthful = next((s for s, row in zip(student.ranking, table) if row[s]), None)
+        if truthful == (best[0] if best else None):
+            best = student.ranking
+    return PreferenceRanking(agent=student.agent, ranking=best)
 
 
 def execute_run(

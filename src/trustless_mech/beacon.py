@@ -100,31 +100,37 @@ class HashStream:
         ).to_bytes(8, "big")
         self._block_index = 0
         self._buffer = b""
+        self._offset = 0
 
     def read(self, n: int) -> bytes:
         """The next ``n`` bytes of the stream; ``read(0)`` is ``b""``.
 
-        The blocks a read is short of are hashed in one pass and joined
-        once; a read short of one block appends that block alone, which is
-        cheaper than a join. ``n`` below 0 raises ``ValidationError``.
+        Unread bytes stay in the buffer behind an offset, so a read that the
+        buffer covers slices once and copies nothing else. A read the buffer
+        falls short of keeps its unread tail and appends the blocks it needs,
+        hashed in one pass and joined once; a read short of one block
+        appends that block alone, which is cheaper than a join. ``n`` below
+        0 raises ``ValidationError``.
         """
         if n < 0:
             raise ValidationError(f"read size n must be non-negative, got {n}")
-        buffer = self._buffer
-        if len(buffer) < n:
-            start = self._block_index
-            stop = start + (n - len(buffer) + 31) // 32
+        buffer, start = self._buffer, self._offset
+        stop = start + n
+        if len(buffer) < stop:
+            first = self._block_index
+            last = first + (stop - len(buffer) + 31) // 32
             prefix = self._prefix
-            if stop == start + 1:
-                buffer += hashlib.sha256(prefix + start.to_bytes(8, "big")).digest()
+            if last == first + 1:
+                buffer = buffer[start:] + hashlib.sha256(prefix + first.to_bytes(8, "big")).digest()
             else:
                 sha256 = hashlib.sha256
-                buffer += b"".join(
-                    [sha256(prefix + j.to_bytes(8, "big")).digest() for j in range(start, stop)]
+                buffer = buffer[start:] + b"".join(
+                    [sha256(prefix + j.to_bytes(8, "big")).digest() for j in range(first, last)]
                 )
-            self._block_index = stop
-        self._buffer = buffer[n:]
-        return buffer[:n]
+            self._buffer, self._block_index, self._offset = buffer, last, n
+            return buffer[:n]
+        self._offset = stop
+        return buffer[start:stop]
 
     def u64(self) -> int:
         return int.from_bytes(self.read(8), "big")

@@ -48,6 +48,7 @@ from trustless_mech.adversaries import (
     StrategyMismatch,
 )
 from trustless_mech.errors import InvariantViolation, ValidationError
+from trustless_mech.school_choice import admission_table
 
 CENTRAL = ExecutionMode.CENTRALIZED_SEQUENTIAL
 DECENTRAL = ExecutionMode.DECENTRALIZED_COMMIT_REVEAL
@@ -499,6 +500,119 @@ def test_best_response_counts_admissions_after_the_others_are_placed():
     truthful = PreferenceRanking("kid", ("Y", "X"))
     best = best_response_ranking(truthful, [PreferenceRanking("pal", ("Y",))], schools)
     assert best.ranking == truthful.ranking
+
+
+def table_best_response(student, others, schools):
+    """Reference search: every candidate ranking, in enumeration order,
+    scored from one ``admission_table``."""
+    table = admission_table(student.agent, others, schools)
+    ids = [s.school for s in schools]
+    best_rank, best_val = None, None
+    for size in range(len(ids) + 1):
+        for cand in permutations(ids, size):
+            assigned = next((s for s, row in zip(cand, table) if row[s]), None)
+            val = rank_utility(student, assigned, len(ids))
+            if best_val is None or val > best_val:
+                best_val, best_rank = val, cand
+            elif val == best_val and cand == student.ranking:
+                best_rank = cand
+    return best_rank
+
+
+@st.composite
+def benchmark_shaped_instances(draw):
+    """Up to ``SEARCH_BOUND_SCHOOLS`` schools of capacity 0-10 and up to 60
+    students with partial or empty rankings, as the benchmark draws them;
+    the target's truthful ranking sometimes names a school outside them."""
+    names = [f"s{i}" for i in range(draw(st.integers(1, SEARCH_BOUND_SCHOOLS)))]
+    students = [f"kid{i}" for i in range(draw(st.integers(1, 60)))]
+    schools = [
+        SchoolSpec(name, draw(st.integers(0, 10)), priority=tuple(draw(st.permutations(students))))
+        for name in names
+    ]
+    rankings = {
+        s: tuple(draw(st.permutations(names))[: draw(st.integers(0, len(names)))])
+        for s in students
+    }
+    target = draw(st.sampled_from(students))
+    truthful = rankings[target]
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(truthful)))
+        truthful = (*truthful[:at], "elsewhere", *truthful[at:])
+    others = [PreferenceRanking(s, r) for s, r in rankings.items() if s != target]
+    return PreferenceRanking(target, truthful), others, schools
+
+
+@settings(max_examples=150, deadline=None)
+@given(benchmark_shaped_instances())
+def test_best_response_matches_the_admission_table_enumeration(instance):
+    truthful, others, schools = instance
+    got = best_response_ranking(truthful, others, schools)
+    assert got.ranking == table_best_response(truthful, others, schools)
+
+
+@settings(max_examples=150, deadline=None)
+@given(benchmark_shaped_instances())
+def test_an_admission_table_refusal_is_final(instance):
+    # the direct search reads reachability off the first row because of this
+    truthful, others, schools = instance
+    table = admission_table(truthful.agent, others, schools)
+    for earlier, later in zip(table, table[1:]):
+        assert all(earlier[s] for s in later if later[s])
+
+
+def test_best_response_ranks_first_a_school_the_truthful_ranking_reaches_too_late():
+    # pal fills A in round 1; late takes B's seat in round 1 unless kid,
+    # who outranks late there, applies to B in that round
+    schools = [
+        SchoolSpec("A", 1, priority=("pal", "kid", "late")),
+        SchoolSpec("B", 1, priority=("kid", "late", "pal")),
+        SchoolSpec("C", 1, priority=("kid", "late", "pal")),
+    ]
+    others = [PreferenceRanking("pal", ("A",)), PreferenceRanking("late", ("B",))]
+    truthful = PreferenceRanking("kid", ("A", "B", "C"))
+    assert admission_table("kid", others, schools) == [
+        {"A": False, "B": True, "C": True},
+        {"A": False, "B": False, "C": True},
+        {"A": False, "B": False, "C": True},
+    ]
+    assert boston([*others, truthful], schools).assignment["kid"] == "C"
+    best = best_response_ranking(truthful, others, schools)
+    assert best.ranking == ("B",) == brute_force_best_response(truthful, others, schools)[0]
+    assert boston([*others, best], schools).assignment["kid"] == "B"
+
+
+@pytest.mark.parametrize(
+    "ranking, want",
+    [
+        (("elsewhere", "X"), ("X",)),
+        # X listed third of two schools is worth no more than no school
+        (("elsewhere", "Y", "X"), ()),
+        (("elsewhere",), ()),
+        (("Y", "elsewhere"), ()),
+    ],
+)
+def test_a_truthful_ranking_naming_an_unknown_school_is_skipped(ranking, want):
+    schools = [SchoolSpec(name, 1, priority=("pal", "kid")) for name in ("X", "Y")]
+    others = [PreferenceRanking("pal", ("Y",))]
+    truthful = PreferenceRanking("kid", ranking)
+    best = best_response_ranking(truthful, others, schools)
+    assert best.ranking == want == brute_force_best_response(truthful, others, schools)[0]
+
+
+@pytest.mark.parametrize(
+    "ranking",
+    [
+        ("A", "C", "B"),  # placed at C in round 2, as (C,) places it in round 1
+        ("A",),  # unplaced, as the empty ranking leaves it
+    ],
+)
+def test_a_truthful_ranking_that_ties_a_shorter_candidate_wins(ranking):
+    schools = [SchoolSpec(name, 1, priority=("pal", "kid")) for name in "ABC"]
+    others = [PreferenceRanking("pal", ("A",))]
+    truthful = PreferenceRanking("kid", ranking)
+    best = best_response_ranking(truthful, others, schools)
+    assert best.ranking == ranking == brute_force_best_response(truthful, others, schools)[0]
 
 
 def test_best_response_rejects_a_repeated_school_and_a_repeated_student():
