@@ -42,19 +42,12 @@ from .settlement import (
 if TYPE_CHECKING:
     from .scenario import Scenario
 
-SEARCH_BOUND_SCHOOLS = 6
-
 NOTE_SEALED_VIEW = "operator view before the commit deadline holds digests only; nothing to leak"
 NOTE_NO_MINER = "centralized sequential execution has no miner; censorship lever absent"
 
 
 class StrategyMismatch(ValidationError):
     """Strategy kind does not apply to the contract's mechanism."""
-
-
-class SearchBoundExceeded(ValidationError):
-    """The ranking search is capped at the school count up to which its
-    tests check it against every ranking."""
 
 
 class ExecutionMode(Enum):
@@ -113,16 +106,12 @@ class LeakStrategy:
 
 
 def check_compatible(strategy: LeakStrategy, mechanism: MechanismKind) -> None:
-    """Reject a strategy its mechanism cannot host, or a ranking sale too wide to search."""
+    """Reject a strategy its mechanism cannot host."""
     if mechanism.tag not in _COMPATIBLE[strategy.kind]:
         raise StrategyMismatch(
             f"strategy {strategy.kind.value} does not apply to a "
             f"{mechanism.tag.value} contract"
         )
-    n = len(mechanism.schools)
-    if strategy.kind is LeakStrategyKind.BOSTON_SELL_RANKINGS and n > SEARCH_BOUND_SCHOOLS:
-        raise SearchBoundExceeded(f"the ranking search is capped at "
-                                  f"SEARCH_BOUND_SCHOOLS = {SEARCH_BOUND_SCHOOLS} schools, got {n}")
 
 
 @dataclass(frozen=True)
@@ -324,21 +313,11 @@ def best_response_ranking(
       when there is none; naming a school outside ``schools``, it is no
       candidate and cannot tie.
     """
-    if len(schools) > SEARCH_BOUND_SCHOOLS:
-        raise SearchBoundExceeded(
-            f"{len(schools)} schools exceed the exhaustive search bound "
-            f"{SEARCH_BOUND_SCHOOLS}"
-        )
     table = admission_table(student.agent, others_reports, schools)
-    ids = [s.school for s in schools]
-    if len(set(ids)) != len(ids):
-        raise ValidationError(f"ranking for {student.agent!r} repeats a school")
-    if any(p.agent == student.agent for p in others_reports):
-        raise ValidationError(f"student {student.agent!r} is also among the other reports")
-    known = set(ids)
+    known = {s.school for s in schools}
     # rank_utility values a school listed past the n-th place (behind unknown
     # schools) no higher than none, and the empty ranking comes first
-    best = next(((s,) for s in student.ranking[: len(ids)] if s in known and table[0][s]), ())
+    best = next(((s,) for s in student.ranking[: len(known)] if s in known and table[0][s]), ())
     if known.issuperset(student.ranking):
         truthful = next((s for s, row in zip(student.ranking, table) if row[s]), None)
         if truthful == (best[0] if best else None):

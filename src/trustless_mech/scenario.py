@@ -140,11 +140,11 @@ def _validate(s: Scenario) -> None:
             except WireFormatError as exc:
                 raise _fail(f"agents[{i}].ranking", str(exc)) from exc
         if s.mechanism.priority_mode is None:
-            for school_spec in s.mechanism.schools:
+            for j, school_spec in enumerate(s.mechanism.schools):
                 missing = seen - set(school_spec.priority)
                 if missing:
                     raise _fail(
-                        "mechanism.schools",
+                        f"mechanism.schools[{j}].priority",
                         f"school {school_spec.school!r} priority omits "
                         f"{sorted(missing)}",
                     )

@@ -57,15 +57,21 @@ class Matching:
 def _priority_ranks(
     prefs: Sequence[PreferenceRanking], schools: Sequence[SchoolSpec]
 ) -> dict[str, dict[str, int]]:
-    """Check that every ranked school exists and ranks every student; return
-    each school's priority rank table (student -> position, 0 first)."""
-    known = {s.school for s in schools}
+    """Check that school ids and students are unique and that every ranked
+    school exists and ranks every student; return each school's priority
+    rank table (student -> position, 0 first)."""
     priority_rank: dict[str, dict[str, int]] = {
         s.school: {student: i for i, student in enumerate(s.priority)} for s in schools
     }
+    if len(priority_rank) != len(schools):
+        raise ValidationError("school identifiers must be unique")
+    students: set[str] = set()
     for pref in prefs:
+        if pref.agent in students:
+            raise ValidationError(f"student {pref.agent!r} has more than one ranking")
+        students.add(pref.agent)
         for school in pref.ranking:
-            if school not in known:
+            if school not in priority_rank:
                 raise ValidationError(
                     f"student {pref.agent!r} ranked unknown school {school!r}"
                 )

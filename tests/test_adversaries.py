@@ -43,8 +43,6 @@ from trustless_mech import adversaries
 from trustless_mech.adversaries import (
     NOTE_NO_MINER,
     NOTE_SEALED_VIEW,
-    SEARCH_BOUND_SCHOOLS,
-    SearchBoundExceeded,
     StrategyMismatch,
 )
 from trustless_mech.errors import InvariantViolation, ValidationError
@@ -448,12 +446,17 @@ def test_best_response_matches_independent_enumeration():
         assert rank_utility(truthful, achieved, n_schools) == want_value
 
 
+# the widest instance the enumeration oracles below take (1,957 rankings);
+# it bounds the brute force, not the search
+ORACLE_SCHOOLS = 6
+
+
 @st.composite
 def boston_instances(draw):
     """Schools with random capacities and priorities, students with partial
     or empty rankings, and a target; ``omit`` is a school whose priority
     list should leave the target out, or None."""
-    names = [f"s{i}" for i in range(draw(st.integers(1, SEARCH_BOUND_SCHOOLS)))]
+    names = [f"s{i}" for i in range(draw(st.integers(1, ORACLE_SCHOOLS)))]
     students = [f"kid{i}" for i in range(draw(st.integers(1, 14)))]
     schools = [
         SchoolSpec(name, draw(st.integers(0, 4)), priority=tuple(draw(st.permutations(students))))
@@ -520,11 +523,12 @@ def table_best_response(student, others, schools):
 
 
 @st.composite
-def benchmark_shaped_instances(draw):
-    """Up to ``SEARCH_BOUND_SCHOOLS`` schools of capacity 0-10 and up to 60
-    students with partial or empty rankings, as the benchmark draws them;
-    the target's truthful ranking sometimes names a school outside them."""
-    names = [f"s{i}" for i in range(draw(st.integers(1, SEARCH_BOUND_SCHOOLS)))]
+def benchmark_shaped_instances(draw, widths=st.integers(1, ORACLE_SCHOOLS), outside=True):
+    """Schools of capacity 0-10 (up to ``ORACLE_SCHOOLS`` by default) and up
+    to 60 students with partial or empty rankings, as the benchmark draws
+    them; with ``outside`` the target's truthful ranking sometimes names a
+    school outside them."""
+    names = [f"s{i}" for i in range(draw(widths))]
     students = [f"kid{i}" for i in range(draw(st.integers(1, 60)))]
     schools = [
         SchoolSpec(name, draw(st.integers(0, 10)), priority=tuple(draw(st.permutations(students))))
@@ -536,7 +540,7 @@ def benchmark_shaped_instances(draw):
     }
     target = draw(st.sampled_from(students))
     truthful = rankings[target]
-    if draw(st.booleans()):
+    if outside and draw(st.booleans()):
         at = draw(st.integers(0, len(truthful)))
         truthful = (*truthful[:at], "elsewhere", *truthful[at:])
     others = [PreferenceRanking(s, r) for s, r in rankings.items() if s != target]
@@ -615,20 +619,62 @@ def test_a_truthful_ranking_that_ties_a_shorter_candidate_wins(ranking):
     assert best.ranking == ranking == brute_force_best_response(truthful, others, schools)[0]
 
 
+@settings(max_examples=60, deadline=None)
+@given(benchmark_shaped_instances(widths=st.integers(7, 12), outside=False))
+def test_a_best_response_past_the_oracle_width_beats_every_simple_ranking(instance):
+    # too wide for the enumeration oracles: check the answer against boston
+    # run on the truthful, the empty and every one-school ranking
+    truthful, others, schools = instance
+    got = best_response_ranking(truthful, others, schools)
+
+    def value(ranking):
+        trial = [*others, PreferenceRanking(truthful.agent, ranking)]
+        assigned = boston(trial, schools).assignment[truthful.agent]
+        return rank_utility(truthful, assigned, len(schools))
+
+    rivals = [truthful.ranking, (), *((s.school,) for s in schools)]
+    assert value(got.ranking) >= max(value(r) for r in rivals)
+
+
+def test_best_response_at_seven_schools_matches_the_admission_table_enumeration():
+    rng = random.Random(7)
+    names = [f"s{i}" for i in range(7)]
+    students = [f"kid{i}" for i in range(20)]
+    for _ in range(3):
+        schools = [
+            SchoolSpec(name, rng.randrange(0, 4), priority=tuple(rng.sample(students, 20)))
+            for name in names
+        ]
+        rankings = {s: tuple(rng.sample(names, rng.randrange(0, 8))) for s in students}
+        truthful = PreferenceRanking("kid0", rankings["kid0"])
+        others = [PreferenceRanking(s, r) for s, r in rankings.items() if s != "kid0"]
+        got = best_response_ranking(truthful, others, schools)
+        assert got.ranking == table_best_response(truthful, others, schools)
+
+
+REPEATED_SCHOOL = [SchoolSpec("s", 1, priority=("kid", "pal"))] * 2
+TWO_RANKINGS = [PreferenceRanking("kid", ()), PreferenceRanking("kid", ("s",))]
+
+
 def test_best_response_rejects_a_repeated_school_and_a_repeated_student():
-    schools = [SchoolSpec("s", 1, priority=("kid", "pal"))] * 2
-    with pytest.raises(ValidationError, match="ranking for 'kid' repeats a school"):
-        best_response_ranking(PreferenceRanking("kid", ()), [], schools)
-    with pytest.raises(ValidationError, match="'kid' is also among the other reports"):
-        best_response_ranking(
-            PreferenceRanking("kid", ()), [PreferenceRanking("kid", ("s",))], schools[:1]
-        )
+    with pytest.raises(ValidationError, match="^school identifiers must be unique$"):
+        best_response_ranking(PreferenceRanking("kid", ()), [], REPEATED_SCHOOL)
+    with pytest.raises(ValidationError, match="^student 'kid' has more than one ranking$"):
+        best_response_ranking(TWO_RANKINGS[0], TWO_RANKINGS[1:], REPEATED_SCHOOL[:1])
 
 
-def test_search_bound_on_school_count():
-    schools = [SchoolSpec(f"s{i}", 1, priority=("kid",)) for i in range(7)]
-    with pytest.raises(SearchBoundExceeded):
-        best_response_ranking(PreferenceRanking("kid", ()), [], schools)
+def test_boston_and_the_admission_table_reject_a_repeated_school_and_a_repeated_student():
+    # unchecked, boston keeps only the last spec of a repeated school and
+    # seats a student with two rankings twice while reporting one seat
+    kid = PreferenceRanking("kid", ("s",))
+    with pytest.raises(ValidationError, match="^school identifiers must be unique$"):
+        boston([kid], REPEATED_SCHOOL)
+    with pytest.raises(ValidationError, match="^school identifiers must be unique$"):
+        admission_table("kid", [], REPEATED_SCHOOL)
+    with pytest.raises(ValidationError, match="^student 'kid' has more than one ranking$"):
+        boston(TWO_RANKINGS, REPEATED_SCHOOL[:1])
+    with pytest.raises(ValidationError, match="^student 'kid' has more than one ranking$"):
+        admission_table("kid", [kid], REPEATED_SCHOOL[:1])
 
 
 def test_exact_str_prints_terminating_decimals_and_ratios():

@@ -1,6 +1,7 @@
 """The package's hand-kept export list, and the imports of each module."""
 
 import ast
+import importlib.util
 import types
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 import trustless_mech
 
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 MODULES = sorted(
     path for path in Path(trustless_mech.__file__).parent.glob("*.py") if path.name != "__init__.py"
 )
@@ -70,3 +72,27 @@ def test_the_commit_reveal_layer_imports_no_mechanism(name):
             imported.update(prefix + name for name in names)
     package = {module for module in imported if module.startswith((".", "trustless_mech"))}
     assert package <= {".chain", ".commitments", ".contract", ".errors"}
+
+
+def _bench_package_imports():
+    """``(file, module, name)`` for every ``from trustless_mech... import name``
+    in the benchmark's scripts."""
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                if node.module.split(".")[0] == "trustless_mech":
+                    yield from ((path.name, node.module, alias.name) for alias in node.names)
+
+
+def test_every_package_name_the_benchmark_imports_resolves():
+    # the benchmark runs only on demand, so a change that removes a name it
+    # imports fails here first
+    found = list(_bench_package_imports())
+    assert found
+    missing = [
+        (file, module, name)
+        for file, module, name in found
+        if not hasattr(importlib.import_module(module), name)
+        and importlib.util.find_spec(f"{module}.{name}") is None
+    ]
+    assert missing == []

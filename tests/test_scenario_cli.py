@@ -27,7 +27,6 @@ from trustless_mech import (
     uniformity_histogram,
 )
 from trustless_mech import cli
-from trustless_mech.adversaries import SEARCH_BOUND_SCHOOLS
 from trustless_mech.cli import OUT_DIR_ENV, main
 
 
@@ -242,22 +241,18 @@ def wide_boston_doc(n_schools: int) -> dict:
     return doc
 
 
-def test_a_ranking_sale_past_the_search_bound_names_the_field(tmp_path, monkeypatch, capsys):
-    assert scenario_from_dict(wide_boston_doc(SEARCH_BOUND_SCHOOLS)).adversary is not None
-    doc = wide_boston_doc(SEARCH_BOUND_SCHOOLS + 1)
-    problem = f"= {SEARCH_BOUND_SCHOOLS} schools, got {SEARCH_BOUND_SCHOOLS + 1}"
-    with pytest.raises(ScenarioError, match=r"^field 'adversary\.kind': .*SEARCH_BOUND_SCHOOLS "
-                       + re.escape(problem)):
-        scenario_from_dict(doc)
-    # rejected before any run, so the sealed mode that never searches fails too
+@pytest.mark.parametrize("n_schools", [7, 40])
+def test_a_ranking_sale_over_many_schools_runs(n_schools, tmp_path, monkeypatch, capsys):
+    # the wire format's 255 schools is the only width limit
+    doc = wide_boston_doc(n_schools)
+    assert len(scenario_from_dict(doc).mechanism.schools) == n_schools
     (tmp_path / "wide.json").write_text(json.dumps(doc))
-    code, out, err = run_cli(
-        ["run", "wide.json", "--mode", "decentralized"], tmp_path, monkeypatch, capsys
-    )
-    assert (code, out) == (1, "")
-    assert err.startswith("error: wide.json: field 'adversary.kind': ")
-    del doc["adversary"]
-    assert len(scenario_from_dict(doc).mechanism.schools) == SEARCH_BOUND_SCHOOLS + 1
+    for mode in ("centralized", "decentralized"):
+        code, _, err = run_cli(["run", "wide.json", "--mode", mode], tmp_path, monkeypatch, capsys)
+        assert (code, err) == (0, "")
+        report = json.loads((tmp_path / "reports" / "probe-school.report.json").read_text())
+        assert list(report["modes"]) == [mode]
+    assert report["modes"]["decentralized"]["gains"]["coalition"] == "0"
 
 
 def many_schools_doc(n_schools: int, ranked: list[int]) -> dict:
@@ -318,6 +313,7 @@ LONE_SURROGATE = json.loads('"\\ud800"')  # valid JSON, but not encodable text
         ("mechanism.schools[0].capacity", (*SCHOOL, 0, "capacity"), -1),
         ("name", ("name",), LONE_SURROGATE),
         ("agents[0].agent", ("agents", 0, "agent"), LONE_SURROGATE),
+        ("mechanism.schools[1].priority", (*SCHOOL, 1, "priority"), ["ann"]),
     ],
 )
 def test_malformed_lists_and_capacities_name_the_field(field, keys, value):
