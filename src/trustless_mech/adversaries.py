@@ -25,7 +25,13 @@ from .chain import ChainState, MessageKind, MinerPolicy
 from .commitments import CommitOpening, make_commitment
 from .contract import commit_message, drive, reveal_message
 from .errors import InvariantViolation, ValidationError
-from .school_choice import PreferenceRanking, SchoolSpec, admission_table, rank_utility
+from .school_choice import (
+    PreferenceRanking,
+    SchoolSpec,
+    boston,
+    first_round_admissions,
+    rank_utility,
+)
 from .settlement import (
     AUCTION_TAGS,
     AgentInput,
@@ -290,36 +296,19 @@ def best_response_ranking(
 
     The truthful ranking wins ties; otherwise the answer is the first
     maximizer in enumeration order (shorter rankings first, then
-    lexicographic in the order of ``schools``), which keeps the search
-    deterministic. The answer is read from one run of the others alone
-    (``admission_table``) with no candidate scored, and is exact:
-
-    - A candidate's outcome is its first school that admits the student in
-      that school's round of the table, or none. A student rejected at a
-      school is not among its top ``seats`` applicants, so its application
-      changes no one's admission there; by induction over rounds, while the
-      student is unplaced the seats left and the applicants of round ``r``
-      are those of the others-only run.
-    - A refusal is final. A school refuses when at least as many of its
-      applicants outrank the student as it has seats left, and those
-      applicants then take every seat. So a school that admits the student
-      in any round admits it in the first, and ranking it first wins it.
-    - The best value is therefore the first school of the true ranking that
-      admits the student in the first round, and the one-school ranking of
-      it is the first candidate with that value. With no such school every
-      candidate leaves the student unplaced, and the empty ranking comes
-      first. Since only that school has the best value, the truthful
-      ranking ties exactly when it is assigned that school, or nothing
-      when there is none; naming a school outside ``schools``, it is no
-      candidate and cannot tie.
+    lexicographic in the order of ``schools``). Two facts make round 1
+    decide it: a rejected applicant changes no one's admission, and a
+    refusal is final, so a school that ever admits the student admits it
+    when ranked first. The best value is thus the first school of the true
+    ranking in ``first_round_admissions``, won by ranking it alone.
     """
-    table = admission_table(student.agent, others_reports, schools)
-    known = {s.school for s in schools}
+    admits = first_round_admissions(student.agent, others_reports, schools)
     # rank_utility values a school listed past the n-th place (behind unknown
     # schools) no higher than none, and the empty ranking comes first
-    best = next(((s,) for s in student.ranking[: len(known)] if s in known and table[0][s]), ())
-    if known.issuperset(student.ranking):
-        truthful = next((s for s, row in zip(student.ranking, table) if row[s]), None)
+    best = next(((s,) for s in student.ranking[: len(schools)] if s in admits), ())
+    # a truthful ranking naming an unknown school is no candidate, so no tie
+    if {s.school for s in schools}.issuperset(student.ranking):
+        truthful = boston([*others_reports, student], schools).assignment[student.agent]
         if truthful == (best[0] if best else None):
             best = student.ranking
     return PreferenceRanking(agent=student.agent, ranking=best)

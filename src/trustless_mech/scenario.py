@@ -139,15 +139,17 @@ def _validate(s: Scenario) -> None:
                 encode_ranking([index_of[school] for school in spec.ranking])
             except WireFormatError as exc:
                 raise _fail(f"agents[{i}].ranking", str(exc)) from exc
-        if s.mechanism.priority_mode is None:
-            for j, school_spec in enumerate(s.mechanism.schools):
-                missing = seen - set(school_spec.priority)
-                if missing:
-                    raise _fail(
-                        f"mechanism.schools[{j}].priority",
-                        f"school {school_spec.school!r} priority omits "
-                        f"{sorted(missing)}",
-                    )
+        mode = s.mechanism.priority_mode
+        for j, school_spec in enumerate(s.mechanism.schools):
+            path = f"mechanism.schools[{j}].priority"
+            if mode is not None:
+                # the lottery replaces every priority order, so a list would be ignored
+                if school_spec.priority:
+                    raise _fail(path, f"must be empty under {mode.value}")
+            elif missing := seen - set(school_spec.priority):
+                raise _fail(
+                    path, f"school {school_spec.school!r} priority omits {sorted(missing)}"
+                )
 
     if s.adversary is not None:
         try:

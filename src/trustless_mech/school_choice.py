@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .beacon import BeaconOutput, beacon_order
 from .errors import ValidationError, WireFormatError
@@ -83,76 +83,43 @@ def _priority_ranks(
     return priority_rank
 
 
-def _rounds(
-    prefs: Sequence[PreferenceRanking],
-    schools: Sequence[SchoolSpec],
-    priority_rank: dict[str, dict[str, int]],
-    n_rounds: int,
-) -> Iterator[tuple[dict[str, int], dict[str, list[PreferenceRanking]]]]:
-    """Run rounds 1..n_rounds; yield ``(seats, pools)`` for each.
-
-    ``seats`` is every school's seats left before the round; ``pools`` maps
-    each school applied to in the round (in name order) to its applicants in
-    priority order. A school admits the first ``seats[school]`` of its pool.
-    Rounds after every student is placed are yielded too, with no applicants.
-    """
-    seats = {s.school: s.capacity for s in schools}
-    unassigned = list(prefs)
-    for rnd in range(n_rounds):
-        applicants: dict[str, list[PreferenceRanking]] = {}
-        for pref in unassigned:
-            if len(pref.ranking) > rnd:
-                applicants.setdefault(pref.ranking[rnd], []).append(pref)
-        pools = {
-            school: sorted(applicants[school], key=lambda p: priority_rank[school][p.agent])
-            for school in sorted(applicants)
-        }
-        left = dict(seats)
-        placed: set[str] = set()
-        for school, pool in pools.items():
-            admitted = pool[: left[school]]
-            seats[school] -= len(admitted)
-            placed.update(p.agent for p in admitted)
-        unassigned = [p for p in unassigned if p.agent not in placed]
-        yield left, pools
-
-
 def boston(prefs: Sequence[PreferenceRanking], schools: Sequence[SchoolSpec]) -> Matching:
     """Run the immediate-acceptance rounds to completion."""
     priority_rank = _priority_ranks(prefs, schools)
     matching = Matching(assignment={p.agent: None for p in prefs})
-    max_rounds = max((len(p.ranking) for p in prefs), default=0)
-    rounds = _rounds(prefs, schools, priority_rank, max_rounds)
-    for rnd, (seats, pools) in enumerate(rounds, start=1):
-        for school, pool in pools.items():
+    seats = {s.school: s.capacity for s in schools}
+    unassigned = list(prefs)
+    for rnd in range(max((len(p.ranking) for p in prefs), default=0)):
+        applicants: dict[str, list[PreferenceRanking]] = {}
+        for pref in unassigned:
+            if len(pref.ranking) > rnd:
+                applicants.setdefault(pref.ranking[rnd], []).append(pref)
+        for school in sorted(applicants):
+            pool = sorted(applicants[school], key=lambda p: priority_rank[school][p.agent])
             for pref in pool[: seats[school]]:
                 matching.assignment[pref.agent] = school
-                matching.round_assigned[pref.agent] = rnd
+                matching.round_assigned[pref.agent] = rnd + 1
+                seats[school] -= 1
+        unassigned = [p for p in unassigned if matching.assignment[p.agent] is None]
     return matching
 
 
-def admission_table(
+def first_round_admissions(
     student: str, others: Sequence[PreferenceRanking], schools: Sequence[SchoolSpec]
-) -> list[dict[str, bool]]:
-    """Where ``student`` would be admitted, round by round, against ``others``.
-
-    Row ``r - 1`` maps every school to whether ``student``, still unplaced
-    and applying there in round ``r``, is admitted: whether fewer of the
-    school's round-``r`` applicants in a run of ``others`` alone outrank
-    ``student`` than the school has seats left. That run lasts
-    ``len(schools)`` rounds, the longest ranking ``student`` can submit.
-    Inputs are checked as ``boston`` checks ``others`` plus ``student``
-    with an empty ranking.
+) -> set[str]:
+    """The schools that admit ``student`` if it ranks them first, ``others``
+    fixed: those where fewer of the others ranking the school first outrank
+    ``student`` than the school has seats. Inputs are checked as ``boston``
+    checks ``others`` plus ``student`` with an empty ranking.
     """
     priority_rank = _priority_ranks([*others, PreferenceRanking(student, ())], schools)
-    table = []
-    for seats, pools in _rounds(others, schools, priority_rank, len(schools)):
-        row = {}
-        for school, ranks in priority_rank.items():
-            ahead = sum(1 for p in pools.get(school, ()) if ranks[p.agent] < ranks[student])
-            row[school] = ahead < seats[school]
-        table.append(row)
-    return table
+    ahead = dict.fromkeys(priority_rank, 0)
+    for pref in others:
+        if pref.ranking:
+            ranks = priority_rank[pref.ranking[0]]
+            if ranks[pref.agent] < ranks[student]:
+                ahead[pref.ranking[0]] += 1
+    return {s.school for s in schools if ahead[s.school] < s.capacity}
 
 
 def lottery_priorities(

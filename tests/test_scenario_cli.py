@@ -314,6 +314,12 @@ LONE_SURROGATE = json.loads('"\\ud800"')  # valid JSON, but not encodable text
         ("name", ("name",), LONE_SURROGATE),
         ("agents[0].agent", ("agents", 0, "agent"), LONE_SURROGATE),
         ("mechanism.schools[1].priority", (*SCHOOL, 1, "priority"), ["ann"]),
+        # the lottery would replace this order, so it is refused, not ignored
+        ("mechanism.schools[0].priority", ("mechanism",), {
+            "kind": "boston", "priority_mode": "single_lottery", "with_beacon": True,
+            "schools": [{"school": "north", "capacity": 1, "priority": ["bo", "zed", "ann"]},
+                        {"school": "south", "capacity": 1}],
+        }),
     ],
 )
 def test_malformed_lists_and_capacities_name_the_field(field, keys, value):
