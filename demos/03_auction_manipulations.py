@@ -30,8 +30,8 @@ CASES = [
             name="fpa-demo", seed=1,
             mechanism=MechanismKind(tag=MechanismTag.FIRST_PRICE), schedule=SCHEDULE,
             agents=(AgentSpec("ana", bid=130), AgentSpec("bert", bid=90)),
+            adversary=LeakStrategy(LeakStrategyKind.FPA_TELL_TOP_THE_SECOND),
         ),
-        LeakStrategy(LeakStrategyKind.FPA_TELL_TOP_THE_SECOND),
     ),
     (
         "second-price squeeze: operator has the runner-up shade the top bid",
@@ -40,8 +40,8 @@ CASES = [
             mechanism=MechanismKind(tag=MechanismTag.SECOND_PRICE), schedule=SCHEDULE,
             agents=(AgentSpec("ana", bid=130), AgentSpec("bert", bid=90),
                     AgentSpec("cleo", bid=40)),
+            adversary=LeakStrategy(LeakStrategyKind.SPA_RAISE_SECOND_BELOW_TOP),
         ),
-        LeakStrategy(LeakStrategyKind.SPA_RAISE_SECOND_BELOW_TOP),
     ),
     (
         "slot-auction squeeze: the first loser re-prices the last slot",
@@ -52,8 +52,8 @@ CASES = [
             schedule=SCHEDULE,
             agents=(AgentSpec("ana", bid=100), AgentSpec("bert", bid=60),
                     AgentSpec("cleo", bid=20)),
+            adversary=LeakStrategy(LeakStrategyKind.GSP_RAISE_K_PLUS_ONE),
         ),
-        LeakStrategy(LeakStrategyKind.GSP_RAISE_K_PLUS_ONE),
     ),
     (
         "slot-auction demotion: the top bidder drops to a cheaper slot",
@@ -64,18 +64,18 @@ CASES = [
             schedule=SCHEDULE,
             agents=(AgentSpec("ana", bid=10), AgentSpec("bert", bid=9),
                     AgentSpec("cleo", bid=1)),
+            adversary=LeakStrategy(LeakStrategyKind.GSP_DEMOTE_TOP_BIDDER),
         ),
-        LeakStrategy(LeakStrategyKind.GSP_DEMOTE_TOP_BIDDER),
     ),
 ]
 
 
 def main() -> None:
-    for title, scenario, strategy in CASES:
+    for title, scenario in CASES:
         print(title)
         for mode in [ExecutionMode.CENTRALIZED_SEQUENTIAL,
                      ExecutionMode.DECENTRALIZED_COMMIT_REVEAL]:
-            report = run_with_adversary(scenario, strategy, mode)
+            report = run_with_adversary(scenario, mode)
             gains = ", ".join(
                 f"{party} {exact_str(delta):>5s}"
                 for party, delta in sorted(report.gain_per_party.items())

@@ -67,11 +67,11 @@ def main() -> None:
             AgentSpec("Bob", ranking=("Oxford", "Cambridge")),
             AgentSpec("Carol", ranking=("Cambridge", "Oxford")),
         ),
+        adversary=LeakStrategy(LeakStrategyKind.BOSTON_SELL_RANKINGS, target="Bob"),
     )
-    strategy = LeakStrategy(LeakStrategyKind.BOSTON_SELL_RANKINGS, target="Bob")
     for mode in [ExecutionMode.CENTRALIZED_SEQUENTIAL,
                  ExecutionMode.DECENTRALIZED_COMMIT_REVEAL]:
-        report = run_with_adversary(scenario, strategy, mode)
+        report = run_with_adversary(scenario, mode)
         bob = report.manipulated.matching.assignment["Bob"]
         print(f"{mode.value:13s} operator sells rankings to Bob -> Bob gets "
               f"{bob or 'nothing'}, coalition gain "

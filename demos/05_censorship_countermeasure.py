@@ -32,12 +32,11 @@ def census_run(reveal_deadline: int, censor_until: int):
             AgentSpec("p1", contribution=22),
             AgentSpec("p2", contribution=33),
         ),
+        adversary=LeakStrategy(
+            LeakStrategyKind.MINER_CENSOR_REVEALS,
+            target="p1", censor_until=censor_until),
     )
-    strategy = LeakStrategy(
-        LeakStrategyKind.MINER_CENSOR_REVEALS,
-        target="p1", censor_until=censor_until)
-    return run_with_adversary(
-        scenario, strategy, ExecutionMode.DECENTRALIZED_COMMIT_REVEAL)
+    return run_with_adversary(scenario, ExecutionMode.DECENTRALIZED_COMMIT_REVEAL)
 
 
 def main() -> None:

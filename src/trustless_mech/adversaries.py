@@ -52,10 +52,6 @@ NOTE_SEALED_VIEW = "operator view before the commit deadline holds digests only;
 NOTE_NO_MINER = "centralized sequential execution has no miner; censorship lever absent"
 
 
-class StrategyMismatch(ValidationError):
-    """Strategy kind does not apply to the contract's mechanism."""
-
-
 class ExecutionMode(Enum):
     CENTRALIZED_SEQUENTIAL = "centralized"
     DECENTRALIZED_COMMIT_REVEAL = "decentralized"
@@ -114,7 +110,7 @@ class LeakStrategy:
 def check_compatible(strategy: LeakStrategy, mechanism: MechanismKind) -> None:
     """Reject a strategy its mechanism cannot host."""
     if mechanism.tag not in _COMPATIBLE[strategy.kind]:
-        raise StrategyMismatch(
+        raise ValidationError(
             f"strategy {strategy.kind.value} does not apply to a "
             f"{mechanism.tag.value} contract"
         )
@@ -321,6 +317,9 @@ def execute_run(
 ) -> tuple[SettlementResult, PlannedDeviation]:
     """One full run in the given mode; ``strategy=None`` is the honest baseline.
 
+    This engine runs any strategy it is given, unchecked; ``run_with_adversary``
+    is the checked entry, which passes in the scenario's own adversary.
+
     Centralized: inputs reach the operator in plaintext and settle directly.
     Decentralized: inputs travel as commitments, the strategy is planned
     against the sealed view at the commit deadline, reveals follow, and the
@@ -446,15 +445,10 @@ class ManipulationReport:
         }
 
 
-def run_with_adversary(
-    scenario: "Scenario",
-    strategy: LeakStrategy | None,
-    mode: ExecutionMode,
-) -> ManipulationReport:
-    """Pair the honest baseline with the manipulated run and account the deltas."""
-    if strategy is not None:
-        check_compatible(strategy, scenario.mechanism)
-
+def run_with_adversary(scenario: "Scenario", mode: ExecutionMode) -> ManipulationReport:
+    """Pair the honest baseline with the run under ``scenario.adversary``, which
+    ``Scenario`` checked when built, and account the deltas."""
+    strategy = scenario.adversary
     honest_result, _ = execute_run(scenario, mode, strategy=None)
     manipulated_result, plan = execute_run(scenario, mode, strategy=strategy)
 

@@ -50,9 +50,7 @@ def _out_dir(arg: str | None) -> Path:
 
 def _run_modes(scenario: Scenario, mode_arg: str | None) -> dict[str, ManipulationReport]:
     modes = ALL_MODES if mode_arg is None else (ExecutionMode(mode_arg),)
-    return {
-        mode.value: run_with_adversary(scenario, scenario.adversary, mode) for mode in modes
-    }
+    return {mode.value: run_with_adversary(scenario, mode) for mode in modes}
 
 
 def _format_table(header: list[str], rows: list[list[str]]) -> str:

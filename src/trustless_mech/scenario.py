@@ -156,6 +156,9 @@ def _validate(s: Scenario) -> None:
             check_compatible(s.adversary, s.mechanism)
         except ValidationError as exc:
             raise _fail("adversary.kind", str(exc)) from exc
+        if s.adversary.kind is LeakStrategyKind.MINER_CENSOR_REVEALS and s.miner.censor_targets:
+            raise _fail("adversary.kind", "miner_censor_reveals would mine the reveal phase "
+                        "in place of the censoring miner; use one or the other")
         if s.adversary.target is not None and s.adversary.target not in seen:
             raise _fail("adversary.target", f"unknown agent {s.adversary.target!r}")
         if s.adversary.censor_until is not None:

@@ -12,6 +12,7 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 import scipy.stats
 
 from trustless_mech import (
@@ -27,6 +28,7 @@ from trustless_mech import (
     MechanismTag,
     PhaseSchedule,
     Scenario,
+    ScenarioError,
     SchoolSpec,
     SlotCTRs,
     auction_utility,
@@ -52,10 +54,7 @@ def _check(ok: bool, label: str) -> None:
 
 
 def test_criterion_1_gsp_leak_numbers_exact():
-    scenario = load_bundled("gsp_demote_top")
-    report = run_with_adversary(
-        scenario, LeakStrategy(LeakStrategyKind.GSP_DEMOTE_TOP_BIDDER), CENTRAL
-    )
+    report = run_with_adversary(load_bundled("gsp_demote_top"), CENTRAL)
     ok = (
         report.honest_utilities["ada"] == Fraction(1)
         and report.manipulated_utilities["ada"] == Fraction(36, 5)
@@ -65,10 +64,7 @@ def test_criterion_1_gsp_leak_numbers_exact():
 
 
 def test_criterion_2_school_choice_manipulation_exact():
-    scenario = load_bundled("boston_informed")
-    report = run_with_adversary(
-        scenario, LeakStrategy(LeakStrategyKind.BOSTON_SELL_RANKINGS, target="Bob"), CENTRAL
-    )
+    report = run_with_adversary(load_bundled("boston_informed"), CENTRAL)
     honest = report.honest.matching.assignment
     manipulated = report.manipulated.matching.assignment
     ok = (
@@ -102,8 +98,9 @@ def test_criterion_3_undercut_formula_on_random_instances():
             name=f"undercut-{trial}", seed=trial, mechanism=mech,
             schedule=PhaseSchedule(2, 5),
             agents=tuple(AgentSpec(agent=a, bid=b) for a, b in order),
+            adversary=LeakStrategy(kind),
         )
-        report = run_with_adversary(scenario, LeakStrategy(kind), CENTRAL)
+        report = run_with_adversary(scenario, CENTRAL)
         expected = Fraction(amounts[0] - amounts[1] - 1)
         if report.gain_per_party["coalition"] != expected:
             violations.append((trial, report.gain_per_party["coalition"], expected))
@@ -114,7 +111,9 @@ def test_criterion_3_undercut_formula_on_random_instances():
     )
 
 
-def _random_scenario(rng: random.Random, index: int) -> tuple[Scenario, LeakStrategy]:
+def _random_scenario(rng: random.Random, index: int) -> Scenario | None:
+    """A random scenario with a random adversary, or None where the scenario
+    refuses its censor, after checking that the refusal names the field."""
     kind = rng.choice(list(LeakStrategyKind))
     name = f"fuzz-{index}"
     seed = rng.randrange(1 << 32)
@@ -191,27 +190,31 @@ def _random_scenario(rng: random.Random, index: int) -> tuple[Scenario, LeakStra
             target=f"p{rng.randrange(n)}",
             censor_until=rng.randrange(0, reveal_deadline),
         )
-    return (
-        Scenario(name=name, seed=seed, mechanism=mech, schedule=schedule, agents=agents),
-        strategy,
-    )
+    fields = dict(name=name, seed=seed, mechanism=mech, schedule=schedule, agents=agents,
+                  adversary=strategy)
+    if kind is LeakStrategyKind.MINER_CENSOR_REVEALS and strategy.censor_until <= commit_deadline:
+        # reveals are mined only after the commit deadline, so this censor censors nothing
+        with pytest.raises(ScenarioError, match=r"^field 'adversary\.censor_until': "):
+            Scenario(**fields)
+        return None
+    return Scenario(**fields)
 
 
 def test_criterion_4_commit_reveal_neutralizes_every_strategy():
     violations = []
     for name in bundled_scenario_names():
-        scenario = load_bundled(name)
-        strategy = scenario.adversary
-        report = run_with_adversary(scenario, strategy, DECENTRAL)
+        report = run_with_adversary(load_bundled(name), DECENTRAL)
         if not report.all_deltas_zero:
             violations.append(("bundled", name))
 
     rng = random.Random(1004)
     for index in range(100):
-        scenario, strategy = _random_scenario(rng, index)
-        report = run_with_adversary(scenario, strategy, DECENTRAL)
+        scenario = _random_scenario(rng, index)
+        if scenario is None:
+            continue
+        report = run_with_adversary(scenario, DECENTRAL)
         if not report.all_deltas_zero:
-            violations.append(("random", scenario.name, strategy.kind.value))
+            violations.append(("random", scenario.name, scenario.adversary.kind.value))
     _check(
         not violations,
         "criterion 4: all-zero deltas under commit-reveal, full suite + 100 random "
@@ -265,7 +268,7 @@ def test_criterion_7_censorship_window_boundary():
         reveal_deadline = commit_deadline + rng.randrange(1, 12)
         censor_until = rng.randrange(0, reveal_deadline + 5)
         target = f"p{rng.randrange(3)}"
-        scenario = Scenario(
+        fields = dict(
             name=f"censor-{trial}", seed=trial,
             mechanism=MechanismKind(tag=MechanismTag.BEACON),
             schedule=PhaseSchedule(commit_deadline, reveal_deadline),
@@ -273,11 +276,17 @@ def test_criterion_7_censorship_window_boundary():
                 AgentSpec(agent=f"p{i}", contribution=rng.randrange(0, 1 << 30))
                 for i in range(3)
             ),
+            adversary=LeakStrategy(
+                LeakStrategyKind.MINER_CENSOR_REVEALS, target=target, censor_until=censor_until
+            ),
         )
-        strategy = LeakStrategy(
-            LeakStrategyKind.MINER_CENSOR_REVEALS, target=target, censor_until=censor_until
-        )
-        report = run_with_adversary(scenario, strategy, DECENTRAL)
+        if censor_until <= commit_deadline:
+            # reveals are mined only after the commit deadline, so the scenario
+            # refuses a censor that stops by then: it could change nothing
+            with pytest.raises(ScenarioError, match=r"^field 'adversary\.censor_until': "):
+                Scenario(**fields)
+            continue
+        report = run_with_adversary(Scenario(**fields), DECENTRAL)
         differs = report.honest.canonical() != report.manipulated.canonical()
 
         # the reveal goes out at the commit deadline T, so it clears the

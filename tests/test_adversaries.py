@@ -6,6 +6,7 @@ commit-reveal execution, where the pre-deadline view holds digests only.
 """
 
 import random
+import re
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -40,12 +41,9 @@ from trustless_mech import (
     run_with_adversary,
 )
 from trustless_mech import adversaries
-from trustless_mech.adversaries import (
-    NOTE_NO_MINER,
-    NOTE_SEALED_VIEW,
-    StrategyMismatch,
-)
+from trustless_mech.adversaries import NOTE_NO_MINER, NOTE_SEALED_VIEW
 from trustless_mech.errors import InvariantViolation, ValidationError
+from trustless_mech.scenario import ScenarioError
 from trustless_mech.school_choice import first_round_admissions
 
 CENTRAL = ExecutionMode.CENTRALIZED_SEQUENTIAL
@@ -71,13 +69,15 @@ def sealed_view() -> OperatorView:
     return OperatorView(mode=DECENTRAL, digests=MappingProxyType({"a": bytes(32)}), plaintext=None)
 
 
-def auction_scenario(mechanism: MechanismKind, bids: dict[str, int], name: str = "t") -> Scenario:
+def auction_scenario(
+    mechanism: MechanismKind, bids: dict[str, int], adversary: LeakStrategy | None = None
+) -> Scenario:
     agents = tuple(AgentSpec(agent=a, bid=b) for a, b in bids.items())
-    return Scenario(name=name, seed=7, mechanism=mechanism,
-                    schedule=PhaseSchedule(2, 6), agents=agents)
+    return Scenario(name="t", seed=7, mechanism=mechanism,
+                    schedule=PhaseSchedule(2, 6), agents=agents, adversary=adversary)
 
 
-def college_scenario() -> Scenario:
+def college_scenario(adversary: LeakStrategy | None = None) -> Scenario:
     return Scenario(
         name="colleges", seed=9, mechanism=COLLEGES, schedule=PhaseSchedule(2, 6),
         agents=(
@@ -85,10 +85,13 @@ def college_scenario() -> Scenario:
             AgentSpec(agent="Bob", ranking=("Oxford", "Cambridge")),
             AgentSpec(agent="Carol", ranking=("Cambridge", "Oxford")),
         ),
+        adversary=adversary,
     )
 
 
-def beacon_scenario(schedule: PhaseSchedule = PhaseSchedule(2, 6)) -> Scenario:
+def beacon_scenario(
+    schedule: PhaseSchedule = PhaseSchedule(2, 6), adversary: LeakStrategy | None = None
+) -> Scenario:
     return Scenario(
         name="lottery", seed=11, mechanism=MechanismKind(tag=MechanismTag.BEACON),
         schedule=schedule,
@@ -97,7 +100,12 @@ def beacon_scenario(schedule: PhaseSchedule = PhaseSchedule(2, 6)) -> Scenario:
             AgentSpec(agent="p2", contribution=7),
             AgentSpec(agent="p3", contribution=100),
         ),
+        adversary=adversary,
     )
+
+
+def censor(target: str, until: int) -> LeakStrategy:
+    return LeakStrategy(LeakStrategyKind.MINER_CENSOR_REVEALS, target=target, censor_until=until)
 
 
 def test_sealed_views_identify_themselves():
@@ -219,7 +227,7 @@ def test_a_leak_with_nothing_to_exploit_plans_nothing(kind, mechanism, plaintext
 
 
 def test_a_censoring_miner_plans_its_policy_and_the_uncensored_coalition():
-    strategy = LeakStrategy(LeakStrategyKind.MINER_CENSOR_REVEALS, target="a", censor_until=7)
+    strategy = censor("a", 7)
     view = OperatorView(mode=DECENTRAL, plaintext=None,
                         digests=MappingProxyType({"a": bytes(32), "b": bytes(32), "c": bytes(32)}))
     plan = plan_deviation(strategy, FPA, view)
@@ -241,9 +249,8 @@ def test_boston_leak_rewrites_the_target_ranking():
 
 
 def test_fpa_leak_pays_the_coalition_and_costs_the_seller():
-    scenario = auction_scenario(FPA, {"alice": 10, "bob": 5})
     strategy = LeakStrategy(LeakStrategyKind.FPA_TELL_TOP_THE_SECOND)
-    report = run_with_adversary(scenario, strategy, CENTRAL)
+    report = run_with_adversary(auction_scenario(FPA, {"alice": 10, "bob": 5}, strategy), CENTRAL)
     assert report.manipulated.auction.payments == {"alice": 6}
     assert report.gain_per_party["coalition"] == Fraction(4)
     assert report.gain_per_party["seller"] == Fraction(-4)
@@ -252,9 +259,9 @@ def test_fpa_leak_pays_the_coalition_and_costs_the_seller():
 
 
 def test_spa_raise_transfers_surplus_to_the_seller():
-    scenario = auction_scenario(SPA, {"alice": 10, "bob": 5, "carol": 3})
     strategy = LeakStrategy(LeakStrategyKind.SPA_RAISE_SECOND_BELOW_TOP)
-    report = run_with_adversary(scenario, strategy, CENTRAL)
+    scenario = auction_scenario(SPA, {"alice": 10, "bob": 5, "carol": 3}, strategy)
+    report = run_with_adversary(scenario, CENTRAL)
     assert report.honest_revenue == Fraction(5)
     assert report.manipulated_revenue == Fraction(9)
     assert report.gain_per_party["coalition"] == Fraction(4)
@@ -262,18 +269,18 @@ def test_spa_raise_transfers_surplus_to_the_seller():
 
 
 def test_gsp_raise_lifts_revenue_by_the_slot_weighted_gap():
-    scenario = auction_scenario(GSP2, {"ada": 20, "ben": 10, "cal": 4})
     strategy = LeakStrategy(LeakStrategyKind.GSP_RAISE_K_PLUS_ONE)
-    report = run_with_adversary(scenario, strategy, CENTRAL)
+    scenario = auction_scenario(GSP2, {"ada": 20, "ben": 10, "cal": 4}, strategy)
+    report = run_with_adversary(scenario, CENTRAL)
     # slot 1 price moves from 4 to 9 at rate 4/5
     assert report.gain_per_party["seller"] == Fraction(4, 5) * (9 - 4)
     assert report.gain_per_party["coalition"] == report.gain_per_party["seller"]
 
 
 def test_gsp_demote_exact_fractions():
-    scenario = auction_scenario(GSP2, {"ada": 10, "ben": 9, "cal": 1})
     strategy = LeakStrategy(LeakStrategyKind.GSP_DEMOTE_TOP_BIDDER)
-    report = run_with_adversary(scenario, strategy, CENTRAL)
+    scenario = auction_scenario(GSP2, {"ada": 10, "ben": 9, "cal": 1}, strategy)
+    report = run_with_adversary(scenario, CENTRAL)
     assert report.honest_utilities["ada"] == Fraction(1)
     assert report.manipulated_utilities["ada"] == Fraction(36, 5)
     assert report.gain_per_party["coalition"] == Fraction(31, 5)
@@ -281,9 +288,8 @@ def test_gsp_demote_exact_fractions():
 
 
 def test_ranking_sale_moves_the_target_up_one_rank():
-    scenario = college_scenario()
     strategy = LeakStrategy(LeakStrategyKind.BOSTON_SELL_RANKINGS, target="Bob")
-    report = run_with_adversary(scenario, strategy, CENTRAL)
+    report = run_with_adversary(college_scenario(strategy), CENTRAL)
     assert report.honest.matching.assignment["Bob"] is None
     assert report.manipulated.matching.assignment["Bob"] == "Cambridge"
     # utility is measured against Bob's true ranking, where Cambridge is second
@@ -293,21 +299,20 @@ def test_ranking_sale_moves_the_target_up_one_rank():
 
 
 def test_every_strategy_is_neutralized_by_commit_reveal():
-    cases = [
-        (auction_scenario(FPA, {"alice": 10, "bob": 5}),
-         LeakStrategy(LeakStrategyKind.FPA_TELL_TOP_THE_SECOND)),
-        (auction_scenario(SPA, {"alice": 10, "bob": 5, "carol": 3}),
-         LeakStrategy(LeakStrategyKind.SPA_RAISE_SECOND_BELOW_TOP)),
-        (auction_scenario(GSP2, {"ada": 20, "ben": 10, "cal": 4}),
-         LeakStrategy(LeakStrategyKind.GSP_RAISE_K_PLUS_ONE)),
-        (auction_scenario(GSP2, {"ada": 10, "ben": 9, "cal": 1}),
-         LeakStrategy(LeakStrategyKind.GSP_DEMOTE_TOP_BIDDER)),
-        (college_scenario(),
-         LeakStrategy(LeakStrategyKind.BOSTON_SELL_RANKINGS, target="Bob")),
+    scenarios = [
+        auction_scenario(FPA, {"alice": 10, "bob": 5},
+                         LeakStrategy(LeakStrategyKind.FPA_TELL_TOP_THE_SECOND)),
+        auction_scenario(SPA, {"alice": 10, "bob": 5, "carol": 3},
+                         LeakStrategy(LeakStrategyKind.SPA_RAISE_SECOND_BELOW_TOP)),
+        auction_scenario(GSP2, {"ada": 20, "ben": 10, "cal": 4},
+                         LeakStrategy(LeakStrategyKind.GSP_RAISE_K_PLUS_ONE)),
+        auction_scenario(GSP2, {"ada": 10, "ben": 9, "cal": 1},
+                         LeakStrategy(LeakStrategyKind.GSP_DEMOTE_TOP_BIDDER)),
+        college_scenario(LeakStrategy(LeakStrategyKind.BOSTON_SELL_RANKINGS, target="Bob")),
     ]
-    for scenario, strategy in cases:
-        report = run_with_adversary(scenario, strategy, DECENTRAL)
-        assert report.all_deltas_zero, (scenario.name, strategy.kind)
+    for scenario in scenarios:
+        report = run_with_adversary(scenario, DECENTRAL)
+        assert report.all_deltas_zero, (scenario.name, scenario.adversary.kind)
         assert report.honest.canonical() == report.manipulated.canonical()
         assert NOTE_SEALED_VIEW in report.notes
 
@@ -320,16 +325,13 @@ def test_decentralized_and_centralized_honest_runs_agree():
         beacon_scenario(),
     ]
     for scenario in scenarios:
-        central = run_with_adversary(scenario, None, CENTRAL)
-        decentral = run_with_adversary(scenario, None, DECENTRAL)
+        central = run_with_adversary(scenario, CENTRAL)
+        decentral = run_with_adversary(scenario, DECENTRAL)
         assert central.honest.canonical() == decentral.honest.canonical()
 
 
 def test_censorship_through_the_reveal_deadline_changes_the_outcome():
-    scenario = beacon_scenario(PhaseSchedule(2, 6))
-    strategy = LeakStrategy(LeakStrategyKind.MINER_CENSOR_REVEALS,
-                            target="p1", censor_until=6)
-    report = run_with_adversary(scenario, strategy, DECENTRAL)
+    report = run_with_adversary(beacon_scenario(PhaseSchedule(2, 6), censor("p1", 6)), DECENTRAL)
     assert "p1" in report.manipulated.excluded
     assert report.honest.canonical() != report.manipulated.canonical()
     assert report.honest.beacon.value != report.manipulated.beacon.value
@@ -337,39 +339,48 @@ def test_censorship_through_the_reveal_deadline_changes_the_outcome():
 
 def test_censorship_inside_the_window_is_only_a_delay():
     # the reveal window is long enough to outlast the censor: same outcome
-    scenario = beacon_scenario(PhaseSchedule(2, 6))
-    strategy = LeakStrategy(LeakStrategyKind.MINER_CENSOR_REVEALS,
-                            target="p1", censor_until=5)
-    report = run_with_adversary(scenario, strategy, DECENTRAL)
+    report = run_with_adversary(beacon_scenario(PhaseSchedule(2, 6), censor("p1", 5)), DECENTRAL)
     assert report.all_deltas_zero
     assert report.honest.canonical() == report.manipulated.canonical()
 
 
 def test_censorship_has_no_lever_in_centralized_mode():
-    scenario = beacon_scenario()
-    strategy = LeakStrategy(LeakStrategyKind.MINER_CENSOR_REVEALS,
-                            target="p1", censor_until=50)
-    report = run_with_adversary(scenario, strategy, CENTRAL)
+    report = run_with_adversary(beacon_scenario(adversary=censor("p1", 50)), CENTRAL)
     assert report.all_deltas_zero
     assert NOTE_NO_MINER in report.notes
 
 
 def test_beacon_utilities_pay_the_lottery_winner():
-    scenario = beacon_scenario()
-    report = run_with_adversary(scenario, None, DECENTRAL)
+    report = run_with_adversary(beacon_scenario(), DECENTRAL)
     winner = report.honest.lottery[0]
     assert report.honest_utilities[winner] == Fraction(1)
     assert sum(report.honest_utilities.values()) == Fraction(1)
 
 
 def test_strategy_mechanism_mismatch_is_rejected():
-    scenario = auction_scenario(SPA, {"alice": 10, "bob": 5})
-    with pytest.raises(StrategyMismatch):
-        run_with_adversary(scenario, LeakStrategy(LeakStrategyKind.FPA_TELL_TOP_THE_SECOND),
-                           CENTRAL)
-    with pytest.raises(StrategyMismatch):
-        run_with_adversary(college_scenario(),
-                           LeakStrategy(LeakStrategyKind.GSP_DEMOTE_TOP_BIDDER), CENTRAL)
+    with pytest.raises(ScenarioError, match=r"^field 'adversary\.kind': strategy fpa_tell"):
+        auction_scenario(SPA, {"alice": 10, "bob": 5},
+                         LeakStrategy(LeakStrategyKind.FPA_TELL_TOP_THE_SECOND))
+    with pytest.raises(ScenarioError, match=r"^field 'adversary\.kind': strategy gsp_demote"):
+        college_scenario(LeakStrategy(LeakStrategyKind.GSP_DEMOTE_TOP_BIDDER))
+
+
+@pytest.mark.parametrize(
+    "adversary, field",
+    [
+        (censor("ghost", 6), "adversary.target"),
+        # fpa_leak's reveals are mined only after its commit deadline (3), so
+        # a censor that stops by then censors nothing
+        (censor("alice", 2), "adversary.censor_until"),
+        (censor("alice", 3), "adversary.censor_until"),
+        (LeakStrategy(LeakStrategyKind.SPA_RAISE_SECOND_BELOW_TOP), "adversary.kind"),
+    ],
+)
+def test_a_strategy_no_run_could_act_on_is_refused_by_its_scenario(adversary, field):
+    # a run takes its strategy only from its scenario, so such an input
+    # cannot reach a run and read as a zero gain
+    with pytest.raises(ScenarioError, match="^" + re.escape(f"field '{field}': ")):
+        replace(load_bundled("fpa_leak"), adversary=adversary)
 
 
 def test_strategy_parameter_validation():
@@ -699,10 +710,9 @@ def test_exact_str_prints_terminating_decimals_and_ratios():
 
 def test_report_canonical_is_json_ready():
     import json
-    scenario = auction_scenario(GSP2, {"ada": 10, "ben": 9, "cal": 1})
     strategy = LeakStrategy(LeakStrategyKind.GSP_DEMOTE_TOP_BIDDER)
-    report = run_with_adversary(scenario, strategy, CENTRAL)
-    doc = report.canonical()
+    scenario = auction_scenario(GSP2, {"ada": 10, "ben": 9, "cal": 1}, strategy)
+    doc = run_with_adversary(scenario, CENTRAL).canonical()
     assert doc["gains"]["coalition"] == "6.2"
     assert doc["utilities"]["manipulated"]["ada"] == "7.2"
     json.dumps(doc)
@@ -719,9 +729,9 @@ def test_a_reveal_window_of_10_to_the_30_blocks_runs_at_once():
     )
     for mode in ExecutionMode:
         start = time.perf_counter()
-        report = run_with_adversary(wide, wide.adversary, mode).canonical()
+        report = run_with_adversary(wide, mode).canonical()
         assert time.perf_counter() - start < 1
-        expected = run_with_adversary(bundled, bundled.adversary, mode).canonical()
+        expected = run_with_adversary(bundled, mode).canonical()
         if mode is DECENTRAL:
             assert expected["notes"] == ["miner withholds reveals from 'p1' while height <= 8"]
             expected["notes"] = [f"miner withholds reveals from 'p1' while height <= {10**29}"]

@@ -6,7 +6,8 @@
 2. The coalition gain that `plan_deviation` names the parties of equals the
    per-strategy rule, for every strategy in both modes, under honest and
    censoring scenario miners; in decentralized mode, a strategy whose plan
-   sets no reveal-phase miner settles exactly as the honest run.
+   sets no reveal-phase miner settles exactly as the honest run. A scenario
+   refuses, naming the field, an adversary that no run could act on.
 3. The scenario parser answers any JSON document with a `Scenario` or a
    `ScenarioError` naming the field, never with another exception.
 4. Reports hold the same strings whether utilities are `int` or `Fraction`,
@@ -24,6 +25,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import re
 import tempfile
 from fractions import Fraction
 from importlib import resources
@@ -37,7 +39,6 @@ from trustless_mech import (
     AgentInput,
     CommitOpening,
     ExecutionMode,
-    LeakStrategy,
     LeakStrategyKind,
     LotteryMode,
     MechanismKind,
@@ -144,9 +145,10 @@ MECHANISMS_FOR = {
 
 
 @st.composite
-def adversary_runs(draw) -> tuple[dict, LeakStrategy, ExecutionMode]:
-    """A strategy, a scenario it applies to (honest or with a censoring
-    miner), and a mode; every strategy is drawn equally often."""
+def adversary_runs(draw) -> tuple[dict, ExecutionMode]:
+    """A scenario document whose adversary applies to its mechanism (with an
+    honest or a censoring miner), and a mode; every strategy is drawn equally
+    often. Some documents are refused: see `refused_field`."""
     kind = draw(st.sampled_from(K))
     doc = draw(honest_scenarios(MECHANISMS_FOR[kind]))
     agents = [entry["agent"] for entry in doc["agents"]]
@@ -157,19 +159,41 @@ def adversary_runs(draw) -> tuple[dict, LeakStrategy, ExecutionMode]:
             "targets": draw(st.lists(st.sampled_from(agents), min_size=1, unique=True)),
             "until": draw(st.integers(3, reveal_deadline + 2)),
         }
-    needs_target = kind in (K.BOSTON_SELL_RANKINGS, K.MINER_CENSOR_REVEALS)
-    target = draw(st.sampled_from(agents)) if needs_target else None
-    censor_until = (
-        draw(st.integers(0, reveal_deadline + 2)) if kind is K.MINER_CENSOR_REVEALS else None
-    )
-    strategy = LeakStrategy(kind, target=target, censor_until=censor_until)
-    return doc, strategy, draw(st.sampled_from(ExecutionMode))
+    doc["adversary"] = {"kind": kind.value}
+    if kind in (K.BOSTON_SELL_RANKINGS, K.MINER_CENSOR_REVEALS):
+        doc["adversary"]["target"] = draw(st.sampled_from(agents))
+    if kind is K.MINER_CENSOR_REVEALS:
+        doc["adversary"]["censor_until"] = draw(st.integers(0, reveal_deadline + 2))
+    return doc, draw(st.sampled_from(ExecutionMode))
 
 
-def coalition_gain_oracle(strategy, scenario, agent_deltas, seller_delta) -> Fraction:
+def refused_field(doc: dict) -> str | None:
+    """The field a scenario names when it refuses ``doc``'s adversary: one
+    that replaces a censoring miner, or a censor that stops by the commit
+    deadline, before any reveal is mined."""
+    adversary, deadline = doc["adversary"], doc["schedule"]["commit_deadline"]
+    if adversary["kind"] == K.MINER_CENSOR_REVEALS.value and "miner" in doc:
+        return "adversary.kind"
+    if adversary.get("censor_until", deadline + 1) <= deadline:
+        return "adversary.censor_until"
+    return None
+
+
+def scenario_of(doc: dict) -> Scenario | None:
+    """``doc`` as a scenario, or None once its refusal is checked."""
+    field = refused_field(doc)
+    if field is None:
+        return scenario_from_dict(doc)
+    with pytest.raises(ScenarioError, match="^" + re.escape(f"field '{field}': ")):
+        scenario_from_dict(doc)
+    return None
+
+
+def coalition_gain_oracle(scenario, agent_deltas, seller_delta) -> Fraction:
     """The per-strategy rule, worked out again from the scenario: the seller
     for the raises, the top bidder for FPA and GSP-demote, the informed
     student for a ranking sale, every uncensored agent for censorship."""
+    strategy = scenario.adversary
     kind = strategy.kind
     if kind in (K.SPA_RAISE_SECOND_BELOW_TOP, K.GSP_RAISE_K_PLUS_ONE):
         return seller_delta
@@ -187,12 +211,14 @@ def coalition_gain_oracle(strategy, scenario, agent_deltas, seller_delta) -> Fra
 @settings(max_examples=300, deadline=None)
 @given(adversary_runs())
 def test_coalition_gain_is_the_gain_of_the_planned_parties(run):
-    doc, strategy, mode = run
-    scenario = scenario_from_dict(doc)
-    report = run_with_adversary(scenario, strategy, mode)
+    doc, mode = run
+    scenario = scenario_of(doc)
+    if scenario is None:
+        return
+    report = run_with_adversary(scenario, mode)
     gains = report.gain_per_party
     agent_deltas = {agent: gains[f"agent:{agent}"] for agent in report.honest_utilities}
-    expected = coalition_gain_oracle(strategy, scenario, agent_deltas, gains["seller"])
+    expected = coalition_gain_oracle(scenario, agent_deltas, gains["seller"])
     assert gains["coalition"] == expected
 
 
@@ -201,12 +227,14 @@ def test_coalition_gain_is_the_gain_of_the_planned_parties(run):
 def test_a_decentralized_run_without_a_reveal_miner_settles_as_the_honest_run(run):
     # under commit-reveal only a strategy that mines the reveal phase can
     # change the outcome; every other one sees sealed digests and rebids nothing
-    doc, strategy, _ = run
-    scenario = scenario_from_dict(doc)
+    doc, _ = run
+    scenario = scenario_of(doc)
+    if scenario is None:
+        return
     mode = ExecutionMode.DECENTRALIZED_COMMIT_REVEAL
-    _, plan = execute_run(scenario, mode, strategy)
+    _, plan = execute_run(scenario, mode, scenario.adversary)
     assume(plan.miner is None)
-    report = run_with_adversary(scenario, strategy, mode)
+    report = run_with_adversary(scenario, mode)
     assert report.manipulated == report.honest
 
 
@@ -298,8 +326,11 @@ def _as_fractions(values: dict) -> dict:
 @settings(max_examples=200, deadline=None)
 @given(adversary_runs())
 def test_reports_read_the_same_with_every_utility_a_fraction(run):
-    doc, strategy, mode = run
-    report = run_with_adversary(scenario_from_dict(doc), strategy, mode)
+    doc, mode = run
+    scenario = scenario_of(doc)
+    if scenario is None:
+        return
+    report = run_with_adversary(scenario, mode)
     as_fractions = dataclasses.replace(
         report,
         honest_utilities=_as_fractions(report.honest_utilities),
@@ -309,19 +340,6 @@ def test_reports_read_the_same_with_every_utility_a_fraction(run):
     canonical = report.canonical()
     assert canonical == as_fractions.canonical()
     assert _json_text(canonical) == json.dumps(canonical, indent=2, sort_keys=True)
-
-
-def _scenario_doc(doc: dict, strategy: LeakStrategy) -> dict:
-    """``doc`` with ``strategy`` as its adversary, where a scenario file may
-    name it (a censor must outlast the commit deadline)."""
-    if strategy.censor_until is not None and strategy.censor_until <= 2:
-        return doc
-    adversary = {"kind": strategy.kind.value}
-    if strategy.target is not None:
-        adversary["target"] = strategy.target
-    if strategy.censor_until is not None:
-        adversary["censor_until"] = strategy.censor_until
-    return {**doc, "adversary": adversary}
 
 
 def _run_into(scenario_path: Path, out: Path) -> tuple[int, str]:
@@ -334,12 +352,21 @@ def _run_into(scenario_path: Path, out: Path) -> tuple[int, str]:
 @settings(max_examples=60, deadline=None)
 @given(adversary_runs())
 def test_run_reruns_write_identical_bytes(run):
-    doc, strategy, _ = run
+    doc, _ = run
+    field = refused_field(doc)
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         scenario_path = root / "scenario.json"
-        scenario_path.write_text(json.dumps(_scenario_doc(doc, strategy)))
+        scenario_path.write_text(json.dumps(doc))
         first, second = root / "first", root / "second"
+        if field is not None:
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code, out = _run_into(scenario_path, first)
+            assert (code, out) == (1, "")
+            assert f"field '{field}': " in stderr.getvalue()
+            assert not first.exists()
+            return
         code_1, out_1 = _run_into(scenario_path, first)
         code_2, out_2 = _run_into(scenario_path, second)
         assert code_1 == code_2 == 0
@@ -351,14 +378,16 @@ def test_run_reruns_write_identical_bytes(run):
 @settings(max_examples=300, deadline=None)
 @given(adversary_runs(), st.data())
 def test_a_sealed_view_yields_no_rebids(run, data):
-    doc, strategy, mode = run
-    scenario = scenario_from_dict(doc)
+    doc, mode = run
+    scenario = scenario_of(doc)
+    if scenario is None:
+        return
     digests = {
         spec.agent: data.draw(st.binary(min_size=DIGEST_SIZE, max_size=DIGEST_SIZE))
         for spec in scenario.agents
     }
     view = OperatorView(mode=mode, digests=digests, plaintext=None)
-    assert not plan_deviation(strategy, scenario.mechanism, view).rebids
+    assert not plan_deviation(scenario.adversary, scenario.mechanism, view).rebids
 
 
 u64s = st.integers(0, 2**64 - 1)

@@ -332,6 +332,12 @@ def test_malformed_lists_and_capacities_name_the_field(field, keys, value):
         scenario_from_dict(doc)
 
 
+def censoring_adversary_doc() -> dict:
+    return minimal_doc() | {
+        "adversary": {"kind": "miner_censor_reveals", "target": "ann", "censor_until": 3}
+    }
+
+
 OUT_OF_RANGE = [
     ("name", minimal_doc, ("name",), "n" * 256),
     ("seed", minimal_doc, ("seed",), 2**64),
@@ -348,6 +354,9 @@ OUT_OF_RANGE = [
     ("mechanism.ctrs", minimal_doc, ("mechanism",), {"kind": "gsp", "ctrs": ["1e-1000000"]}),
     ("mechanism.ctrs", minimal_doc, ("mechanism",), {"kind": "gsp", "ctrs": ["1e999999999"]}),
     ("mechanism.ctrs", minimal_doc, ("mechanism",), {"kind": "gsp", "ctrs": ["1" * 65]}),
+    # the adversary would mine the reveal phase in place of this miner
+    ("adversary.kind", censoring_adversary_doc, ("miner",),
+     {"mode": "censor", "targets": ["bo"], "until": 20}),
 ]
 
 
@@ -778,14 +787,19 @@ def test_unknown_keys_are_rejected_by_path(field, keys):
 
 
 def test_every_key_the_writer_emits_is_known():
+    # a censoring adversary and a censoring miner cannot share a scenario,
+    # so two documents cover every key
     doc = boston_doc()
     doc["mechanism"]["priority_mode"] = None
     doc["mechanism"]["with_beacon"] = True
     doc["agents"][0].update(valuation=1, contribution=9)
-    doc["adversary"] = {"kind": "miner_censor_reveals", "target": "bo", "censor_until": 4}
-    doc["miner"] = {"mode": "censor", "targets": ["ann"], "until": 3}
-    scenario = scenario_from_dict(doc)
-    assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
+    with_adversary = doc | {
+        "adversary": {"kind": "miner_censor_reveals", "target": "bo", "censor_until": 4}
+    }
+    with_miner = doc | {"miner": {"mode": "censor", "targets": ["ann"], "until": 3}}
+    for each in (with_adversary, with_miner):
+        scenario = scenario_from_dict(each)
+        assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
 
 
 CENSOR_ANN = {"kind": "miner_censor_reveals", "target": "ann"}
@@ -815,11 +829,11 @@ def test_a_censoring_miner_must_be_able_to_censor(miner, field):
 
 
 def test_a_censor_that_outlasts_the_commit_deadline_parses():
-    doc = minimal_doc()
-    doc["adversary"] = CENSOR_ANN | {"censor_until": 3}
-    doc["miner"] = {"mode": "censor", "targets": ["bo"], "until": 3}
-    scenario = scenario_from_dict(doc)
+    adversary = CENSOR_ANN | {"censor_until": 3}
+    scenario = scenario_from_dict(minimal_doc() | {"adversary": adversary})
     assert scenario.adversary.censor_until == 3
+    miner = {"mode": "censor", "targets": ["bo"], "until": 3}
+    scenario = scenario_from_dict(minimal_doc() | {"miner": miner})
     assert scenario.miner == MinerPolicy.censor({"bo"}, 3)
 
 
