@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .auctions import EPSILON_TICKS, auction_utility, seller_revenue
 from .chain import ChainState, MessageKind, MinerPolicy
-from .commitments import CommitOpening, make_commitment
 from .contract import commit_message, drive, reveal_message
 from .errors import InvariantViolation, ValidationError
 from .school_choice import (
@@ -38,7 +37,6 @@ from .settlement import (
     MechanismKind,
     MechanismTag,
     SettlementResult,
-    encode_agent_payload,
     input_beacon,
     lottery_schools,
     settle,
@@ -321,17 +319,17 @@ def execute_run(
     is the checked entry, which passes in the scenario's own adversary.
 
     Centralized: inputs reach the operator in plaintext and settle directly.
-    Decentralized: inputs travel as commitments, the strategy is planned
-    against the sealed view at the commit deadline, reveals follow, and the
-    contract is driven off the chain. A miner policy acts only on the reveal
-    phase, so the commit phase is mined honestly and the reveal phase by
-    the plan's miner if it has one, else by the scenario's; everything else
-    about the run is identical.
+    Decentralized: inputs travel as the scenario's truthful commitments
+    (built once per scenario, since a sealed view plans no rebid), the
+    strategy is planned against the sealed view at the commit deadline,
+    reveals follow, and the contract is driven off the chain, verifying
+    every opening. A miner policy acts only on the reveal phase, so the
+    commit phase is mined honestly and the reveal phase by the plan's miner
+    if it has one, else by the scenario's; everything else about the run is
+    identical.
     """
-    resolved = scenario.resolved_inputs()
-    truthful = {agent: inp for agent, (_, inp) in resolved.items()}
-
     if mode is ExecutionMode.CENTRALIZED_SEQUENTIAL:
+        truthful = {agent: inp for agent, (_, inp) in scenario.resolved_inputs().items()}
         view = OperatorView(mode=mode, digests={}, plaintext=MappingProxyType(truthful))
         plan = plan_deviation(strategy, scenario.mechanism, view)
         inputs = {**truthful, **plan.rebids}
@@ -339,11 +337,7 @@ def execute_run(
 
     chain = ChainState()
     contract_id = scenario.name
-    openings: dict[str, CommitOpening] = {}
-    for agent, (salt, inp) in resolved.items():
-        opening = CommitOpening(payload=encode_agent_payload(scenario.mechanism, inp), salt=salt)
-        openings[agent] = opening
-        commitment = make_commitment(agent, contract_id, opening)
+    for agent, (_, commitment) in scenario.commitments.items():
         chain.submit(commit_message(agent, contract_id, commitment))
     chain.advance_to(scenario.schedule.commit_deadline)
 
@@ -357,8 +351,8 @@ def execute_run(
     if plan.rebids:
         raise InvariantViolation("a sealed view produced rebids; the projection leaked")
 
-    for agent, (_, inp) in resolved.items():
-        chain.submit(reveal_message(agent, contract_id, openings[agent]))
+    for agent, (opening, _) in scenario.commitments.items():
+        chain.submit(reveal_message(agent, contract_id, opening))
     chain.advance_to(scenario.schedule.reveal_deadline, plan.miner or scenario.miner)
 
     _, settlement_input = drive(chain, contract_id, scenario.schedule)

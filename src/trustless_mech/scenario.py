@@ -16,6 +16,8 @@ from enum import Enum
 from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
 from importlib import resources
 
@@ -23,10 +25,17 @@ from .adversaries import LeakStrategy, LeakStrategyKind, check_compatible, exact
 from .auctions import SlotCTRs
 from .beacon import DOMAIN_CONTRIBUTIONS, DOMAIN_SALTS, U64_MASK, HashStream
 from .chain import MinerPolicy
+from .commitments import Commitment, CommitOpening, make_commitment
 from .contract import PhaseSchedule
 from .errors import ValidationError, WireFormatError
 from .school_choice import LotteryMode, SchoolSpec, encode_ranking
-from .settlement import AUCTION_TAGS, AgentInput, MechanismKind, MechanismTag
+from .settlement import (
+    AUCTION_TAGS,
+    AgentInput,
+    MechanismKind,
+    MechanismTag,
+    encode_agent_payload,
+)
 
 
 # Bounds on one GSP rate string, checked before `Fraction` expands its
@@ -90,6 +99,21 @@ class Scenario:
             )
         return out
 
+    @cached_property
+    def commitments(self) -> Mapping[str, tuple[CommitOpening, Commitment]]:
+        """agent -> (opening, commitment) of the truthful input, in agent list
+        order, under the contract id ``name``.
+
+        Built once per scenario: a sealed operator view plans no rebid, so
+        every decentralized run commits and reveals exactly these openings.
+        The contract still verifies each one on every run.
+        """
+        out: dict[str, tuple[CommitOpening, Commitment]] = {}
+        for agent, (salt, inp) in self._resolved.items():
+            opening = CommitOpening(payload=encode_agent_payload(self.mechanism, inp), salt=salt)
+            out[agent] = (opening, make_commitment(agent, self.name, opening))
+        return MappingProxyType(out)
+
 
 def _fail(path: str, problem: str) -> ScenarioError:
     return ScenarioError(f"field '{path}': {problem}")
@@ -128,7 +152,7 @@ def _validate(s: Scenario) -> None:
             if spec.bid is None:
                 raise _fail(f"agents[{i}].bid", f"required for a {tag.value} auction")
     if tag is MechanismTag.BOSTON:
-        index_of = {school: i for i, school in enumerate(s.mechanism.school_ids())}
+        index_of = s.mechanism.school_index
         for i, spec in enumerate(s.agents):
             if spec.ranking is None:
                 raise _fail(f"agents[{i}].ranking", "required for school choice")

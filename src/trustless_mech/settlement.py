@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Mapping
 
 from .auctions import (
@@ -100,8 +102,11 @@ class MechanismKind:
     def uses_beacon(self) -> bool:
         return self.tag is MechanismTag.BEACON or self.with_beacon
 
-    def school_ids(self) -> tuple[str, ...]:
-        return tuple(s.school for s in self.schools)
+    @cached_property
+    def school_index(self) -> Mapping[str, int]:
+        """school id -> its index in ``schools``, the byte a ranking payload
+        carries for it; built once per mechanism."""
+        return MappingProxyType({s.school: i for i, s in enumerate(self.schools)})
 
 
 @dataclass(frozen=True)
@@ -161,9 +166,8 @@ def encode_agent_payload(mechanism: MechanismKind, agent_input: AgentInput) -> b
     if mechanism.tag is MechanismTag.BOSTON:
         if agent_input.ranking is None:
             raise ValidationError("school-choice input needs a ranking")
-        index_of = {school: i for i, school in enumerate(mechanism.school_ids())}
         try:
-            body = encode_ranking([index_of[s] for s in agent_input.ranking])
+            body = encode_ranking([mechanism.school_index[s] for s in agent_input.ranking])
         except KeyError as exc:
             raise ValidationError(f"ranking names unknown school {exc.args[0]!r}") from exc
     else:
@@ -191,11 +195,12 @@ def decode_agent_payload(mechanism: MechanismKind, data: bytes) -> AgentInput:
 
     if mechanism.tag is MechanismTag.BOSTON:
         indices = decode_ranking(data)
-        ids = mechanism.school_ids()
+        schools = mechanism.schools
         for idx in indices:
-            if idx >= len(ids):
+            if idx >= len(schools):
                 raise WireFormatError(f"school index {idx} out of range")
-        return AgentInput(ranking=tuple(ids[i] for i in indices), contribution=contribution)
+        ranking = tuple(schools[i].school for i in indices)
+        return AgentInput(ranking=ranking, contribution=contribution)
     return AgentInput(bid=decode_bid(data), contribution=contribution)
 
 
@@ -273,16 +278,33 @@ def lottery_schools(
     mechanism: MechanismKind,
     participants: tuple[str, ...],
     beacon_output: BeaconOutput | None,
-) -> list[SchoolSpec]:
+) -> tuple[SchoolSpec, ...]:
     """Schools with the priorities settlement uses: their own without a lottery
     mode, the beacon lottery when the beacon has a contributor, else
-    identifier order."""
-    schools = list(mechanism.schools)
+    identifier order.
+
+    One run settles the same lottery up to five times (four settlements and
+    the ranking-sale plan), so the last one drawn is kept: the arguments
+    alone decide it, and the result is an immutable tuple.
+    """
     if mechanism.priority_mode is None:
-        return schools
+        return mechanism.schools
+    return _drawn_lottery(mechanism, participants, beacon_output)
+
+
+@lru_cache(maxsize=1)
+def _drawn_lottery(
+    mechanism: MechanismKind,
+    participants: tuple[str, ...],
+    beacon_output: BeaconOutput | None,
+) -> tuple[SchoolSpec, ...]:
+    assert mechanism.priority_mode is not None
     if beacon_output is None or not beacon_output.contributors:
-        return [SchoolSpec(s.school, s.capacity, tuple(sorted(participants))) for s in schools]
-    return lottery_priorities(participants, schools, beacon_output, mechanism.priority_mode)
+        order = tuple(sorted(participants))
+        return tuple(SchoolSpec(s.school, s.capacity, order) for s in mechanism.schools)
+    return tuple(
+        lottery_priorities(participants, mechanism.schools, beacon_output, mechanism.priority_mode)
+    )
 
 
 def settle(mechanism: MechanismKind, settlement_input: SettlementInput) -> SettlementResult:

@@ -10,7 +10,9 @@ import hashlib
 import json
 import math
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import scipy.stats
@@ -393,3 +395,15 @@ def test_attack_suite_output_matches_the_pinned_digest(tmp_path, monkeypatch, ca
         digest.update(b"\0" + path.relative_to(out).as_posix().encode() + b"\0")
         digest.update(path.read_bytes())
     assert digest.hexdigest() == ATTACK_SUITE_SHA256
+
+
+def test_attack_suite_summary_matches_the_digest_the_ci_workflow_pins(tmp_path, monkeypatch, capsys):
+    # the installed-package CI job checks this digest with `sha256sum --check`
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+    pins = re.findall(r'echo "([0-9a-f]{64})  suite/summary\.txt" \| sha256sum --check',
+                      workflow.read_text())
+    assert len(pins) == 1
+    monkeypatch.chdir(tmp_path)
+    assert main(["attack-suite", "--out", "suite"]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256((tmp_path / "suite" / "summary.txt").read_bytes()).hexdigest() == pins[0]

@@ -23,6 +23,7 @@ from trustless_mech import (
     ExecutionMode,
     LeakStrategy,
     LeakStrategyKind,
+    LotteryMode,
     MechanismKind,
     MechanismTag,
     MinerPolicy,
@@ -40,7 +41,8 @@ from trustless_mech import (
     rank_utility,
     run_with_adversary,
 )
-from trustless_mech import adversaries
+from trustless_mech import adversaries, beacon, contract, settlement
+from trustless_mech import scenario as scenario_module
 from trustless_mech.adversaries import NOTE_NO_MINER, NOTE_SEALED_VIEW
 from trustless_mech.errors import InvariantViolation, ValidationError
 from trustless_mech.scenario import ScenarioError
@@ -736,3 +738,59 @@ def test_a_reveal_window_of_10_to_the_30_blocks_runs_at_once():
             assert expected["notes"] == ["miner withholds reveals from 'p1' while height <= 8"]
             expected["notes"] = [f"miner withholds reveals from 'p1' while height <= {10**29}"]
         assert report == expected
+
+
+def lottery_scenario(mode: LotteryMode) -> Scenario:
+    """Twelve students ranking six schools under a beacon lottery, one of
+    them buying the others' rankings; no miner, so every run settles the
+    same participants and beacon."""
+    rng = random.Random(f"lottery:{mode.value}")
+    schools = tuple(SchoolSpec(f"s{i}", 2) for i in range(6))
+    names = [f"kid{i:02d}" for i in range(12)]
+    ids = [s.school for s in schools]
+    return Scenario(
+        name=f"lottery-{mode.value}", seed=rng.getrandbits(64),
+        mechanism=MechanismKind(tag=MechanismTag.BOSTON, schools=schools,
+                                priority_mode=mode, with_beacon=True),
+        schedule=PhaseSchedule(2, 6),
+        agents=tuple(AgentSpec(a, ranking=tuple(rng.sample(ids, rng.randint(1, 6)))) for a in names),
+        adversary=LeakStrategy(LeakStrategyKind.BOSTON_SELL_RANKINGS, target=names[0]),
+    )
+
+
+def count_calls(monkeypatch, module, name: str) -> list[tuple]:
+    """Record the arguments of every call through ``module.name``."""
+    calls: list[tuple] = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode, domains", [
+    (LotteryMode.PER_SCHOOL, [0, 1, 2, 3, 4, 5]),
+    (LotteryMode.SINGLE, [0]),
+])
+def test_a_run_draws_each_lottery_and_commits_each_input_once(monkeypatch, mode, domains):
+    settlement._drawn_lottery.cache_clear()
+    draws = count_calls(monkeypatch, beacon, "derive_permutation")
+    commitments = count_calls(monkeypatch, scenario_module, "make_commitment")
+    verified = count_calls(monkeypatch, contract, "verify_opening")
+    scenario = lottery_scenario(mode)
+    n = len(scenario.agents)
+
+    run_with_adversary(scenario, CENTRAL)
+    assert not commitments and not verified
+    # two settlements and the ranking-sale plan share one lottery
+    assert sorted(domain for _, _, domain in draws) == domains
+
+    run_with_adversary(scenario, DECENTRAL)
+    assert sorted(domain for _, _, domain in draws) == domains
+    assert sorted(agent for agent, _, _ in commitments) == sorted(scenario.commitments)
+    # the contract still checks every reveal of both decentralized runs
+    assert len(verified) == 2 * n
+    assert {agent for _, agent, _, _ in verified} == set(scenario.commitments)

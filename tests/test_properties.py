@@ -19,6 +19,9 @@
    input that re-encodes to its payload, or is reported as malformed.
 7. Every auction's utilities and revenue split the slot-weighted value of
    the allocation exactly.
+8. The kept lottery returns what a fresh draw returns, as an immutable
+   value, over any order of repeated lottery keys; and a renamed scenario
+   commits fresh digests, since the contract id is in every preimage.
 """
 
 import contextlib
@@ -32,11 +35,12 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trustless_mech import (
     AgentInput,
+    BeaconOutput,
     CommitOpening,
     ExecutionMode,
     LeakStrategyKind,
@@ -53,12 +57,15 @@ from trustless_mech import (
     auction_utility,
     decode_agent_payload,
     encode_agent_payload,
+    load_bundled,
+    lottery_priorities,
     plan_deviation,
     run_with_adversary,
     scenario_from_dict,
     seller_revenue,
     settle,
     settle_inputs,
+    verify_opening,
 )
 from trustless_mech.adversaries import execute_run
 from trustless_mech.auctions import decode_bid, encode_bid
@@ -67,6 +74,7 @@ from trustless_mech.cli import _json_text, main
 from trustless_mech.commitments import DIGEST_SIZE, SALT_SIZE
 from trustless_mech.contract import parse_reveal_payload, reveal_message
 from trustless_mech.scenario import bundled_scenario_names
+from trustless_mech.settlement import _drawn_lottery, lottery_schools
 from trustless_mech.school_choice import decode_ranking, encode_ranking
 
 AGENT_NAMES = ("ann", "bo", "cy", "dee", "eli", "fay")
@@ -388,6 +396,46 @@ def test_a_sealed_view_yields_no_rebids(run, data):
     }
     view = OperatorView(mode=mode, digests=digests, plaintext=None)
     assert not plan_deviation(scenario.adversary, scenario.mechanism, view).rebids
+
+
+LOTTERY_SCHOOLS = tuple(SchoolSpec(school, 1) for school in SCHOOL_NAMES)
+
+lottery_keys = st.tuples(
+    st.sampled_from(LotteryMode),
+    st.lists(st.sampled_from(AGENT_NAMES), min_size=1, unique=True).map(lambda a: tuple(sorted(a))),
+    st.integers(0, 2**64 - 1),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(lottery_keys, min_size=1, max_size=3), st.lists(st.integers(0, 2), max_size=8))
+@example([(LotteryMode.SINGLE, ("ann", "bo"), 1), (LotteryMode.PER_SCHOOL, ("ann", "bo"), 1)],
+         [0, 1, 0])
+def test_the_kept_lottery_is_a_fresh_immutable_draw(keys, picks):
+    _drawn_lottery.cache_clear()
+    for pick in [0, *picks]:
+        mode, participants, value = keys[pick % len(keys)]
+        mechanism = MechanismKind(tag=MechanismTag.BOSTON, schools=LOTTERY_SCHOOLS,
+                                  priority_mode=mode, with_beacon=True)
+        beacon = BeaconOutput(value, participants)
+        drawn = lottery_schools(mechanism, participants, beacon)
+        assert drawn == tuple(lottery_priorities(participants, LOTTERY_SCHOOLS, beacon, mode))
+        assert isinstance(drawn, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            drawn[0].priority = ()
+
+
+def test_a_renamed_scenario_commits_fresh_digests():
+    scenario = load_bundled("fpa_leak")
+    renamed = dataclasses.replace(scenario, name="fpa_leak_renamed")
+    assert list(renamed.commitments) == list(scenario.commitments)
+    for agent, (opening, commitment) in renamed.commitments.items():
+        old_opening, old_commitment = scenario.commitments[agent]
+        assert opening == old_opening
+        assert commitment != old_commitment
+        assert verify_opening(commitment, agent, renamed.name, opening)
+    honest, _ = execute_run(renamed, ExecutionMode.DECENTRALIZED_COMMIT_REVEAL)
+    assert honest == execute_run(scenario, ExecutionMode.DECENTRALIZED_COMMIT_REVEAL)[0]
 
 
 u64s = st.integers(0, 2**64 - 1)
