@@ -17,9 +17,9 @@ from trustless_mech import (
     MechanismKind,
     MechanismTag,
     PhaseSchedule,
-    PreferenceRanking,
     Scenario,
     SchoolSpec,
+    best_response_ranking,
     boston,
     lottery_priorities,
     run_with_adversary,
@@ -41,18 +41,19 @@ def show(matching) -> None:
 
 
 def main() -> None:
-    truthful = [
-        PreferenceRanking("Alice", ("Oxford", "Cambridge")),
-        PreferenceRanking("Bob", ("Oxford", "Cambridge")),
-        PreferenceRanking("Carol", ("Cambridge", "Oxford")),
-    ]
+    # a report profile maps each student to the ranking they submit
+    truthful = {
+        "Alice": ("Oxford", "Cambridge"),
+        "Bob": ("Oxford", "Cambridge"),
+        "Carol": ("Cambridge", "Oxford"),
+    }
     print("truthful reports:")
     show(boston(truthful, SCHOOLS))
     print()
 
     # Bob loses Oxford to Alice in round 1, and by round 2 Cambridge is gone.
-    # Knowing the other lists, Bob reports Cambridge first and wins it.
-    informed = [truthful[0], PreferenceRanking("Bob", ("Cambridge", "Oxford")), truthful[2]]
+    # Shown the other reports, Bob best-responds by ranking Cambridge alone.
+    informed = {**truthful, "Bob": best_response_ranking("Bob", truthful, SCHOOLS)}
     print("Bob flips to Cambridge-first after seeing the other lists:")
     show(boston(informed, SCHOOLS))
     print()

@@ -70,7 +70,6 @@ from .scenario import (
 from .school_choice import (
     LotteryMode,
     Matching,
-    PreferenceRanking,
     SchoolSpec,
     boston,
     lottery_priorities,
@@ -116,7 +115,6 @@ __all__ = [
     "MinerPolicy",
     "OperatorView",
     "PhaseSchedule",
-    "PreferenceRanking",
     "Scenario",
     "ScenarioError",
     "SchoolSpec",

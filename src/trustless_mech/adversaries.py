@@ -24,13 +24,7 @@ from .auctions import EPSILON_TICKS, auction_utility, seller_revenue
 from .chain import ChainState, MessageKind, MinerPolicy
 from .contract import commit_message, drive, reveal_message
 from .errors import InvariantViolation, ValidationError
-from .school_choice import (
-    PreferenceRanking,
-    SchoolSpec,
-    boston,
-    first_round_admissions,
-    rank_utility,
-)
+from .school_choice import SchoolSpec, boston, first_round_admissions, rank_utility
 from .settlement import (
     AUCTION_TAGS,
     AgentInput,
@@ -258,21 +252,16 @@ def plan_deviation(
         assert target is not None
         if target not in plaintext or plaintext[target].ranking is None:
             return _nothing(f"target {target!r} submitted no ranking")
-        truthful = PreferenceRanking(agent=target, ranking=plaintext[target].ranking)
-        others = [
-            PreferenceRanking(agent=a, ranking=inp.ranking)
-            for a, inp in sorted(plaintext.items())
-            if a != target and inp.ranking is not None
-        ]
-        schools = lottery_schools(mechanism, tuple(sorted(plaintext)), input_beacon(plaintext))
-        best = best_response_ranking(truthful, others, schools)
-        if best.ranking == truthful.ranking:
+        reports = {a: inp.ranking or () for a, inp in sorted(plaintext.items())}
+        schools = lottery_schools(mechanism, tuple(reports), input_beacon(plaintext))
+        best = best_response_ranking(target, reports, schools)
+        if best == reports[target]:
             return _nothing(f"truthful ranking is already a best response for {target!r}")
         return PlannedDeviation(
-            rebids={target: replace(plaintext[target], ranking=best.ranking)},
+            rebids={target: replace(plaintext[target], ranking=best)},
             notes=(
                 f"operator sells the other students' reports to {target!r}; "
-                f"best-response ranking {list(best.ranking)}",
+                f"best-response ranking {list(best)}",
             ),
             coalition=frozenset({f"agent:{target}"}),
         )
@@ -281,12 +270,13 @@ def plan_deviation(
 
 
 def best_response_ranking(
-    student: PreferenceRanking,
-    others_reports: Sequence[PreferenceRanking],
+    student: str,
+    reports: Mapping[str, Sequence[str]],
     schools: Sequence[SchoolSpec],
-) -> PreferenceRanking:
-    """A ranking maximizing the student's rank utility under Boston, others'
-    reports fixed, among all ordered subsets of ``schools``.
+) -> tuple[str, ...]:
+    """A ranking maximizing ``student``'s rank utility under Boston, by its
+    true ranking ``reports[student]``, the other reports fixed, among all
+    ordered subsets of ``schools``.
 
     The truthful ranking wins ties; otherwise the answer is the first
     maximizer in enumeration order (shorter rankings first, then
@@ -296,16 +286,16 @@ def best_response_ranking(
     when ranked first. The best value is thus the first school of the true
     ranking in ``first_round_admissions``, won by ranking it alone.
     """
-    admits = first_round_admissions(student.agent, others_reports, schools)
+    truthful = tuple(reports[student])
+    admits = first_round_admissions(student, reports, schools)
     # rank_utility values a school listed past the n-th place (behind unknown
     # schools) no higher than none, and the empty ranking comes first
-    best = next(((s,) for s in student.ranking[: len(schools)] if s in admits), ())
+    best = next(((s,) for s in truthful[: len(schools)] if s in admits), ())
     # a truthful ranking naming an unknown school is no candidate, so no tie
-    if {s.school for s in schools}.issuperset(student.ranking):
-        truthful = boston([*others_reports, student], schools).assignment[student.agent]
-        if truthful == (best[0] if best else None):
-            best = student.ranking
-    return PreferenceRanking(agent=student.agent, ranking=best)
+    if {s.school for s in schools}.issuperset(truthful):
+        if boston(reports, schools).assignment[student] == (best[0] if best else None):
+            return truthful
+    return best
 
 
 def execute_run(
@@ -329,8 +319,8 @@ def execute_run(
     identical.
     """
     if mode is ExecutionMode.CENTRALIZED_SEQUENTIAL:
-        truthful = {agent: inp for agent, (_, inp) in scenario.resolved_inputs().items()}
-        view = OperatorView(mode=mode, digests={}, plaintext=MappingProxyType(truthful))
+        truthful = scenario.truthful_inputs
+        view = OperatorView(mode=mode, digests={}, plaintext=truthful)
         plan = plan_deviation(strategy, scenario.mechanism, view)
         inputs = {**truthful, **plan.rebids}
         return settle_inputs(scenario.mechanism, inputs), plan
@@ -379,11 +369,10 @@ def agent_utilities(
             value = spec.valuation if spec.valuation is not None else (spec.bid or 0)
             util = 0 if result.auction is None else auction_utility(value, agent, result.auction)
         elif mech.tag is MechanismTag.BOSTON:
-            truthful = PreferenceRanking(agent=agent, ranking=spec.ranking or ())
             assigned = (
                 result.matching.assignment.get(agent) if result.matching is not None else None
             )
-            util = rank_utility(truthful, assigned, len(mech.schools))
+            util = rank_utility(spec.ranking or (), assigned, len(mech.schools))
         else:
             won = bool(result.lottery) and result.lottery[0] == agent
             util = 1 if won else 0

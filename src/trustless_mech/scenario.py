@@ -72,45 +72,41 @@ class Scenario:
     def __post_init__(self) -> None:
         _validate(self)
 
-    def resolved_inputs(self) -> dict[str, tuple[bytes, AgentInput]]:
-        """agent -> (salt, input), with seed-derived salts and contributions.
-
-        Salts come from one hash stream, missing beacon contributions from a
-        second, both drawn in agent list order; every agent consumes a salt
-        whether or not the mechanism needs anything else, which keeps each
-        agent's draw independent of the others' fields. The draws happen once
-        per scenario; each call returns a fresh dict.
-        """
-        return dict(self._resolved)
-
     @cached_property
-    def _resolved(self) -> dict[str, tuple[bytes, AgentInput]]:
-        salts = HashStream(self.seed, DOMAIN_SALTS)
+    def truthful_inputs(self) -> Mapping[str, AgentInput]:
+        """agent -> truthful input, in agent list order, read-only.
+
+        A beacon contribution the file leaves out is drawn from the seed's
+        contribution stream, in agent list order; a mechanism without a
+        beacon takes none.
+        """
         contributions = HashStream(self.seed, DOMAIN_CONTRIBUTIONS)
-        out: dict[str, tuple[bytes, AgentInput]] = {}
+        out: dict[str, AgentInput] = {}
         for spec in self.agents:
-            salt = salts.salt()
             contribution = spec.contribution
             if self.mechanism.uses_beacon and contribution is None:
                 contribution = contributions.u64()
-            out[spec.agent] = (
-                salt,
-                AgentInput(bid=spec.bid, ranking=spec.ranking, contribution=contribution),
+            out[spec.agent] = AgentInput(
+                bid=spec.bid, ranking=spec.ranking, contribution=contribution
             )
-        return out
+        return MappingProxyType(out)
 
     @cached_property
     def commitments(self) -> Mapping[str, tuple[CommitOpening, Commitment]]:
         """agent -> (opening, commitment) of the truthful input, in agent list
         order, under the contract id ``name``.
 
+        Salts come from the seed's salt stream, one per agent in agent list
+        order, so each agent's salt is independent of the others' fields.
         Built once per scenario: a sealed operator view plans no rebid, so
         every decentralized run commits and reveals exactly these openings.
         The contract still verifies each one on every run.
         """
+        salts = HashStream(self.seed, DOMAIN_SALTS)
         out: dict[str, tuple[CommitOpening, Commitment]] = {}
-        for agent, (salt, inp) in self._resolved.items():
-            opening = CommitOpening(payload=encode_agent_payload(self.mechanism, inp), salt=salt)
+        for agent, inp in self.truthful_inputs.items():
+            payload = encode_agent_payload(self.mechanism, inp)
+            opening = CommitOpening(payload=payload, salt=salts.salt())
             out[agent] = (opening, make_commitment(agent, self.name, opening))
         return MappingProxyType(out)
 
@@ -141,8 +137,12 @@ def _validate(s: Scenario) -> None:
             raise _fail(f"{path}.bid", "must be an unsigned 64-bit integer")
         if spec.valuation is not None and spec.valuation < 0:
             raise _fail(f"{path}.valuation", "must be nonnegative")
-        if spec.contribution is not None and not 0 <= spec.contribution <= U64_MASK:
-            raise _fail(f"{path}.contribution", "must be an unsigned 64-bit integer")
+        if spec.contribution is not None:
+            if not s.mechanism.uses_beacon:
+                raise _fail(f"{path}.contribution", f"a {s.mechanism.tag.value} contract "
+                            "without a beacon takes no contribution")
+            if not 0 <= spec.contribution <= U64_MASK:
+                raise _fail(f"{path}.contribution", "must be an unsigned 64-bit integer")
         if spec.ranking is not None and len(set(spec.ranking)) != len(spec.ranking):
             raise _fail(f"{path}.ranking", "lists a school twice")
 

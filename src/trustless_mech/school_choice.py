@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .beacon import BeaconOutput, beacon_order
 from .errors import ValidationError, WireFormatError
@@ -19,18 +19,6 @@ from .errors import ValidationError, WireFormatError
 class LotteryMode(Enum):
     SINGLE = "single_lottery"
     PER_SCHOOL = "per_school_lottery"
-
-
-@dataclass(frozen=True)
-class PreferenceRanking:
-    """A student's ordered school list; unlisted schools are unacceptable."""
-
-    agent: str
-    ranking: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(set(self.ranking)) != len(self.ranking):
-            raise ValidationError(f"ranking for {self.agent!r} repeats a school")
 
 
 @dataclass(frozen=True)
@@ -55,70 +43,70 @@ class Matching:
 
 
 def _priority_ranks(
-    prefs: Sequence[PreferenceRanking], schools: Sequence[SchoolSpec]
+    reports: Mapping[str, Sequence[str]], schools: Sequence[SchoolSpec]
 ) -> dict[str, dict[str, int]]:
-    """Check that school ids and students are unique and that every ranked
-    school exists and ranks every student; return each school's priority
-    rank table (student -> position, 0 first)."""
+    """Check that school ids are unique, that no ranking repeats a school,
+    and that every ranked school exists and ranks every student; return each
+    school's priority rank table (student -> position, 0 first)."""
     priority_rank: dict[str, dict[str, int]] = {
         s.school: {student: i for i, student in enumerate(s.priority)} for s in schools
     }
     if len(priority_rank) != len(schools):
         raise ValidationError("school identifiers must be unique")
-    students: set[str] = set()
-    for pref in prefs:
-        if pref.agent in students:
-            raise ValidationError(f"student {pref.agent!r} has more than one ranking")
-        students.add(pref.agent)
-        for school in pref.ranking:
+    for student, ranking in reports.items():
+        if len(set(ranking)) != len(ranking):
+            raise ValidationError(f"ranking for {student!r} repeats a school")
+        for school in ranking:
             if school not in priority_rank:
-                raise ValidationError(
-                    f"student {pref.agent!r} ranked unknown school {school!r}"
-                )
+                raise ValidationError(f"student {student!r} ranked unknown school {school!r}")
         for spec in schools:
-            if pref.agent not in priority_rank[spec.school]:
+            if student not in priority_rank[spec.school]:
                 raise ValidationError(
-                    f"school {spec.school!r} has no priority rank for {pref.agent!r}"
+                    f"school {spec.school!r} has no priority rank for {student!r}"
                 )
     return priority_rank
 
 
-def boston(prefs: Sequence[PreferenceRanking], schools: Sequence[SchoolSpec]) -> Matching:
-    """Run the immediate-acceptance rounds to completion."""
-    priority_rank = _priority_ranks(prefs, schools)
-    matching = Matching(assignment={p.agent: None for p in prefs})
+def boston(reports: Mapping[str, Sequence[str]], schools: Sequence[SchoolSpec]) -> Matching:
+    """Run the immediate-acceptance rounds to completion over ``reports``
+    (student -> ranking); keyed by student, a profile holds each one once."""
+    priority_rank = _priority_ranks(reports, schools)
+    matching = Matching(assignment=dict.fromkeys(reports))
     seats = {s.school: s.capacity for s in schools}
-    unassigned = list(prefs)
-    for rnd in range(max((len(p.ranking) for p in prefs), default=0)):
-        applicants: dict[str, list[PreferenceRanking]] = {}
-        for pref in unassigned:
-            if len(pref.ranking) > rnd:
-                applicants.setdefault(pref.ranking[rnd], []).append(pref)
+    unassigned = list(reports)
+    for rnd in range(max(map(len, reports.values()), default=0)):
+        applicants: dict[str, list[str]] = {}
+        for student in unassigned:
+            ranking = reports[student]
+            if len(ranking) > rnd:
+                applicants.setdefault(ranking[rnd], []).append(student)
         for school in sorted(applicants):
-            pool = sorted(applicants[school], key=lambda p: priority_rank[school][p.agent])
-            for pref in pool[: seats[school]]:
-                matching.assignment[pref.agent] = school
-                matching.round_assigned[pref.agent] = rnd + 1
+            pool = sorted(applicants[school], key=priority_rank[school].__getitem__)
+            for student in pool[: seats[school]]:
+                matching.assignment[student] = school
+                matching.round_assigned[student] = rnd + 1
                 seats[school] -= 1
-        unassigned = [p for p in unassigned if matching.assignment[p.agent] is None]
+        unassigned = [s for s in unassigned if matching.assignment[s] is None]
     return matching
 
 
 def first_round_admissions(
-    student: str, others: Sequence[PreferenceRanking], schools: Sequence[SchoolSpec]
+    student: str, reports: Mapping[str, Sequence[str]], schools: Sequence[SchoolSpec]
 ) -> set[str]:
-    """The schools that admit ``student`` if it ranks them first, ``others``
-    fixed: those where fewer of the others ranking the school first outrank
-    ``student`` than the school has seats. Inputs are checked as ``boston``
-    checks ``others`` plus ``student`` with an empty ranking.
+    """The schools that admit ``student`` if it ranks them first, the other
+    reports fixed: those where fewer of the others ranking the school first
+    outrank ``student`` than the school has seats. ``student``'s own entry,
+    if any, is ignored; inputs are checked as ``boston`` checks them with
+    that entry empty.
     """
-    priority_rank = _priority_ranks([*others, PreferenceRanking(student, ())], schools)
+    others = {**reports, student: ()}
+    priority_rank = _priority_ranks(others, schools)
     ahead = dict.fromkeys(priority_rank, 0)
-    for pref in others:
-        if pref.ranking:
-            ranks = priority_rank[pref.ranking[0]]
-            if ranks[pref.agent] < ranks[student]:
-                ahead[pref.ranking[0]] += 1
+    for other, ranking in others.items():
+        if ranking:
+            ranks = priority_rank[ranking[0]]
+            if ranks[other] < ranks[student]:
+                ahead[ranking[0]] += 1
     return {s.school for s in schools if ahead[s.school] < s.capacity}
 
 
@@ -143,15 +131,15 @@ def lottery_priorities(
     ]
 
 
-def rank_utility(true_ranking: PreferenceRanking, assigned: str | None, n_schools: int) -> int:
+def rank_utility(true_ranking: Sequence[str], assigned: str | None, n_schools: int) -> int:
     """Ordinal utility: negative true rank of the assigned school.
 
     Unassigned (or assigned to a school the student never listed) is worse
     than any listed rank: -(n_schools + 1). Preferences here are ordinal,
     so this is the minimal faithful metric; reports flag it as such.
     """
-    if assigned is not None and assigned in true_ranking.ranking:
-        return -(true_ranking.ranking.index(assigned) + 1)
+    if assigned is not None and assigned in true_ranking:
+        return -(true_ranking.index(assigned) + 1)
     return -(n_schools + 1)
 
 

@@ -40,7 +40,6 @@ from .errors import ValidationError, WireFormatError
 from .school_choice import (
     LotteryMode,
     Matching,
-    PreferenceRanking,
     SchoolSpec,
     boston,
     decode_ranking,
@@ -244,12 +243,9 @@ def settle_inputs(
         return SettlementResult(notes=tuple(notes), **result)
 
     if mechanism.tag is MechanismTag.BOSTON:
-        prefs = [
-            PreferenceRanking(agent=a, ranking=inputs[a].ranking or ())
-            for a in participants
-        ]
+        reports = {a: inputs[a].ranking or () for a in participants}
         notes.append(NOTE_RANK_UTILITY)
-        result["matching"] = boston(prefs, lottery_schools(mechanism, participants, beacon_output))
+        result["matching"] = boston(reports, lottery_schools(mechanism, participants, beacon_output))
         return SettlementResult(notes=tuple(notes), **result)
 
     tie_break = None if beacon_output is None else beacon_order(beacon_output, participants)

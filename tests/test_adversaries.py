@@ -29,7 +29,6 @@ from trustless_mech import (
     MinerPolicy,
     OperatorView,
     PhaseSchedule,
-    PreferenceRanking,
     Scenario,
     SchoolSpec,
     SlotCTRs,
@@ -397,39 +396,39 @@ def test_strategy_parameter_validation():
 
 
 def test_best_response_prefers_the_reachable_second_choice():
-    truthful = PreferenceRanking("Bob", ("Oxford", "Cambridge"))
-    others = [
-        PreferenceRanking("Alice", ("Oxford", "Cambridge")),
-        PreferenceRanking("Carol", ("Cambridge", "Oxford")),
-    ]
-    best = best_response_ranking(truthful, others, list(COLLEGES.schools))
-    assert best.ranking[0] == "Cambridge"
-    outcome = boston(others + [best], list(COLLEGES.schools))
+    reports = {
+        "Alice": ("Oxford", "Cambridge"),
+        "Bob": ("Oxford", "Cambridge"),
+        "Carol": ("Cambridge", "Oxford"),
+    }
+    best = best_response_ranking("Bob", reports, list(COLLEGES.schools))
+    assert best[0] == "Cambridge"
+    outcome = boston({**reports, "Bob": best}, list(COLLEGES.schools))
     assert outcome.assignment["Bob"] == "Cambridge"
 
 
 def test_truthful_ranking_wins_ties_in_the_search():
-    truthful = PreferenceRanking("Alice", ("Oxford", "Cambridge"))
-    others = [
-        PreferenceRanking("Bob", ("Oxford", "Cambridge")),
-        PreferenceRanking("Carol", ("Cambridge", "Oxford")),
-    ]
-    best = best_response_ranking(truthful, others, list(COLLEGES.schools))
-    assert best.ranking == truthful.ranking
+    reports = {
+        "Alice": ("Oxford", "Cambridge"),
+        "Bob": ("Oxford", "Cambridge"),
+        "Carol": ("Cambridge", "Oxford"),
+    }
+    best = best_response_ranking("Alice", reports, list(COLLEGES.schools))
+    assert best == reports["Alice"]
 
 
-def brute_force_best_response(student, others, schools):
+def brute_force_best_response(student, reports, schools):
     """Reference search: one full ``boston`` run per candidate ranking."""
     ids = [s.school for s in schools]
+    truthful = reports[student]
     best_rank, best_val = None, None
     for size in range(len(ids) + 1):
         for cand in permutations(ids, size):
-            trial = list(others) + [PreferenceRanking(student.agent, cand)]
-            got = boston(trial, schools).assignment.get(student.agent)
-            val = rank_utility(student, got, len(ids))
+            got = boston({**reports, student: cand}, schools).assignment.get(student)
+            val = rank_utility(truthful, got, len(ids))
             if best_val is None or val > best_val:
                 best_val, best_rank = val, cand
-            elif val == best_val and cand == student.ranking:
+            elif val == best_val and cand == truthful:
                 best_rank = cand
     return best_rank, best_val
 
@@ -445,18 +444,16 @@ def test_best_response_matches_independent_enumeration():
             order = students[:]
             rng.shuffle(order)
             schools.append(SchoolSpec(name, rng.randrange(0, 2), priority=tuple(order)))
-        prefs = {
+        reports = {
             s: tuple(rng.sample(names, rng.randrange(0, n_schools + 1))) for s in students
         }
         target = students[0]
-        truthful = PreferenceRanking(target, prefs[target])
-        others = [PreferenceRanking(s, prefs[s]) for s in students[1:]]
 
-        got = best_response_ranking(truthful, others, schools)
-        want_ranking, want_value = brute_force_best_response(truthful, others, schools)
-        assert got.ranking == want_ranking
-        achieved = boston(others + [got], schools).assignment.get(target)
-        assert rank_utility(truthful, achieved, n_schools) == want_value
+        got = best_response_ranking(target, reports, schools)
+        want_ranking, want_value = brute_force_best_response(target, reports, schools)
+        assert got == want_ranking
+        achieved = boston({**reports, target: got}, schools).assignment.get(target)
+        assert rank_utility(reports[target], achieved, n_schools) == want_value
 
 
 # the widest instance the brute-force oracle takes (1,957 rankings); it
@@ -487,9 +484,7 @@ def boston_instances(draw):
 @settings(max_examples=100, deadline=None)
 @given(boston_instances())
 def test_best_response_matches_brute_force_on_generated_instances(instance):
-    schools, rankings, target, omit = instance
-    truthful = PreferenceRanking(target, rankings[target])
-    others = [PreferenceRanking(s, r) for s, r in rankings.items() if s != target]
+    schools, reports, target, omit = instance
     if omit is not None:
         schools = [
             replace(s, priority=tuple(a for a in s.priority if a != target))
@@ -497,42 +492,62 @@ def test_best_response_matches_brute_force_on_generated_instances(instance):
             for s in schools
         ]
         with pytest.raises(ValidationError) as brute:
-            brute_force_best_response(truthful, others, schools)
+            brute_force_best_response(target, reports, schools)
         with pytest.raises(ValidationError) as fast:
-            best_response_ranking(truthful, others, schools)
+            best_response_ranking(target, reports, schools)
         assert str(fast.value) == str(brute.value)
         assert f"school {omit!r} has no priority rank for {target!r}" in str(fast.value)
         return
-    got = best_response_ranking(truthful, others, schools)
-    want_ranking, want_value = brute_force_best_response(truthful, others, schools)
-    assert got.ranking == want_ranking == exact_best_response(truthful, others, schools)
-    achieved = boston(others + [got], schools).assignment.get(target)
-    assert rank_utility(truthful, achieved, len(schools)) == want_value
+    got = best_response_ranking(target, reports, schools)
+    want_ranking, want_value = brute_force_best_response(target, reports, schools)
+    assert got == want_ranking == exact_best_response(target, reports, schools)
+    achieved = boston({**reports, target: got}, schools).assignment.get(target)
+    assert rank_utility(reports[target], achieved, len(schools)) == want_value
+
+
+@settings(max_examples=100, deadline=None)
+@given(boston_instances(), st.data())
+def test_boston_does_not_depend_on_the_insertion_order_of_reports(instance, data):
+    schools, reports, _, _ = instance
+    order = data.draw(st.permutations(list(reports)))
+    shuffled = boston({s: reports[s] for s in order}, schools)
+    matching = boston(reports, schools)
+    assert shuffled.assignment == matching.assignment
+    assert shuffled.round_assigned == matching.round_assigned
+
+
+@settings(max_examples=100, deadline=None)
+@given(boston_instances(), st.data())
+def test_best_response_does_not_depend_on_where_the_student_sits(instance, data):
+    schools, reports, target, _ = instance
+    order = [s for s in reports if s != target]
+    order.insert(data.draw(st.integers(0, len(order))), target)
+    got = best_response_ranking(target, {s: reports[s] for s in order}, schools)
+    assert got == best_response_ranking(target, reports, schools)
 
 
 def test_best_response_counts_admissions_after_the_others_are_placed():
     # round 2 at X is free only because pal's one-school list ends in round 1
     schools = [SchoolSpec(name, 1, priority=("pal", "kid")) for name in ("X", "Y")]
-    truthful = PreferenceRanking("kid", ("Y", "X"))
-    best = best_response_ranking(truthful, [PreferenceRanking("pal", ("Y",))], schools)
-    assert best.ranking == truthful.ranking
+    reports = {"kid": ("Y", "X"), "pal": ("Y",)}
+    assert best_response_ranking("kid", reports, schools) == reports["kid"]
 
 
-def exact_best_response(student, others, schools):
+def exact_best_response(student, reports, schools):
     """Reference search in n + 2 ``boston`` runs: the best of the empty and
     every one-school ranking, the first one winning, unless the truthful
     ranking (when it names only known schools) ties it."""
+    truthful = reports[student]
 
     def value(ranking):
-        trial = [*others, PreferenceRanking(student.agent, ranking)]
-        assigned = boston(trial, schools).assignment[student.agent]
-        return rank_utility(student, assigned, len(schools))
+        assigned = boston({**reports, student: ranking}, schools).assignment[student]
+        return rank_utility(truthful, assigned, len(schools))
 
     values = {r: value(r) for r in [(), *((s.school,) for s in schools)]}
     best = max(values, key=values.__getitem__)
     known = {s.school for s in schools}
-    if known.issuperset(student.ranking) and value(student.ranking) == values[best]:
-        return student.ranking
+    if known.issuperset(truthful) and value(truthful) == values[best]:
+        return truthful
     return best
 
 
@@ -545,43 +560,42 @@ UNSHRUNK = [phase for phase in Phase if phase is not Phase.shrink]
 def benchmark_shaped_instances(draw, widths=st.integers(1, ORACLE_SCHOOLS), outside=True):
     """Schools of capacity 0-10 (up to ``ORACLE_SCHOOLS`` by default) and up
     to 60 students with partial or empty rankings, as the benchmark draws
-    them; with ``outside`` the target's truthful ranking sometimes names a
-    school outside them."""
+    them, and a target; with ``outside`` the target's truthful ranking
+    sometimes names a school outside them."""
     names = [f"s{i}" for i in range(draw(widths))]
     students = [f"kid{i}" for i in range(draw(st.integers(1, 60)))]
     schools = [
         SchoolSpec(name, draw(st.integers(0, 10)), priority=tuple(draw(st.permutations(students))))
         for name in names
     ]
-    rankings = {
+    reports = {
         s: tuple(draw(st.permutations(names))[: draw(st.integers(0, len(names)))])
         for s in students
     }
     target = draw(st.sampled_from(students))
-    truthful = rankings[target]
     if outside and draw(st.booleans()):
+        truthful = reports[target]
         at = draw(st.integers(0, len(truthful)))
-        truthful = (*truthful[:at], "elsewhere", *truthful[at:])
-    others = [PreferenceRanking(s, r) for s, r in rankings.items() if s != target]
-    return PreferenceRanking(target, truthful), others, schools
+        reports[target] = (*truthful[:at], "elsewhere", *truthful[at:])
+    return target, reports, schools
 
 
 @settings(max_examples=150, deadline=None, phases=UNSHRUNK)
 @given(benchmark_shaped_instances())
 def test_best_response_matches_the_exact_oracle(instance):
-    truthful, others, schools = instance
-    got = best_response_ranking(truthful, others, schools)
-    assert got.ranking == exact_best_response(truthful, others, schools)
+    target, reports, schools = instance
+    got = best_response_ranking(target, reports, schools)
+    assert got == exact_best_response(target, reports, schools)
 
 
 @settings(max_examples=150, deadline=None, phases=UNSHRUNK)
 @given(benchmark_shaped_instances(outside=False))
 def test_first_round_admissions_are_the_one_school_rankings_seating_the_student(instance):
-    truthful, others, schools = instance
-    admits = first_round_admissions(truthful.agent, others, schools)
+    target, reports, schools = instance
+    admits = first_round_admissions(target, reports, schools)
     for spec in schools:
-        trial = [*others, PreferenceRanking(truthful.agent, (spec.school,))]
-        seated = boston(trial, schools).assignment[truthful.agent] == spec.school
+        trial = {**reports, target: (spec.school,)}
+        seated = boston(trial, schools).assignment[target] == spec.school
         assert seated == (spec.school in admits)
 
 
@@ -589,9 +603,9 @@ def test_first_round_admissions_are_the_one_school_rankings_seating_the_student(
 @given(benchmark_shaped_instances(outside=False))
 def test_no_school_outside_the_first_round_admissions_seats_the_truthful_ranking(instance):
     # a refusal is final: the search reads every reachable school off round 1
-    truthful, others, schools = instance
-    admits = first_round_admissions(truthful.agent, others, schools)
-    assigned = boston([*others, truthful], schools).assignment[truthful.agent]
+    target, reports, schools = instance
+    admits = first_round_admissions(target, reports, schools)
+    assigned = boston(reports, schools).assignment[target]
     assert assigned is None or assigned in admits
 
 
@@ -603,13 +617,12 @@ def test_best_response_ranks_first_a_school_the_truthful_ranking_reaches_too_lat
         SchoolSpec("B", 1, priority=("kid", "late", "pal")),
         SchoolSpec("C", 1, priority=("kid", "late", "pal")),
     ]
-    others = [PreferenceRanking("pal", ("A",)), PreferenceRanking("late", ("B",))]
-    truthful = PreferenceRanking("kid", ("A", "B", "C"))
-    assert first_round_admissions("kid", others, schools) == {"B", "C"}
-    assert boston([*others, truthful], schools).assignment["kid"] == "C"
-    best = best_response_ranking(truthful, others, schools)
-    assert best.ranking == ("B",) == brute_force_best_response(truthful, others, schools)[0]
-    assert boston([*others, best], schools).assignment["kid"] == "B"
+    reports = {"pal": ("A",), "late": ("B",), "kid": ("A", "B", "C")}
+    assert first_round_admissions("kid", reports, schools) == {"B", "C"}
+    assert boston(reports, schools).assignment["kid"] == "C"
+    best = best_response_ranking("kid", reports, schools)
+    assert best == ("B",) == brute_force_best_response("kid", reports, schools)[0]
+    assert boston({**reports, "kid": best}, schools).assignment["kid"] == "B"
 
 
 @pytest.mark.parametrize(
@@ -624,10 +637,9 @@ def test_best_response_ranks_first_a_school_the_truthful_ranking_reaches_too_lat
 )
 def test_a_truthful_ranking_naming_an_unknown_school_is_skipped(ranking, want):
     schools = [SchoolSpec(name, 1, priority=("pal", "kid")) for name in ("X", "Y")]
-    others = [PreferenceRanking("pal", ("Y",))]
-    truthful = PreferenceRanking("kid", ranking)
-    best = best_response_ranking(truthful, others, schools)
-    assert best.ranking == want == brute_force_best_response(truthful, others, schools)[0]
+    reports = {"pal": ("Y",), "kid": ranking}
+    best = best_response_ranking("kid", reports, schools)
+    assert best == want == brute_force_best_response("kid", reports, schools)[0]
 
 
 @pytest.mark.parametrize(
@@ -639,19 +651,18 @@ def test_a_truthful_ranking_naming_an_unknown_school_is_skipped(ranking, want):
 )
 def test_a_truthful_ranking_that_ties_a_shorter_candidate_wins(ranking):
     schools = [SchoolSpec(name, 1, priority=("pal", "kid")) for name in "ABC"]
-    others = [PreferenceRanking("pal", ("A",))]
-    truthful = PreferenceRanking("kid", ranking)
-    best = best_response_ranking(truthful, others, schools)
-    assert best.ranking == ranking == brute_force_best_response(truthful, others, schools)[0]
+    reports = {"pal": ("A",), "kid": ranking}
+    best = best_response_ranking("kid", reports, schools)
+    assert best == ranking == brute_force_best_response("kid", reports, schools)[0]
 
 
 @settings(max_examples=60, deadline=None, phases=UNSHRUNK)
 @given(benchmark_shaped_instances(widths=st.integers(7, 12), outside=False))
 def test_a_best_response_past_the_oracle_width_beats_every_simple_ranking(instance):
     # too wide for the brute force: check the answer against the exact oracle
-    truthful, others, schools = instance
-    got = best_response_ranking(truthful, others, schools)
-    assert got.ranking == exact_best_response(truthful, others, schools)
+    target, reports, schools = instance
+    got = best_response_ranking(target, reports, schools)
+    assert got == exact_best_response(target, reports, schools)
 
 
 def test_best_response_at_seven_schools_matches_the_exact_oracle():
@@ -663,36 +674,33 @@ def test_best_response_at_seven_schools_matches_the_exact_oracle():
             SchoolSpec(name, rng.randrange(0, 4), priority=tuple(rng.sample(students, 20)))
             for name in names
         ]
-        rankings = {s: tuple(rng.sample(names, rng.randrange(0, 8))) for s in students}
-        truthful = PreferenceRanking("kid0", rankings["kid0"])
-        others = [PreferenceRanking(s, r) for s, r in rankings.items() if s != "kid0"]
-        got = best_response_ranking(truthful, others, schools)
-        assert got.ranking == exact_best_response(truthful, others, schools)
+        reports = {s: tuple(rng.sample(names, rng.randrange(0, 8))) for s in students}
+        got = best_response_ranking("kid0", reports, schools)
+        assert got == exact_best_response("kid0", reports, schools)
 
 
 REPEATED_SCHOOL = [SchoolSpec("s", 1, priority=("kid", "pal"))] * 2
-TWO_RANKINGS = [PreferenceRanking("kid", ()), PreferenceRanking("kid", ("s",))]
 
 
-def test_best_response_rejects_a_repeated_school_and_a_repeated_student():
+def test_best_response_rejects_repeated_school_ids_and_ranked_schools():
     with pytest.raises(ValidationError, match="^school identifiers must be unique$"):
-        best_response_ranking(PreferenceRanking("kid", ()), [], REPEATED_SCHOOL)
-    with pytest.raises(ValidationError, match="^student 'kid' has more than one ranking$"):
-        best_response_ranking(TWO_RANKINGS[0], TWO_RANKINGS[1:], REPEATED_SCHOOL[:1])
+        best_response_ranking("kid", {"kid": ()}, REPEATED_SCHOOL)
+    # the searched student's own ranking is checked too, not only the others'
+    schools = [SchoolSpec(name, 1, priority=("kid", "pal")) for name in "st"]
+    for reports in ({"kid": ("s", "t", "s")}, {"pal": ("t", "t"), "kid": ("s",)}):
+        with pytest.raises(ValidationError, match="^ranking for '(kid|pal)' repeats a school$"):
+            best_response_ranking("kid", reports, schools)
 
 
-def test_boston_and_first_round_admissions_reject_repeated_schools_and_students():
-    # unchecked, boston keeps only the last spec of a repeated school and
-    # seats a student with two rankings twice while reporting one seat
-    kid = PreferenceRanking("kid", ("s",))
+def test_boston_and_first_round_admissions_reject_repeated_school_ids():
+    # unchecked, boston keeps only the last spec of a repeated school; a
+    # profile keyed by student cannot rank one student twice
     with pytest.raises(ValidationError, match="^school identifiers must be unique$"):
-        boston([kid], REPEATED_SCHOOL)
+        boston({"kid": ("s",)}, REPEATED_SCHOOL)
     with pytest.raises(ValidationError, match="^school identifiers must be unique$"):
-        first_round_admissions("kid", [], REPEATED_SCHOOL)
-    with pytest.raises(ValidationError, match="^student 'kid' has more than one ranking$"):
-        boston(TWO_RANKINGS, REPEATED_SCHOOL[:1])
-    with pytest.raises(ValidationError, match="^student 'kid' has more than one ranking$"):
-        first_round_admissions("kid", [kid], REPEATED_SCHOOL[:1])
+        first_round_admissions("kid", {}, REPEATED_SCHOOL)
+    with pytest.raises(ValidationError, match="^ranking for 'pal' repeats a school$"):
+        first_round_admissions("kid", {"pal": ("s", "s")}, REPEATED_SCHOOL[:1])
 
 
 def test_exact_str_prints_terminating_decimals_and_ratios():

@@ -14,6 +14,7 @@ import scipy.stats
 
 import trustless_mech.scenario as scenario_module
 from trustless_mech import (
+    AgentInput,
     InvariantViolation,
     MechanismTag,
     MinerPolicy,
@@ -343,7 +344,7 @@ OUT_OF_RANGE = [
     ("seed", minimal_doc, ("seed",), 2**64),
     ("agents[0].agent", minimal_doc, ("agents", 0, "agent"), "a" * 256),
     ("agents[0].bid", minimal_doc, ("agents", 0, "bid"), 2**64),
-    ("agents[0].contribution", minimal_doc, ("agents", 0, "contribution"), 2**64),
+    ("agents[0].contribution", lottery_doc, ("agents", 0, "contribution"), 2**64),
     ("agents[0].valuation", minimal_doc, ("agents", 0, "valuation"), -1),
     ("agents[1].ranking", boston_doc, ("agents", 1, "ranking"), ["north", "north"]),
     ("agents[0].ranking", boston_doc, ("agents", 0, "ranking"), None),
@@ -404,31 +405,40 @@ def test_name_must_be_one_plain_path_component(name, tmp_path, monkeypatch, caps
     assert not (tmp_path / "out").exists()
 
 
-def test_resolved_inputs_are_deterministic_and_distinct():
+def test_truthful_inputs_are_deterministic_and_distinct():
     scenario = scenario_from_dict(minimal_doc())
-    first = scenario.resolved_inputs()
-    second = scenario.resolved_inputs()
-    assert first == second
-    salts = [salt for salt, _ in first.values()]
+    again = scenario_from_dict(minimal_doc())
+    assert scenario.truthful_inputs == again.truthful_inputs
+    assert scenario.truthful_inputs["ann"].bid == 9
+    salts = [opening.salt for opening, _ in scenario.commitments.values()]
+    assert salts == [opening.salt for opening, _ in again.commitments.values()]
     assert len(set(salts)) == len(salts)
     assert all(len(s) == 32 for s in salts)
-    assert first["ann"][1].bid == 9
 
 
-def test_resolved_inputs_fill_beacon_contributions_only_when_needed():
+def test_truthful_inputs_fill_beacon_contributions_only_when_needed():
     doc = minimal_doc()
     plain = scenario_from_dict(doc)
-    assert all(inp.contribution is None for _, inp in plain.resolved_inputs().values())
+    assert all(inp.contribution is None for inp in plain.truthful_inputs.values())
 
     doc["mechanism"] = {"kind": "second_price", "with_beacon": True}
     doc["name"] = "probe-beacon"
     doc["agents"][0]["contribution"] = 42
     sealed = scenario_from_dict(doc)
-    resolved = sealed.resolved_inputs()
-    assert resolved["ann"][1].contribution == 42
-    derived = resolved["bo"][1].contribution
+    assert sealed.truthful_inputs["ann"].contribution == 42
+    derived = sealed.truthful_inputs["bo"].contribution
     assert derived is not None
     assert 0 <= derived < 1 << 64
+
+
+@pytest.mark.parametrize("base", [minimal_doc, boston_doc], ids=["first_price", "boston"])
+def test_a_contribution_without_a_beacon_is_refused(base):
+    # the contract would carry no beacon, so the value could never reach a run
+    doc = base()
+    doc["agents"][1]["contribution"] = 5
+    with pytest.raises(ScenarioError, match=re.escape("field 'agents[1].contribution': ")
+                       + ".*without a beacon"):
+        scenario_from_dict(doc)
 
 
 def run_cli(argv, tmp_path, monkeypatch, capsys):
@@ -854,11 +864,12 @@ def test_a_field_its_kind_never_reads_is_rejected(entry, field, problem):
         scenario_from_dict(doc)
 
 
-def test_resolved_inputs_return_a_fresh_dict():
+def test_truthful_inputs_are_read_only():
     scenario = scenario_from_dict(minimal_doc())
-    first = scenario.resolved_inputs()
-    first.clear()
-    assert list(scenario.resolved_inputs()) == ["ann", "bo"]
+    with pytest.raises(TypeError):
+        scenario.truthful_inputs["cy"] = AgentInput(bid=1)
+    assert list(scenario.truthful_inputs) == ["ann", "bo"]
+    assert scenario.truthful_inputs is scenario.truthful_inputs
 
 
 def pinned_run_doc() -> dict:

@@ -8,7 +8,6 @@ import pytest
 from trustless_mech import (
     BeaconOutput,
     LotteryMode,
-    PreferenceRanking,
     SchoolSpec,
     boston,
     lottery_priorities,
@@ -24,12 +23,12 @@ def two_college_instance():
         SchoolSpec("Cambridge", 1, priority=("Alice", "Bob", "Carol")),
         SchoolSpec("Oxford", 1, priority=("Alice", "Bob", "Carol")),
     ]
-    prefs = [
-        PreferenceRanking("Alice", ("Oxford", "Cambridge")),
-        PreferenceRanking("Bob", ("Oxford", "Cambridge")),
-        PreferenceRanking("Carol", ("Cambridge", "Oxford")),
-    ]
-    return prefs, schools
+    reports = {
+        "Alice": ("Oxford", "Cambridge"),
+        "Bob": ("Oxford", "Cambridge"),
+        "Carol": ("Cambridge", "Oxford"),
+    }
+    return reports, schools
 
 
 def random_instance(rng: random.Random):
@@ -41,32 +40,32 @@ def random_instance(rng: random.Random):
         order = students[:]
         rng.shuffle(order)
         schools.append(SchoolSpec(name, rng.randrange(0, 3), priority=tuple(order)))
-    prefs = []
-    for student in students:
-        listed = rng.sample(school_names, rng.randrange(0, n_schools + 1))
-        prefs.append(PreferenceRanking(student, tuple(listed)))
-    return prefs, schools
+    reports = {
+        student: tuple(rng.sample(school_names, rng.randrange(0, n_schools + 1)))
+        for student in students
+    }
+    return reports, schools
 
 
 def test_truthful_two_college_outcome():
-    prefs, schools = two_college_instance()
-    matching = boston(prefs, schools)
+    reports, schools = two_college_instance()
+    matching = boston(reports, schools)
     assert matching.assignment == {"Alice": "Oxford", "Bob": None, "Carol": "Cambridge"}
     assert matching.round_assigned == {"Alice": 1, "Carol": 1}
 
 
 def test_misreporting_second_choice_first_steals_the_seat():
     # Bob flips to Cambridge-first and wins it on priority, pushing Carol out
-    prefs, schools = two_college_instance()
-    prefs[1] = PreferenceRanking("Bob", ("Cambridge", "Oxford"))
-    matching = boston(prefs, schools)
+    reports, schools = two_college_instance()
+    reports["Bob"] = ("Cambridge", "Oxford")
+    matching = boston(reports, schools)
     assert matching.assignment == {"Alice": "Oxford", "Bob": "Cambridge", "Carol": None}
     assert matching.round_assigned == {"Alice": 1, "Bob": 1}
 
 
 def test_singleton_instance():
     matching = boston(
-        [PreferenceRanking("Ana", ("Hogwarts",))],
+        {"Ana": ("Hogwarts",)},
         [SchoolSpec("Hogwarts", 1, priority=("Ana",))],
     )
     assert matching.assignment == {"Ana": "Hogwarts"}
@@ -80,32 +79,26 @@ def test_seats_are_final_across_rounds():
         SchoolSpec("X", 1, priority=("A", "B", "C")),
         SchoolSpec("Y", 1, priority=("B", "C", "A")),
     ]
-    prefs = [
-        PreferenceRanking("A", ("X",)),
-        PreferenceRanking("B", ("X", "Y")),
-        PreferenceRanking("C", ("Y",)),
-    ]
-    matching = boston(prefs, schools)
+    matching = boston({"A": ("X",), "B": ("X", "Y"), "C": ("Y",)}, schools)
     assert matching.assignment == {"A": "X", "B": None, "C": "Y"}
 
 
 def test_assignment_round_equals_rank_of_assigned_school():
     rng = random.Random(37)
     for _ in range(200):
-        prefs, schools = random_instance(rng)
-        matching = boston(prefs, schools)
-        for pref in prefs:
-            school = matching.assignment[pref.agent]
+        reports, schools = random_instance(rng)
+        matching = boston(reports, schools)
+        for student, ranking in reports.items():
+            school = matching.assignment[student]
             if school is not None:
-                rank = pref.ranking.index(school) + 1
-                assert matching.round_assigned[pref.agent] == rank
+                assert matching.round_assigned[student] == ranking.index(school) + 1
 
 
 def test_capacities_are_never_exceeded():
     rng = random.Random(41)
     for _ in range(200):
-        prefs, schools = random_instance(rng)
-        matching = boston(prefs, schools)
+        reports, schools = random_instance(rng)
+        matching = boston(reports, schools)
         for spec in schools:
             filled = sum(1 for s in matching.assignment.values() if s == spec.school)
             assert filled <= spec.capacity
@@ -114,16 +107,16 @@ def test_capacities_are_never_exceeded():
 def test_students_only_get_schools_they_listed():
     rng = random.Random(43)
     for _ in range(200):
-        prefs, schools = random_instance(rng)
-        matching = boston(prefs, schools)
-        for pref in prefs:
-            school = matching.assignment[pref.agent]
-            assert school is None or school in pref.ranking
+        reports, schools = random_instance(rng)
+        matching = boston(reports, schools)
+        for student, ranking in reports.items():
+            school = matching.assignment[student]
+            assert school is None or school in ranking
 
 
 def test_zero_capacity_school_admits_nobody():
     matching = boston(
-        [PreferenceRanking("Ana", ("Closed", "Open"))],
+        {"Ana": ("Closed", "Open")},
         [SchoolSpec("Closed", 0, priority=("Ana",)), SchoolSpec("Open", 1, priority=("Ana",))],
     )
     assert matching.assignment == {"Ana": "Open"}
@@ -139,20 +132,20 @@ def test_distinct_first_choices_all_land_in_round_one():
         schools = [SchoolSpec(name, 1, priority=tuple(students)) for name in names]
         firsts = names[:]
         rng.shuffle(firsts)
-        prefs = []
+        reports = {}
         for student, first in zip(students, firsts):
             rest = [s for s in names if s != first]
             rng.shuffle(rest)
-            prefs.append(PreferenceRanking(student, (first, *rest)))
-        matching = boston(prefs, schools)
-        for pref in prefs:
-            assert matching.assignment[pref.agent] == pref.ranking[0]
-            assert matching.round_assigned[pref.agent] == 1
+            reports[student] = (first, *rest)
+        matching = boston(reports, schools)
+        for student, ranking in reports.items():
+            assert matching.assignment[student] == ranking[0]
+            assert matching.round_assigned[student] == 1
 
 
 def test_a_matching_is_frozen():
-    prefs, schools = two_college_instance()
-    matching = boston(prefs, schools)
+    reports, schools = two_college_instance()
+    matching = boston(reports, schools)
     with pytest.raises(dataclasses.FrozenInstanceError):
         matching.assignment = {}
 
@@ -160,7 +153,7 @@ def test_a_matching_is_frozen():
 def test_unknown_school_error_names_the_student():
     with pytest.raises(ValidationError, match="Ana"):
         boston(
-            [PreferenceRanking("Ana", ("Nowhere",))],
+            {"Ana": ("Nowhere",)},
             [SchoolSpec("Somewhere", 1, priority=("Ana",))],
         )
 
@@ -168,14 +161,14 @@ def test_unknown_school_error_names_the_student():
 def test_priority_order_must_cover_every_applicant():
     with pytest.raises(ValidationError, match="Bob"):
         boston(
-            [PreferenceRanking("Ana", ("S",)), PreferenceRanking("Bob", ("S",))],
+            {"Ana": ("S",), "Bob": ("S",)},
             [SchoolSpec("S", 2, priority=("Ana",))],
         )
 
 
 def test_duplicate_ranking_entries_rejected():
-    with pytest.raises(ValidationError):
-        PreferenceRanking("Ana", ("S", "S"))
+    with pytest.raises(ValidationError, match="^ranking for 'Ana' repeats a school$"):
+        boston({"Ana": ("S", "S")}, [SchoolSpec("S", 1, priority=("Ana",))])
 
 
 def test_duplicate_priority_entries_rejected():
@@ -245,14 +238,14 @@ def test_lottery_with_one_student():
 
 
 def test_rank_utility_is_negative_true_rank():
-    ranking = PreferenceRanking("Ana", ("first", "second", "third"))
+    ranking = ("first", "second", "third")
     assert rank_utility(ranking, "first", n_schools=3) == -1
     assert rank_utility(ranking, "second", n_schools=3) == -2
     assert rank_utility(ranking, "third", n_schools=3) == -3
 
 
 def test_rank_utility_unassigned_is_worst():
-    ranking = PreferenceRanking("Ana", ("first", "second"))
+    ranking = ("first", "second")
     assert rank_utility(ranking, None, n_schools=3) == -4
     # a school the student never listed counts the same as no school
     assert rank_utility(ranking, "elsewhere", n_schools=3) == -4
