@@ -5,8 +5,13 @@ of all verified contributions mod 2^64, so a single honestly random
 contributor makes the output uniform no matter what the others do.
 
 Permutations for lotteries and tie-breaking come from a deterministic
-SHA-256 byte stream seeded by the beacon value. Index draws use rejection
-sampling, so a uniform seed stream yields exactly uniform permutations.
+SHA-256 byte stream seeded by the beacon value: block j is
+SHA-256(seed_8be || domain_8be || j_8be). A stream hashes its 16-byte prefix
+once and copies that state for each block, which gives the same digests for
+less work. Index draws use rejection sampling, so a uniform seed stream
+yields exactly uniform permutations; a permutation reads one word for each
+index draw it still owes with a single read, then re-reads only for the
+words it rejected.
 
 The uniformity experiment (``uniformity_histogram``) chi-squares a 64-bin
 histogram of beacon outputs, exactly and stdlib-only. It samples the SHA-256
@@ -19,7 +24,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import operator
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -89,15 +96,18 @@ class HashStream:
 
     The stream is blocks 0, 1, 2, ... joined end to end; ``read`` hands it
     out in order, hashing each block once, when a read first reaches it.
-    One seeded source backs every derived random quantity in the simulator:
-    beacon permutations, scenario salts, honest contributions, and the
-    uniformity experiment's draws.
+    The SHA-256 state after the 16-byte prefix is built once per stream, and
+    each block copies it and hashes only j_8be. One seeded source backs
+    every derived random quantity in the simulator: beacon permutations,
+    scenario salts, honest contributions, and the uniformity experiment's
+    draws.
     """
 
     def __init__(self, seed: int, domain: int = 0):
-        self._prefix = _check_u64(seed, "stream seed").to_bytes(8, "big") + _check_u64(
-            domain, "stream domain"
-        ).to_bytes(8, "big")
+        self._prefix_state = hashlib.sha256(
+            _check_u64(seed, "stream seed").to_bytes(8, "big")
+            + _check_u64(domain, "stream domain").to_bytes(8, "big")
+        )
         self._block_index = 0
         self._buffer = b""
         self._offset = 0
@@ -119,14 +129,18 @@ class HashStream:
         if len(buffer) < stop:
             first = self._block_index
             last = first + (stop - len(buffer) + 31) // 32
-            prefix = self._prefix
+            copy = self._prefix_state.copy
             if last == first + 1:
-                buffer = buffer[start:] + hashlib.sha256(prefix + first.to_bytes(8, "big")).digest()
+                block = copy()
+                block.update(first.to_bytes(8, "big"))
+                buffer = buffer[start:] + block.digest()
             else:
-                sha256 = hashlib.sha256
-                buffer = buffer[start:] + b"".join(
-                    [sha256(prefix + j.to_bytes(8, "big")).digest() for j in range(first, last)]
-                )
+                blocks = []
+                for j in range(first, last):
+                    block = copy()
+                    block.update(j.to_bytes(8, "big"))
+                    blocks.append(block.digest())
+                buffer = buffer[start:] + b"".join(blocks)
             self._buffer, self._block_index, self._offset = buffer, last, n
             return buffer[:n]
         self._offset = stop
@@ -193,11 +207,41 @@ class HashStream:
             yield accepted
 
     def permutation(self, n: int) -> list[int]:
-        """Fisher-Yates shuffle of the identity permutation on {0..n-1}."""
+        """Fisher-Yates shuffle of the identity permutation on {0..n-1}.
+
+        The shuffle draws ``randbelow(i + 1)`` for i = n-1 down to 1, and
+        leaves the stream where those calls would. The bounds that share a
+        word width w, those in (256^(w-1), 256^w], are drawn together: one
+        read takes a w-byte word for each bound still owed, and only the
+        rejected words are read again, so no read passes the last accepted
+        draw. ``n`` below 0 raises ``ValidationError``.
+        """
+        if n < 0:
+            raise ValidationError(f"permutation size n must be non-negative, got {n}")
         perm = list(range(n))
-        for i in range(n - 1, 0, -1):
-            j = self.randbelow(i + 1)
-            perm[i], perm[j] = perm[j], perm[i]
+        bound = n
+        while bound > 1:
+            nbytes = ((bound - 1).bit_length() + 7) // 8
+            span = 1 << (8 * nbytes)
+            floor = span >> 8  # the bounds of this width are (floor, span]
+            code = _WORD_FORMATS.get(nbytes)
+            while bound > floor:
+                data = self.read((bound - floor) * nbytes)
+                if code:
+                    words = struct.unpack(f">{bound - floor}{code}", data)
+                else:
+                    words = [
+                        int.from_bytes(data[k : k + nbytes], "big")
+                        for k in range(0, len(data), nbytes)
+                    ]
+                for word in words:
+                    # randbelow's rule, word < span - span % bound, is the
+                    # same as the multiple of bound below word fitting a
+                    # whole further bound into span
+                    j = word % bound
+                    if word - j <= span - bound:
+                        bound -= 1
+                        perm[bound], perm[j] = perm[j], perm[bound]
         return perm
 
 
@@ -253,15 +297,18 @@ def uniformity_histogram(trials: int, seed: int = 0) -> list[int]:
     aggregated once: every draw is a valid u64, so adding it mod 2^64 is
     exactly ``aggregate`` over all five contributions. The draws are those
     of a per-trial ``randbelow`` loop, taken in bulk by ``randbelow_many``.
+    The bin count divides 2^64, so it is a power of two, and a sum's bin is
+    the draw's low bits plus the constants' bin, mod the bin count: the low
+    bits are counted in one streaming pass, and the counts are then rotated
+    by the constants' bin.
     """
     if trials < 1:
         raise ValidationError(f"need at least one trial, got {trials}")
-    adversary_sum = aggregate(ADVERSARY_CONSTANTS).value
     bins = UNIFORMITY_BINS
-    counts = [0] * bins
-    for honest in HashStream(seed, DOMAIN_UNIFORMITY).randbelow_many(2**63 + 1, trials):
-        counts[((honest + adversary_sum) & U64_MASK) % bins] += 1
-    return counts
+    shift = aggregate(ADVERSARY_CONSTANTS).value % bins
+    draws = HashStream(seed, DOMAIN_UNIFORMITY).randbelow_many(2**63 + 1, trials)
+    counts = Counter(map(operator.and_, draws, itertools.repeat(bins - 1)))
+    return [counts[(b - shift) % bins] for b in range(bins)]
 
 
 def chi_square_sf(statistic: float, df: int) -> float:

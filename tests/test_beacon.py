@@ -183,6 +183,25 @@ def test_permutation_matches_reference_shuffle():
         assert derive_permutation(out, n, domain=domain) == ReferenceStream(value, domain).permutation(n)
 
 
+# 256 and 65536 are the last bounds of 1- and 2-byte words; a larger n
+# starts its shuffle one width up, and n >= 65537 draws 3-byte words, which
+# the permutation cannot unpack with struct
+@pytest.mark.parametrize("n", [256, 257, 258, 1000, 65536, 65537, 65538])
+def test_permutation_matches_reference_shuffle_at_every_word_width(n):
+    ours, ref = HashStream(n, 4), ReferenceStream(n, 4)
+    assert ours.permutation(n) == ref.permutation(n)
+    # the stream stands where the per-index draws leave it
+    assert ours.read(40) == ref.read(40)
+
+
+def test_permutation_rejects_a_negative_size_and_leaves_the_stream_alone():
+    ours = HashStream(1)
+    with pytest.raises(ValidationError, match=r"\bn\b"):
+        ours.permutation(-3)
+    assert ours.permutation(0) == []
+    assert ours.read(40) == HashStream(1).read(40)
+
+
 def test_permutation_is_a_bijection():
     rng = random.Random(10)
     for _ in range(100):
@@ -311,14 +330,34 @@ def test_randbelow_many_rejects_bad_arguments_at_the_call(bound, count):
 
 
 class CountingHashlib:
-    """Stands in for ``beacon.hashlib`` and counts the ``sha256`` calls."""
+    """Stands in for ``beacon.hashlib`` and counts the digests taken from
+    the SHA-256 states it builds and from every copy of them.
+
+    A stream hashes a block when it takes a digest, so the count is the
+    number of blocks hashed, whether a block is hashed from scratch or from
+    a copy of the stream's prefixed state.
+    """
 
     def __init__(self):
-        self.calls = 0
+        self.digests = 0
 
-    def sha256(self, data):
-        self.calls += 1
-        return hashlib.sha256(data)
+    def sha256(self, data=b""):
+        return CountingSha256(self, hashlib.sha256(data))
+
+
+class CountingSha256:
+    def __init__(self, counter: CountingHashlib, state):
+        self._counter, self._state = counter, state
+
+    def copy(self):
+        return CountingSha256(self._counter, self._state.copy())
+
+    def update(self, data):
+        self._state.update(data)
+
+    def digest(self):
+        self._counter.digests += 1
+        return self._state.digest()
 
 
 def test_read_of_a_negative_size_raises_and_leaves_the_stream_alone(monkeypatch):
@@ -329,7 +368,7 @@ def test_read_of_a_negative_size_raises_and_leaves_the_stream_alone(monkeypatch)
     with pytest.raises(ValidationError, match=r"\bn\b"):
         ours.read(-1)
     assert ours.read(0) == b""
-    assert counting.calls == 1
+    assert counting.digests == 1
     fresh = HashStream(11, 3)
     fresh.read(8)
     assert ours.read(8) == fresh.read(8)
@@ -339,7 +378,7 @@ def test_read_of_zero_bytes_hashes_nothing(monkeypatch):
     counting = CountingHashlib()
     monkeypatch.setattr(beacon_module, "hashlib", counting)
     assert HashStream(0).read(0) == b""
-    assert counting.calls == 0
+    assert counting.digests == 0
 
 
 # read sizes from 0 to 300 blocks' worth, weighted towards block boundaries
@@ -378,9 +417,11 @@ def reference_call(ref: ReferenceStream, call: tuple):
 @given(seed=st.integers(0, U64_MASK), calls=st.lists(STREAM_CALLS, max_size=12))
 def test_stream_matches_reference_bytes_across_many_blocks(seed, calls):
     counting = CountingHashlib()
-    ours, ref = HashStream(seed, 5), ReferenceStream(seed, 5)
+    ref = ReferenceStream(seed, 5)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(beacon_module, "hashlib", counting)
+        # built under the patch, so the stream's prefixed state is counted too
+        ours = HashStream(seed, 5)
         for name, *args in calls:
             got = getattr(ours, name)(*args)
             if name == "randbelow_many":
@@ -389,7 +430,7 @@ def test_stream_matches_reference_bytes_across_many_blocks(seed, calls):
         # both streams stand at the same byte
         assert ours.read(40) == ref.read(40)
     # every block consumed was hashed exactly once
-    assert counting.calls == ref.block
+    assert counting.digests == ref.block
 
 
 @pytest.mark.parametrize("counts", [[], [7], [0, 0]])

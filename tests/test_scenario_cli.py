@@ -659,6 +659,19 @@ def test_cli_beacon_uniformity_output_matches_the_pinned_digest(seed, tmp_path, 
     assert hashlib.sha256(out.encode()).hexdigest() == BEACON_UNIFORMITY_SHA256[seed]
 
 
+def test_beacon_uniformity_digest_matches_the_digest_the_ci_workflow_pins():
+    # the installed-package CI job checks the seed-1 output with `sha256sum --check`
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+    found = re.findall(
+        r"trustless-mech beacon-uniformity --trials 20000 --seed (\d+) > beacon\.txt\n"
+        r'\s*echo "([0-9a-f]{64})  beacon\.txt" \| sha256sum --check',
+        workflow.read_text(),
+    )
+    assert len(found) == 1
+    seed, pin = found[0]
+    assert pin == BEACON_UNIFORMITY_SHA256[int(seed)]
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
