@@ -8,10 +8,11 @@ Permutations for lotteries and tie-breaking come from a deterministic
 SHA-256 byte stream seeded by the beacon value: block j is
 SHA-256(seed_8be || domain_8be || j_8be). A stream hashes its 16-byte prefix
 once and copies that state for each block, which gives the same digests for
-less work. Index draws use rejection sampling, so a uniform seed stream
-yields exactly uniform permutations; a permutation reads one word for each
-index draw it still owes with a single read, then re-reads only for the
-words it rejected.
+less work. Every integer drawn from the stream, single or bulk draw or
+shuffle index, comes from one word reader (big-endian words of the fewest
+bytes that cover the bound) and one rejection rule (accept a word below the
+largest multiple of the bound the width holds, take it mod the bound), so a
+uniform stream yields exactly uniform draws and permutations.
 
 The uniformity experiment (``uniformity_histogram``) chi-squares a 64-bin
 histogram of beacon outputs, exactly and stdlib-only. It samples the SHA-256
@@ -53,6 +54,12 @@ def _check_u64(value: int, what: str) -> int:
     if not 0 <= value <= U64_MASK:
         raise ValidationError(f"{what} must be an unsigned 64-bit integer, got {value}")
     return value
+
+
+def _word_width(bound: int) -> tuple[int, int]:
+    """Bytes per word for a draw below ``bound``, and 256 to that power."""
+    nbytes = ((bound - 1).bit_length() + 7) // 8
+    return nbytes, 1 << (8 * nbytes)
 
 
 @dataclass(frozen=True)
@@ -153,28 +160,17 @@ class HashStream:
         return self.read(32)
 
     def randbelow(self, bound: int) -> int:
-        """Uniform integer in [0, bound) by rejection sampling (no modulo bias)."""
-        if bound < 1:
-            raise ValidationError(f"randbelow bound must be positive, got {bound}")
-        if bound == 1:
-            return 0
-        nbytes = ((bound - 1).bit_length() + 7) // 8
-        span = 1 << (8 * nbytes)
-        limit = span - span % bound
-        while True:
-            draw = int.from_bytes(self.read(nbytes), "big")
-            if draw < limit:
-                return draw % bound
+        """Uniform integer in [0, bound): the first of ``randbelow_many(bound, 1)``."""
+        return next(self.randbelow_many(bound, 1))
 
     def randbelow_many(self, bound: int, count: int) -> Iterator[int]:
-        """The values of ``count`` successive ``randbelow(bound)`` calls.
+        """``count`` uniform integers in [0, bound): the accepted words, mod ``bound``.
 
-        Once the iterator is exhausted the stream stands exactly where those
-        calls would leave it. Words are read in rounds of at most
-        ``DRAW_ROUND``, never more than the draws still owed, so no round
-        reads past the last accepted draw; a round is read when the iterator
-        reaches its first draw, and its accepted draws are handed out as one
-        list. The arguments are checked here, not on the first ``next()``.
+        Words are read in rounds of at most ``DRAW_ROUND``, never more than
+        the draws still owed, so no round reads past the last accepted draw;
+        a round is read when the iterator reaches its first draw, and its
+        accepted draws are handed out as one list. The arguments are checked
+        here, not on the first ``next()``.
         """
         if bound < 1:
             raise ValidationError(f"randbelow bound must be positive, got {bound}")
@@ -185,26 +181,22 @@ class HashStream:
         return itertools.chain.from_iterable(self._draw_rounds(bound, count))
 
     def _draw_rounds(self, bound: int, count: int) -> Iterator[list[int]]:
-        # randbelow's rejection rule; randbelow keeps its own copy so that a
-        # single draw pays for no extra call
-        nbytes = ((bound - 1).bit_length() + 7) // 8
-        span = 1 << (8 * nbytes)
+        nbytes, span = _word_width(bound)
         limit = span - span % bound
-        code = _WORD_FORMATS.get(nbytes)
         missing = count
         while missing:
-            words = min(missing, DRAW_ROUND)
-            data = self.read(words * nbytes)
-            if code:
-                values = struct.unpack(f">{words}{code}", data)
-            else:
-                values = [
-                    int.from_bytes(data[i : i + nbytes], "big")
-                    for i in range(0, len(data), nbytes)
-                ]
-            accepted = [value % bound for value in values if value < limit]
+            words = self._words(nbytes, min(missing, DRAW_ROUND))
+            accepted = [word % bound for word in words if word < limit]
             missing -= len(accepted)
             yield accepted
+
+    def _words(self, nbytes: int, count: int) -> Sequence[int]:
+        """The next ``count`` big-endian words of ``nbytes`` bytes, from one read."""
+        data = self.read(nbytes * count)
+        code = _WORD_FORMATS.get(nbytes)
+        if code:
+            return struct.unpack(f">{count}{code}", data)
+        return [int.from_bytes(data[i : i + nbytes], "big") for i in range(0, len(data), nbytes)]
 
     def permutation(self, n: int) -> list[int]:
         """Fisher-Yates shuffle of the identity permutation on {0..n-1}.
@@ -212,45 +204,36 @@ class HashStream:
         The shuffle draws ``randbelow(i + 1)`` for i = n-1 down to 1, and
         leaves the stream where those calls would. The bounds that share a
         word width w, those in (256^(w-1), 256^w], are drawn together: one
-        read takes a w-byte word for each bound still owed, and only the
-        rejected words are read again, so no read passes the last accepted
-        draw. ``n`` below 0 raises ``ValidationError``.
+        read takes a word for each bound still owed, and only the rejected
+        words are read again, so no read passes the last accepted draw.
+        ``n`` below 0 raises ``ValidationError``.
         """
         if n < 0:
             raise ValidationError(f"permutation size n must be non-negative, got {n}")
         perm = list(range(n))
         bound = n
         while bound > 1:
-            nbytes = ((bound - 1).bit_length() + 7) // 8
-            span = 1 << (8 * nbytes)
+            nbytes, span = _word_width(bound)
             floor = span >> 8  # the bounds of this width are (floor, span]
-            code = _WORD_FORMATS.get(nbytes)
+            limit = span - span % bound
             while bound > floor:
-                data = self.read((bound - floor) * nbytes)
-                if code:
-                    words = struct.unpack(f">{bound - floor}{code}", data)
-                else:
-                    words = [
-                        int.from_bytes(data[k : k + nbytes], "big")
-                        for k in range(0, len(data), nbytes)
-                    ]
-                for word in words:
-                    # randbelow's rule, word < span - span % bound, is the
-                    # same as the multiple of bound below word fitting a
-                    # whole further bound into span
-                    j = word % bound
-                    if word - j <= span - bound:
+                for word in self._words(nbytes, bound - floor):
+                    if word < limit:
+                        j = word % bound
                         bound -= 1
                         perm[bound], perm[j] = perm[j], perm[bound]
+                        limit = span - span % bound
         return perm
 
 
-def derive_permutation(output: BeaconOutput, n: int, domain: int = 0) -> list[int]:
+def derive_permutation(
+    output: BeaconOutput, n: int, domain: int = DOMAIN_TIE_BREAK
+) -> list[int]:
     """Permutation of {0..n-1} derived from the beacon value.
 
     ``domain`` separates independent lotteries drawn from one beacon output
-    (0 for the shared lottery and tie-breaking, school index for per-school
-    lotteries).
+    (``DOMAIN_TIE_BREAK`` for the shared lottery and tie-breaking, school
+    index for per-school lotteries).
     """
     if n < 1:
         raise ValidationError(f"permutation domain must be non-empty, got n={n}")

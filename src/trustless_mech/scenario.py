@@ -125,6 +125,12 @@ def _validate(s: Scenario) -> None:
     if not s.agents:
         raise _fail("agents", "at least one agent is required")
 
+    tag = s.mechanism.tag
+    # the agent fields the mechanism reads; any other would be dropped unread
+    if tag in AUCTION_TAGS:
+        read = ("bid", "valuation")
+    else:
+        read = ("ranking",) if tag is MechanismTag.BOSTON else ()
     seen: set[str] = set()
     for i, spec in enumerate(s.agents):
         path = f"agents[{i}]"
@@ -133,20 +139,22 @@ def _validate(s: Scenario) -> None:
         if spec.agent in seen:
             raise _fail(f"{path}.agent", f"duplicate agent {spec.agent!r}")
         seen.add(spec.agent)
+        for name in ("bid", "valuation", "ranking"):
+            if name not in read and getattr(spec, name) is not None:
+                raise _fail(f"{path}.{name}", f"a {tag.value} contract takes no {name}")
         if spec.bid is not None and not 0 <= spec.bid <= U64_MASK:
             raise _fail(f"{path}.bid", "must be an unsigned 64-bit integer")
         if spec.valuation is not None and spec.valuation < 0:
             raise _fail(f"{path}.valuation", "must be nonnegative")
         if spec.contribution is not None:
             if not s.mechanism.uses_beacon:
-                raise _fail(f"{path}.contribution", f"a {s.mechanism.tag.value} contract "
+                raise _fail(f"{path}.contribution", f"a {tag.value} contract "
                             "without a beacon takes no contribution")
             if not 0 <= spec.contribution <= U64_MASK:
                 raise _fail(f"{path}.contribution", "must be an unsigned 64-bit integer")
         if spec.ranking is not None and len(set(spec.ranking)) != len(spec.ranking):
             raise _fail(f"{path}.ranking", "lists a school twice")
 
-    tag = s.mechanism.tag
     if tag in AUCTION_TAGS:
         for i, spec in enumerate(s.agents):
             if spec.bid is None:

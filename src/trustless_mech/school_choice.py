@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping, Sequence
 
-from .beacon import BeaconOutput, beacon_order
+from .beacon import DOMAIN_TIE_BREAK, BeaconOutput, beacon_order
 from .errors import ValidationError, WireFormatError
 
 
@@ -118,12 +118,12 @@ def lottery_priorities(
 ) -> list[SchoolSpec]:
     """Replace every school's priority order with a beacon-drawn lottery.
 
-    SINGLE draws one permutation (stream domain 0) shared by all schools;
-    PER_SCHOOL draws an independent permutation per school, the stream domain
-    being the school's index in ``schools``.
+    SINGLE draws one permutation, in stream domain ``DOMAIN_TIE_BREAK``,
+    shared by all schools; PER_SCHOOL draws an independent permutation per
+    school, the stream domain being the school's index in ``schools``.
     """
     if mode is LotteryMode.SINGLE:
-        order = beacon_order(output, students, 0)
+        order = beacon_order(output, students, DOMAIN_TIE_BREAK)
         return [replace(spec, priority=order) for spec in schools]
     return [
         replace(spec, priority=beacon_order(output, students, index))

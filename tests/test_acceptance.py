@@ -9,8 +9,11 @@ which carries its stated significance level.
 import hashlib
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -397,13 +400,53 @@ def test_attack_suite_output_matches_the_pinned_digest(tmp_path, monkeypatch, ca
     assert digest.hexdigest() == ATTACK_SUITE_SHA256
 
 
-def test_attack_suite_summary_matches_the_digest_the_ci_workflow_pins(tmp_path, monkeypatch, capsys):
-    # the installed-package CI job checks this digest with `sha256sum --check`
-    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def ci_summary_pin() -> str:
+    """The `summary.txt` digest the installed-package CI job checks with
+    `sha256sum --check`."""
+    workflow = ROOT / ".github" / "workflows" / "tests.yml"
     pins = re.findall(r'echo "([0-9a-f]{64})  suite/summary\.txt" \| sha256sum --check',
                       workflow.read_text())
     assert len(pins) == 1
+    return pins[0]
+
+
+def test_attack_suite_summary_matches_the_digest_the_ci_workflow_pins(tmp_path, monkeypatch, capsys):
+    pin = ci_summary_pin()
     monkeypatch.chdir(tmp_path)
     assert main(["attack-suite", "--out", "suite"]) == 0
     capsys.readouterr()
-    assert hashlib.sha256((tmp_path / "suite" / "summary.txt").read_bytes()).hexdigest() == pins[0]
+    assert hashlib.sha256((tmp_path / "suite" / "summary.txt").read_bytes()).hexdigest() == pin
+
+
+# Installs the benchmark's per-layer tracer over the package, then runs two
+# commands through the traced `cli.main`; exits 0 only if both exit 0.
+TRACED_CLI = """
+import sys
+sys.path[:0] = sys.argv[1:3]
+import tracer
+tracer.Tracer().install()
+from trustless_mech import cli
+codes = [
+    cli.main(["attack-suite", "--out", sys.argv[3]]),
+    cli.main(["beacon-uniformity", "--trials", "2000"]),
+]
+sys.exit(0 if codes == [0, 0] else f"exit codes {codes}")
+"""
+
+
+def test_the_benchmark_tracer_installs_and_keeps_the_report_bytes(tmp_path):
+    # the traced benchmark wraps names the package must keep, such as
+    # HashStream.randbelow, and reads the return shape of contract.drive
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_CLI, str(ROOT / "bench"), str(ROOT / "src"), "suite"],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256((tmp_path / "suite" / "summary.txt").read_bytes()).hexdigest() == ci_summary_pin()

@@ -289,7 +289,7 @@ def test_uniformity_histogram_memory_stays_flat():
 
 
 def assert_bulk_draws_match_single_draws(seed, bound, count):
-    bulk, single = HashStream(seed, 9), HashStream(seed, 9)
+    bulk, single = HashStream(seed, 9), ReferenceStream(seed, 9)
     assert list(bulk.randbelow_many(bound, count)) == [single.randbelow(bound) for _ in range(count)]
     # the stream is left at the same byte
     assert bulk.read(13) == single.read(13)

@@ -73,7 +73,7 @@ def test_bundled_scenarios_round_trip_through_dicts():
 
 def lottery_doc() -> dict:
     """Per-school lotteries, a ranking sale and a censoring miner: every
-    optional field the writer emits, on one scenario."""
+    optional field the writer emits for school choice, on one scenario."""
     return {
         "name": "probe-lottery",
         "seed": 8,
@@ -89,7 +89,7 @@ def lottery_doc() -> dict:
         "schedule": {"commit_deadline": 2, "reveal_deadline": 6},
         "agents": [
             {"agent": "ann", "ranking": ["north", "south"], "contribution": 11},
-            {"agent": "bo", "ranking": ["north"], "valuation": 3},
+            {"agent": "bo", "ranking": ["north"]},
             {"agent": "cy", "ranking": ["south", "north"]},
         ],
         "adversary": {"kind": "boston_sell_rankings", "target": "bo"},
@@ -105,7 +105,7 @@ DUMP_SHA256 = {
     "fpa_leak": "1e1d84167ca91b2eeba3848280110f60c0af8910c4d06b4a27faa66b1b24374b",
     "gsp_demote_top": "97674074ddad8cabc8bbcc76331a28de421dd5e31696c4d92a4d911c418e9dc4",
     "gsp_raise_kplus1": "1a60208cfd86e824073470a8ddcd34f9e61bbada4a635caa7ee11e5a5ec9b2e9",
-    "probe-lottery": "6cabccf5d5b4b759afc5f5b991a75cef9e8f24bf53c638cbb84dfa1ef31b5640",
+    "probe-lottery": "8ec48fc1b9c981ee1e4e059bc65dc93f30d2afa23ec36cd707fd579b6dfae001",
     "spa_raise": "e03868f10d075efdb3614558bc7f3a66ed9ce29e98cc1899f6c5bda12edf92f9",
 }
 
@@ -438,6 +438,46 @@ def test_a_contribution_without_a_beacon_is_refused(base):
     doc["agents"][1]["contribution"] = 5
     with pytest.raises(ScenarioError, match=re.escape("field 'agents[1].contribution': ")
                        + ".*without a beacon"):
+        scenario_from_dict(doc)
+
+
+def beacon_doc() -> dict:
+    doc = minimal_doc()
+    doc["mechanism"] = {"kind": "beacon"}
+    doc["agents"] = [{"agent": "ann"}, {"agent": "bo", "contribution": 7}]
+    return doc
+
+
+def doc_of_kind(kind: str) -> dict:
+    if kind == "boston":
+        return boston_doc()
+    if kind == "beacon":
+        return beacon_doc()
+    doc = minimal_doc()
+    doc["mechanism"] = {"kind": kind} | ({"ctrs": ["1"]} if kind == "gsp" else {})
+    return doc
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("first_price", "ranking", ["Z"]),
+        ("second_price", "ranking", ["north"]),
+        ("gsp", "ranking", []),
+        ("boston", "bid", 7),
+        ("boston", "valuation", 9),
+        ("beacon", "bid", 7),
+        ("beacon", "valuation", 9),
+        ("beacon", "ranking", ["north"]),
+    ],
+)
+def test_an_agent_field_the_mechanism_never_reads_is_refused(kind, field, value):
+    doc = doc_of_kind(kind)
+    scenario_from_dict(doc)
+    doc["agents"][1][field] = value
+    with pytest.raises(
+        ScenarioError, match=re.escape(f"field 'agents[1].{field}': a {kind} contract takes no {field}")
+    ):
         scenario_from_dict(doc)
 
 
@@ -811,16 +851,19 @@ def test_unknown_keys_are_rejected_by_path(field, keys):
 
 def test_every_key_the_writer_emits_is_known():
     # a censoring adversary and a censoring miner cannot share a scenario,
-    # so two documents cover every key
+    # and only an auction agent carries a valuation, so three documents
+    # cover every key
     doc = boston_doc()
     doc["mechanism"]["priority_mode"] = None
     doc["mechanism"]["with_beacon"] = True
-    doc["agents"][0].update(valuation=1, contribution=9)
+    doc["agents"][0].update(contribution=9)
     with_adversary = doc | {
         "adversary": {"kind": "miner_censor_reveals", "target": "bo", "censor_until": 4}
     }
     with_miner = doc | {"miner": {"mode": "censor", "targets": ["ann"], "until": 3}}
-    for each in (with_adversary, with_miner):
+    with_valuation = minimal_doc()
+    with_valuation["agents"][0].update(valuation=1)
+    for each in (with_adversary, with_miner, with_valuation):
         scenario = scenario_from_dict(each)
         assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
 
