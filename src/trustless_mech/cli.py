@@ -20,6 +20,8 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
+from itertools import repeat
 from pathlib import Path
 
 from .adversaries import (
@@ -106,21 +108,31 @@ def _report_text(scenario: Scenario, docs: dict[str, dict]) -> str:
     return "\n".join(parts) + "\n"
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+@cache
+def _flat_encoder(pad: str) -> json.JSONEncoder:
+    """The C encoder for a container of scalars at indentation ``pad``:
+    the newline and the next level's indent go into its item separator."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + pad + "  ", ": "))
+
+
 def _json_text(value, pad: str = "") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
     documents whose keys are all ``str``.
 
     With ``indent`` set the stdlib takes its pure-Python encoder, so each
-    container of scalars goes through the C encoder instead, with the
-    newline and ``pad`` put into its separator; only containers of
-    containers are joined here.
+    container of scalars goes through the C encoder instead (one per
+    depth, see ``_flat_encoder``); only containers of containers are
+    joined here.
     """
-    if not isinstance(value, (dict, list, tuple)) or not value:
+    if not isinstance(value, _CONTAINERS) or not value:
         return json.dumps(value)
     inner = pad + "  "
     children = value.values() if isinstance(value, dict) else value
-    if not any(isinstance(child, (dict, list, tuple)) for child in children):
-        flat = json.dumps(value, sort_keys=True, separators=(",\n" + inner, ": "))
+    if not any(map(isinstance, children, repeat(_CONTAINERS))):
+        flat = _flat_encoder(pad).encode(value)
         return f"{flat[0]}\n{inner}{flat[1:-1]}\n{pad}{flat[-1]}"
     if isinstance(value, dict):
         parts = [f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())]
@@ -246,8 +258,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: parsing leaves no state
+    in the parser, so in-process callers of ``main`` share one."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "run": cmd_run,
         "attack-suite": cmd_attack_suite,

@@ -110,6 +110,10 @@ class Scenario:
             out[agent] = (opening, make_commitment(agent, self.name, opening))
         return MappingProxyType(out)
 
+    def __getstate__(self) -> dict:
+        # the cached mappings do not pickle; they are rebuilt on first use
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
 
 def _fail(path: str, problem: str) -> ScenarioError:
     return ScenarioError(f"field '{path}': {problem}")

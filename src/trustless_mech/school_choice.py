@@ -8,8 +8,10 @@ truthful ranking unsafe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .beacon import DOMAIN_TIE_BREAK, BeaconOutput, beacon_order
@@ -35,6 +37,16 @@ class SchoolSpec:
         if len(set(self.priority)) != len(self.priority):
             raise ValidationError(f"priority order for {self.school!r} repeats a student")
 
+    @cached_property
+    def rank(self) -> Mapping[str, int]:
+        """student -> position in ``priority`` (0 first), read-only; built
+        once per spec, so every matching over one drawn school list shares it."""
+        return MappingProxyType({student: i for i, student in enumerate(self.priority)})
+
+    def __getstate__(self) -> dict:
+        # the cached table does not pickle; it is rebuilt on first use
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
 
 @dataclass(frozen=True)
 class Matching:
@@ -44,26 +56,32 @@ class Matching:
 
 def _priority_ranks(
     reports: Mapping[str, Sequence[str]], schools: Sequence[SchoolSpec]
-) -> dict[str, dict[str, int]]:
+) -> dict[str, Mapping[str, int]]:
     """Check that school ids are unique, that no ranking repeats a school,
     and that every ranked school exists and ranks every student; return each
-    school's priority rank table (student -> position, 0 first)."""
-    priority_rank: dict[str, dict[str, int]] = {
-        s.school: {student: i for i, student in enumerate(s.priority)} for s in schools
-    }
+    school's priority rank table (``SchoolSpec.rank``).
+
+    The first fault in student order is reported, a student's repeated
+    school before its unknown school before its missing priority rank.
+    """
+    priority_rank = {s.school: s.rank for s in schools}
     if len(priority_rank) != len(schools):
         raise ValidationError("school identifiers must be unique")
+    known = priority_rank.keys()
+    all_ranked = all(spec.rank.keys() >= reports.keys() for spec in schools)
     for student, ranking in reports.items():
-        if len(set(ranking)) != len(ranking):
+        chosen = set(ranking)
+        if len(chosen) != len(ranking):
             raise ValidationError(f"ranking for {student!r} repeats a school")
-        for school in ranking:
-            if school not in priority_rank:
-                raise ValidationError(f"student {student!r} ranked unknown school {school!r}")
-        for spec in schools:
-            if student not in priority_rank[spec.school]:
-                raise ValidationError(
-                    f"school {spec.school!r} has no priority rank for {student!r}"
-                )
+        if not chosen <= known:
+            school = next(s for s in ranking if s not in known)
+            raise ValidationError(f"student {student!r} ranked unknown school {school!r}")
+        if not all_ranked:
+            for spec in schools:
+                if student not in spec.rank:
+                    raise ValidationError(
+                        f"school {spec.school!r} has no priority rank for {student!r}"
+                    )
     return priority_rank
 
 

@@ -11,7 +11,7 @@ decentralized run of the same inputs settle identically by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -107,6 +107,10 @@ class MechanismKind:
         carries for it; built once per mechanism."""
         return MappingProxyType({s.school: i for i, s in enumerate(self.schools)})
 
+    def __getstate__(self) -> dict:
+        # the cached index does not pickle; it is rebuilt on first use
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
 
 @dataclass(frozen=True)
 class AgentInput:
@@ -195,10 +199,11 @@ def decode_agent_payload(mechanism: MechanismKind, data: bytes) -> AgentInput:
     if mechanism.tag is MechanismTag.BOSTON:
         indices = decode_ranking(data)
         schools = mechanism.schools
-        for idx in indices:
-            if idx >= len(schools):
-                raise WireFormatError(f"school index {idx} out of range")
-        ranking = tuple(schools[i].school for i in indices)
+        try:
+            ranking = tuple([schools[i].school for i in indices])
+        except IndexError:
+            idx = next(i for i in indices if i >= len(schools))
+            raise WireFormatError(f"school index {idx} out of range") from None
         return AgentInput(ranking=ranking, contribution=contribution)
     return AgentInput(bid=decode_bid(data), contribution=contribution)
 

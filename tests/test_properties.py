@@ -22,6 +22,9 @@
 8. The kept lottery returns what a fresh draw returns, as an immutable
    value, over any order of repeated lottery keys; and a renamed scenario
    commits fresh digests, since the contract id is in every preimage.
+9. `boston` and `first_round_admissions` name the same first fault in their
+   inputs as a per-student check loop, and a school list reused across
+   report profiles gives what a freshly built one gives.
 """
 
 import contextlib
@@ -73,9 +76,15 @@ from trustless_mech.beacon import decode_contribution, encode_contribution
 from trustless_mech.cli import _json_text, main
 from trustless_mech.commitments import DIGEST_SIZE, SALT_SIZE
 from trustless_mech.contract import parse_reveal_payload, reveal_message
+from trustless_mech.errors import ValidationError
 from trustless_mech.scenario import bundled_scenario_names
 from trustless_mech.settlement import _drawn_lottery, lottery_schools
-from trustless_mech.school_choice import decode_ranking, encode_ranking
+from trustless_mech.school_choice import (
+    boston,
+    decode_ranking,
+    encode_ranking,
+    first_round_admissions,
+)
 
 AGENT_NAMES = ("ann", "bo", "cy", "dee", "eli", "fay")
 SCHOOL_NAMES = ("north", "south", "east")
@@ -549,3 +558,81 @@ def test_auction_utilities_and_revenue_split_the_allocated_value(case):
     welfare = sum(rates[slot] * valuations[agent] for slot, agent in outcome.allocation.items())
     utilities = sum(auction_utility(v, agent, outcome) for agent, v in valuations.items())
     assert utilities + seller_revenue(outcome) == welfare
+
+
+def reference_priority_check(reports, schools) -> None:
+    """The per-student input check `boston` made before its priority tables
+    were cached per school: every table rebuilt, every entry looked up."""
+    priority_rank = {s.school: {student: i for i, student in enumerate(s.priority)} for s in schools}
+    if len(priority_rank) != len(schools):
+        raise ValidationError("school identifiers must be unique")
+    for student, ranking in reports.items():
+        if len(set(ranking)) != len(ranking):
+            raise ValidationError(f"ranking for {student!r} repeats a school")
+        for school in ranking:
+            if school not in priority_rank:
+                raise ValidationError(f"student {student!r} ranked unknown school {school!r}")
+        for spec in schools:
+            if student not in priority_rank[spec.school]:
+                raise ValidationError(f"school {spec.school!r} has no priority rank for {student!r}")
+
+
+def outcome_of(fn, *args):
+    """``fn(*args)``, or the message of the `ValidationError` it raises."""
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        return f"error: {exc}"
+
+
+@st.composite
+def school_lists(draw) -> tuple[SchoolSpec, ...]:
+    """1-3 schools, sometimes with an id listed twice, each ranking all the
+    agents or a prefix of a permutation of them."""
+    names = draw(st.lists(st.sampled_from(SCHOOL_NAMES), min_size=1, unique=True))
+    if draw(st.integers(0, 9)) == 9:
+        names.append(names[0])
+    specs = []
+    for name in names:
+        order = draw(st.permutations(AGENT_NAMES))
+        cut = draw(st.just(len(order)) | st.integers(0, len(order)))
+        specs.append(SchoolSpec(name, draw(st.integers(0, 2)), tuple(order[:cut])))
+    return tuple(specs)
+
+
+# a ranking may repeat a school or name "west", which is no school
+rankings = st.lists(st.sampled_from(SCHOOL_NAMES), max_size=3, unique=True).map(tuple) | st.lists(
+    st.sampled_from((*SCHOOL_NAMES, "west")), max_size=4
+).map(tuple)
+report_profiles = st.dictionaries(st.sampled_from(AGENT_NAMES), rankings)
+
+
+def fresh(schools):
+    """The same schools as new specs, whose priority tables are not yet built."""
+    return tuple(SchoolSpec(s.school, s.capacity, s.priority) for s in schools)
+
+
+@settings(max_examples=400, deadline=None)
+@given(report_profiles, school_lists(), st.sampled_from(AGENT_NAMES))
+def test_the_first_input_fault_is_named_as_the_per_student_check_names_it(reports, schools, student):
+    def error_of(fn, *args):
+        outcome = outcome_of(fn, *args)
+        return outcome if isinstance(outcome, str) else None
+
+    assert error_of(boston, reports, schools) == error_of(reference_priority_check, reports, schools)
+    assert error_of(first_round_admissions, student, reports, schools) == error_of(
+        reference_priority_check, {**reports, student: ()}, schools
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(report_profiles, min_size=2, max_size=5), st.sampled_from(LotteryMode), u64s,
+       st.sampled_from(AGENT_NAMES))
+def test_a_drawn_school_list_reused_across_profiles_matches_a_fresh_one(profiles, mode, value, student):
+    participants = AGENT_NAMES[:4]
+    drawn = tuple(lottery_priorities(participants, LOTTERY_SCHOOLS, BeaconOutput(value, participants), mode))
+    for reports in profiles:
+        assert outcome_of(boston, reports, drawn) == outcome_of(boston, reports, fresh(drawn))
+        assert outcome_of(first_round_admissions, student, reports, drawn) == outcome_of(
+            first_round_admissions, student, reports, fresh(drawn)
+        )

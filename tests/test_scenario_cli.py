@@ -1,8 +1,10 @@
 """Scenario files, their validation diagnostics, and the command line."""
 
+import copy
 import hashlib
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -621,6 +623,66 @@ def test_cli_unwritable_reports_exit_1(name, out, tmp_path, monkeypatch, capsys)
     assert code == 1
     assert err.startswith("error: ")
 
+
+
+# one process, one parser: a run of one mode, a usage error, a run of both
+# modes (no --mode, so the default must not stick) and a beacon check
+PARSER_REUSE_CALLS = [
+    ["run", "probe.json", "--mode", "centralized", "--out", "out1"],
+    ["run", "probe.json", "--mode", "bogus", "--out", "out2"],
+    ["run", "probe.json", "--out", "out3"],
+    ["beacon-uniformity", "--trials", "2000", "--seed", "1"],
+]
+
+
+def tree_bytes(root: Path) -> dict:
+    return {path.relative_to(root): path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
+def test_the_reused_parser_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    for side in ("shared", "fresh"):
+        (tmp_path / side).mkdir()
+        dump_scenario(scenario_from_dict(boston_doc()), tmp_path / side / "probe.json")
+    # usage text wraps at the terminal width; fix it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path / "shared")
+    shared = []
+    for argv in PARSER_REUSE_CALLS:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        shared.append((code, captured.out, captured.err))
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    fresh = []
+    for argv in PARSER_REUSE_CALLS:
+        done = subprocess.run(
+            [sys.executable, "-m", "trustless_mech.cli", *argv],
+            cwd=tmp_path / "fresh", env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+        fresh.append((done.returncode, done.stdout, done.stderr))
+
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0]
+    assert shared == fresh
+    assert tree_bytes(tmp_path / "shared") == tree_bytes(tmp_path / "fresh")
+    doc = json.loads((tmp_path / "shared" / "out3" / "probe-school.report.json").read_text())
+    assert list(doc["modes"]) == ["centralized", "decentralized"]
+    assert not (tmp_path / "shared" / "out2").exists()
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_a_scenario_that_has_run_pickles_and_deep_copies(name, tmp_path):
+    scenario = load_bundled(name)
+    text, paths = cli._write_reports(tmp_path / "ran", scenario, cli._run_modes(scenario, None))
+    assert {"truthful_inputs", "commitments"} <= vars(scenario).keys()
+    for how, twin in (("pickle", pickle.loads(pickle.dumps(scenario))), ("deepcopy", copy.deepcopy(scenario))):
+        assert twin == scenario
+        twin_text, twin_paths = cli._write_reports(tmp_path / how, twin, cli._run_modes(twin, None))
+        assert twin_text == text
+        assert [p.read_bytes() for p in twin_paths] == [p.read_bytes() for p in paths]
 
 def test_cli_attack_suite_shows_sealed_zeros(tmp_path, monkeypatch, capsys):
     code, out, _ = run_cli(

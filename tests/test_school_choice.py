@@ -1,6 +1,8 @@
 """Immediate-acceptance school assignment and beacon-drawn lottery priorities."""
 
+import copy
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -180,6 +182,22 @@ def test_negative_capacity_rejected():
     with pytest.raises(ValidationError):
         SchoolSpec("S", -1)
 
+
+
+def test_the_priority_table_is_read_only_and_built_once():
+    spec = SchoolSpec("S", 1, priority=("Bo", "Ana"))
+    assert dict(spec.rank) == {"Bo": 0, "Ana": 1}
+    assert spec.rank is spec.rank
+    with pytest.raises(TypeError):
+        spec.rank["Cy"] = 2
+
+
+def test_a_spec_with_its_table_built_pickles_and_deep_copies():
+    spec = SchoolSpec("S", 1, priority=("Bo", "Ana"))
+    boston({"Ana": ("S",), "Bo": ("S",)}, [spec])
+    for twin in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+        assert twin == spec
+        assert dict(twin.rank) == dict(spec.rank)
 
 def test_single_lottery_gives_every_school_the_same_order():
     students = ["dee", "ann", "bo", "cy"]

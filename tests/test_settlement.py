@@ -236,6 +236,25 @@ def test_settle_drops_and_reports_malformed_payloads():
     assert result.auction.allocation == {0: "alice"}
 
 
+
+@pytest.mark.parametrize("payload, idx", [(bytes([2, 0, 7]), 7), (bytes([3, 9, 1, 7]), 9)],
+                         ids=["second", "first-of-two"])
+def test_a_ranking_index_past_the_schools_is_named(payload, idx):
+    with pytest.raises(WireFormatError, match=f"^school index {idx} out of range$"):
+        decode_agent_payload(BOSTON, payload)
+
+
+def test_settle_reports_an_out_of_range_ranking_as_malformed():
+    payloads = (
+        ("ann", encode_agent_payload(BOSTON, AgentInput(ranking=("north",)))),
+        ("bo", bytes([2, 0, 7])),
+        ("cy", encode_agent_payload(BOSTON, AgentInput(ranking=("north", "south")))),
+    )
+    result = settle(BOSTON, SettlementInput(contract_id="c", payloads=payloads, excluded=frozenset()))
+    assert result.malformed == ("bo",)
+    assert result.participants == ("ann", "cy")
+    assert result.matching.assignment == {"ann": "north", "cy": "south"}
+
 def test_canonical_projection_is_json_ready_and_stable():
     inputs = {"alice": AgentInput(bid=10), "bob": AgentInput(bid=5)}
     a = settle_inputs(FPA, inputs).canonical()
