@@ -18,12 +18,12 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .auctions import EPSILON_TICKS, auction_utility, seller_revenue
 from .chain import ChainState, MessageKind, MinerPolicy
 from .contract import commit_message, drive, reveal_message
-from .errors import InvariantViolation, ValidationError
+from .errors import InvariantViolation
 from .school_choice import SchoolSpec, boston, first_round_admissions, rank_utility
 from .settlement import (
     AUCTION_TAGS,
@@ -58,13 +58,23 @@ class LeakStrategyKind(Enum):
     MINER_CENSOR_REVEALS = "miner_censor_reveals"
 
 
-_COMPATIBLE: dict[LeakStrategyKind, frozenset[MechanismTag]] = {
-    LeakStrategyKind.FPA_TELL_TOP_THE_SECOND: frozenset({MechanismTag.FIRST_PRICE}),
-    LeakStrategyKind.SPA_RAISE_SECOND_BELOW_TOP: frozenset({MechanismTag.SECOND_PRICE}),
-    LeakStrategyKind.GSP_RAISE_K_PLUS_ONE: frozenset({MechanismTag.GSP}),
-    LeakStrategyKind.GSP_DEMOTE_TOP_BIDDER: frozenset({MechanismTag.GSP}),
-    LeakStrategyKind.BOSTON_SELL_RANKINGS: frozenset({MechanismTag.BOSTON}),
-    LeakStrategyKind.MINER_CENSOR_REVEALS: frozenset(MechanismTag),
+class StrategyRule(NamedTuple):
+    """The mechanisms a kind applies to, and the optional fields it takes."""
+
+    mechanisms: tuple[MechanismTag, ...]
+    takes: tuple[str, ...] = ()
+
+
+# Read by `scenario._validate` alone: a new kind or field is one row here plus its rule there.
+STRATEGY_RULES: dict[LeakStrategyKind, StrategyRule] = {
+    LeakStrategyKind.FPA_TELL_TOP_THE_SECOND: StrategyRule((MechanismTag.FIRST_PRICE,)),
+    LeakStrategyKind.SPA_RAISE_SECOND_BELOW_TOP: StrategyRule((MechanismTag.SECOND_PRICE,)),
+    LeakStrategyKind.GSP_RAISE_K_PLUS_ONE: StrategyRule((MechanismTag.GSP,)),
+    LeakStrategyKind.GSP_DEMOTE_TOP_BIDDER: StrategyRule((MechanismTag.GSP,)),
+    LeakStrategyKind.BOSTON_SELL_RANKINGS: StrategyRule((MechanismTag.BOSTON,), ("target",)),
+    LeakStrategyKind.MINER_CENSOR_REVEALS: StrategyRule(
+        tuple(MechanismTag), ("target", "censor_until")
+    ),
 }
 
 
@@ -74,38 +84,14 @@ class LeakStrategy:
 
     ``target`` identifies the informed student (ranking sale) or the censored
     agent (reveal censorship); ``censor_until`` is the last block height at
-    which the miner withholds the target's reveal. Every other kind takes
-    neither.
+    which the miner withholds the target's reveal. A plain record: ``Scenario``
+    checks it against its kind's ``STRATEGY_RULES`` row, naming the field at
+    fault, and `plan_deviation` and `execute_run` run any record unchecked.
     """
 
     kind: LeakStrategyKind
     target: str | None = None
     censor_until: int | None = None
-
-    def __post_init__(self) -> None:
-        needs_target = (
-            LeakStrategyKind.BOSTON_SELL_RANKINGS,
-            LeakStrategyKind.MINER_CENSOR_REVEALS,
-        )
-        if self.kind in needs_target:
-            if not self.target:
-                raise ValidationError(f"strategy {self.kind.value} needs a target agent")
-        elif self.target is not None:
-            raise ValidationError(f"target is meaningless for {self.kind.value}")
-        if self.kind is LeakStrategyKind.MINER_CENSOR_REVEALS:
-            if self.censor_until is None or self.censor_until < 0:
-                raise ValidationError("miner censorship needs a nonnegative censor_until height")
-        elif self.censor_until is not None:
-            raise ValidationError(f"censor_until is meaningless for {self.kind.value}")
-
-
-def check_compatible(strategy: LeakStrategy, mechanism: MechanismKind) -> None:
-    """Reject a strategy its mechanism cannot host."""
-    if mechanism.tag not in _COMPATIBLE[strategy.kind]:
-        raise ValidationError(
-            f"strategy {strategy.kind.value} does not apply to a "
-            f"{mechanism.tag.value} contract"
-        )
 
 
 @dataclass(frozen=True)

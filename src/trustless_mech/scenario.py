@@ -21,7 +21,7 @@ from typing import Mapping
 
 from importlib import resources
 
-from .adversaries import LeakStrategy, LeakStrategyKind, check_compatible, exact_str
+from .adversaries import STRATEGY_RULES, LeakStrategy, LeakStrategyKind, exact_str
 from .auctions import SlotCTRs
 from .beacon import DOMAIN_CONTRIBUTIONS, DOMAIN_SALTS, U64_MASK, HashStream
 from .chain import MinerPolicy
@@ -188,11 +188,18 @@ def _validate(s: Scenario) -> None:
                 )
 
     if s.adversary is not None:
-        try:
-            check_compatible(s.adversary, s.mechanism)
-        except ValidationError as exc:
-            raise _fail("adversary.kind", str(exc)) from exc
-        if s.adversary.kind is LeakStrategyKind.MINER_CENSOR_REVEALS and s.miner.censor_targets:
+        kind = s.adversary.kind
+        rule = STRATEGY_RULES[kind]
+        for name in (f.name for f in fields(LeakStrategy) if f.name != "kind"):
+            if getattr(s.adversary, name) is None:
+                if name in rule.takes:
+                    raise _fail(f"adversary.{name}", f"required for {kind.value}")
+            elif name not in rule.takes:
+                raise _fail(f"adversary.{name}", f"{kind.value} takes no {name}")
+        if tag not in rule.mechanisms:
+            raise _fail("adversary.kind", f"strategy {kind.value} does not apply to a "
+                        f"{tag.value} contract")
+        if kind is LeakStrategyKind.MINER_CENSOR_REVEALS and s.miner.censor_targets:
             raise _fail("adversary.kind", "miner_censor_reveals would mine the reveal phase "
                         "in place of the censoring miner; use one or the other")
         if s.adversary.target is not None and s.adversary.target not in seen:
@@ -208,8 +215,8 @@ def _validate(s: Scenario) -> None:
 
 
 def _check_censor_until(s: Scenario, path: str, until: int) -> None:
-    """Reveals are mined only after the commit deadline, so a censor that
-    stops by then censors nothing."""
+    """Reveals are mined only after the commit deadline (at least 1), so a
+    censor that stops by then, or at a negative height, censors nothing."""
     if until <= s.schedule.commit_deadline:
         raise _fail(path, "must be after the commit deadline, when reveals start")
 
@@ -329,8 +336,7 @@ def _parse_adversary(doc: dict | None) -> LeakStrategy | None:
         return None
     path = "adversary."
     _check_keys(doc, ("kind", "target", "censor_until"), path)
-    return _build(
-        LeakStrategy, path[:-1],
+    return LeakStrategy(
         kind=_get_enum(doc, "kind", LeakStrategyKind, path, "strategy"),
         target=_get(doc, "target", str, path, required=False),
         censor_until=_get(doc, "censor_until", int, path, required=False),
@@ -353,6 +359,9 @@ def _parse_miner(doc: dict | None) -> MinerPolicy:
     targets = _get_strings(doc, "targets", path)
     if not targets:
         raise _fail(f"{path}targets", "a censoring miner needs at least one target")
+    if len(set(targets)) < len(targets):  # the policy's set would merge them unseen
+        twice = next(t for i, t in enumerate(targets) if t in targets[:i])
+        raise _fail(f"{path}targets", f"lists agent {twice!r} twice")
     until = _get(doc, "until", int, path)
     return MinerPolicy.censor(set(targets), until)
 

@@ -8,7 +8,7 @@ commit-reveal execution, where the pre-deadline view holds digests only.
 import random
 import re
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import permutations
 from types import MappingProxyType
@@ -385,14 +385,33 @@ def test_a_strategy_no_run_could_act_on_is_refused_by_its_scenario(adversary, fi
 
 
 def test_strategy_parameter_validation():
-    with pytest.raises(ValidationError):
-        LeakStrategy(LeakStrategyKind.BOSTON_SELL_RANKINGS)
-    with pytest.raises(ValidationError):
-        LeakStrategy(LeakStrategyKind.MINER_CENSOR_REVEALS, target="p1")
-    with pytest.raises(ValidationError):
-        LeakStrategy(LeakStrategyKind.MINER_CENSOR_REVEALS, target="p1", censor_until=-1)
-    with pytest.raises(ValidationError):
-        LeakStrategy(LeakStrategyKind.FPA_TELL_TOP_THE_SECOND, censor_until=3)
+    # `LeakStrategy` is a plain record; its scenario checks it, naming the field
+    cases = [
+        (lambda: college_scenario(LeakStrategy(LeakStrategyKind.BOSTON_SELL_RANKINGS)),
+         "field 'adversary.target': required for boston_sell_rankings"),
+        (lambda: beacon_scenario(adversary=LeakStrategy(
+            LeakStrategyKind.MINER_CENSOR_REVEALS, target="p1")),
+         "field 'adversary.censor_until': required for miner_censor_reveals"),
+        (lambda: beacon_scenario(adversary=censor("p1", -1)),
+         "field 'adversary.censor_until': must be after the commit deadline, "
+         "when reveals start"),
+        (lambda: auction_scenario(FPA, {"alice": 10, "bob": 5}, LeakStrategy(
+            LeakStrategyKind.FPA_TELL_TOP_THE_SECOND, censor_until=3)),
+         "field 'adversary.censor_until': fpa_tell_top_the_second takes no censor_until"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ScenarioError) as info:
+            build()
+        assert str(info.value) == message
+
+
+def test_every_strategy_kind_has_a_rule_over_strategy_fields():
+    parameters = {f.name for f in fields(LeakStrategy)} - {"kind"}
+    assert set(adversaries.STRATEGY_RULES) == set(LeakStrategyKind)
+    for rule in adversaries.STRATEGY_RULES.values():
+        assert rule.mechanisms and set(rule.mechanisms) <= set(MechanismTag)
+        assert set(rule.takes) <= parameters
+        assert len(set(rule.takes)) == len(rule.takes)
 
 
 def test_best_response_prefers_the_reachable_second_choice():

@@ -128,7 +128,7 @@ def test_every_message_is_in_exactly_one_place():
     assert in_blocks + len(chain.mempool) == submitted
 
 
-def test_messages_through_slices_by_deadline():
+def test_included_with_heights_slices_by_deadline():
     chain = ChainState()
     chain.submit(commit_msg("a"))
     chain.advance_to(1)
@@ -140,7 +140,7 @@ def test_messages_through_slices_by_deadline():
     assert chain.included_with_heights(0) == []
 
 
-def test_messages_through_rejects_out_of_range_deadlines():
+def test_included_with_heights_rejects_out_of_range_deadlines():
     chain = ChainState()
     chain.advance_to(2)
     with pytest.raises(DeadlineOutOfRange):
@@ -263,7 +263,7 @@ steps = st.lists(
 
 @settings(max_examples=200, deadline=None)
 @given(steps)
-def test_advance_block_matches_the_two_pass_rule(plan):
+def test_a_one_block_advance_to_matches_the_two_pass_rule(plan):
     # oracle: the rule as two list comprehensions over the mempool, one
     # keeping what the miner includes, one keeping what it holds
     chain = ChainState()

@@ -1,4 +1,8 @@
-"""Every script under demos/, and the README's example, runs against the package source."""
+"""Every script under demos/, and the README's example, runs against the package source.
+
+Each runs in its own interpreter, which pytest's warning filters do not
+reach, so each runs with warnings as errors.
+"""
 
 import os
 import re
@@ -20,7 +24,7 @@ def test_the_demos_directory_is_not_empty():
 def test_demo_exits_cleanly(demo, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=tmp_path,
         env=env,
         capture_output=True,
@@ -35,7 +39,7 @@ def test_the_readme_example_prints_what_it_says():
     blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
     assert len(blocks) == 1
     done = subprocess.run(
-        [sys.executable, "-c", blocks[0]],
+        [sys.executable, "-W", "error", "-c", blocks[0]],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
         text=True,

@@ -7,7 +7,9 @@
    per-strategy rule, for every strategy in both modes, under honest and
    censoring scenario miners; in decentralized mode, a strategy whose plan
    sets no reveal-phase miner settles exactly as the honest run. A scenario
-   refuses, naming the field, an adversary that no run could act on.
+   refuses, naming the field, an adversary that no run could act on, and
+   over every kind, mechanism and parameter case it names the first
+   faulty field in the order of a reference kept here.
 3. The scenario parser answers any JSON document with a `Scenario` or a
    `ScenarioError` naming the field, never with another exception.
 4. Reports hold the same strings whether utilities are `int` or `Fraction`,
@@ -46,6 +48,7 @@ from trustless_mech import (
     BeaconOutput,
     CommitOpening,
     ExecutionMode,
+    LeakStrategy,
     LeakStrategyKind,
     LotteryMode,
     MechanismKind,
@@ -159,6 +162,22 @@ MECHANISMS_FOR = {
     K.BOSTON_SELL_RANKINGS: ("boston",),
     K.MINER_CENSOR_REVEALS: MECHANISMS,
 }
+# The optional strategy fields each kind takes; every other kind takes none.
+PARAMETERS_FOR = {
+    K.BOSTON_SELL_RANKINGS: ("target",),
+    K.MINER_CENSOR_REVEALS: ("target", "censor_until"),
+}
+
+
+def censoring_miner(draw, doc: dict) -> dict:
+    """A censoring miner over ``doc``'s agents that a scenario accepts."""
+    return {
+        "mode": "censor",
+        "targets": draw(st.lists(
+            st.sampled_from([entry["agent"] for entry in doc["agents"]]), min_size=1, unique=True
+        )),
+        "until": draw(st.integers(3, doc["schedule"]["reveal_deadline"] + 2)),
+    }
 
 
 @st.composite
@@ -171,26 +190,58 @@ def adversary_runs(draw) -> tuple[dict, ExecutionMode]:
     agents = [entry["agent"] for entry in doc["agents"]]
     reveal_deadline = doc["schedule"]["reveal_deadline"]
     if draw(st.booleans()):
-        doc["miner"] = {
-            "mode": "censor",
-            "targets": draw(st.lists(st.sampled_from(agents), min_size=1, unique=True)),
-            "until": draw(st.integers(3, reveal_deadline + 2)),
-        }
+        doc["miner"] = censoring_miner(draw, doc)
     doc["adversary"] = {"kind": kind.value}
-    if kind in (K.BOSTON_SELL_RANKINGS, K.MINER_CENSOR_REVEALS):
+    if "target" in PARAMETERS_FOR.get(kind, ()):
         doc["adversary"]["target"] = draw(st.sampled_from(agents))
-    if kind is K.MINER_CENSOR_REVEALS:
+    if "censor_until" in PARAMETERS_FOR.get(kind, ()):
         doc["adversary"]["censor_until"] = draw(st.integers(0, reveal_deadline + 2))
     return doc, draw(st.sampled_from(ExecutionMode))
 
 
+@st.composite
+def adversary_documents(draw) -> dict:
+    """A scenario document of any mechanism, some with a censoring miner,
+    whose adversary is of any kind, with a ``target`` that is absent, an
+    agent, an unknown name or empty, and a ``censor_until`` that is absent,
+    negative, at or before the commit deadline, or after it."""
+    kind = draw(st.sampled_from(K))
+    doc = draw(honest_scenarios())
+    deadline = doc["schedule"]["commit_deadline"]
+    if draw(st.booleans()):
+        doc["miner"] = censoring_miner(draw, doc)
+    agents = [entry["agent"] for entry in doc["agents"]]
+    target = draw(st.none() | st.sampled_from([*agents, "ghost", ""]))
+    censor_until = draw(
+        st.none()
+        | st.integers(-3, -1)
+        | st.integers(0, deadline)
+        | st.integers(deadline + 1, doc["schedule"]["reveal_deadline"] + 2)
+    )
+    doc["adversary"] = {"kind": kind.value}
+    for key, value in (("target", target), ("censor_until", censor_until)):
+        if value is not None:
+            doc["adversary"][key] = value
+    return doc
+
+
 def refused_field(doc: dict) -> str | None:
-    """The field a scenario names when it refuses ``doc``'s adversary: one
-    that replaces a censoring miner, or a censor that stops by the commit
-    deadline, before any reveal is mined."""
+    """The first field a scenario names when it refuses ``doc``'s adversary,
+    checking in order: each parameter given exactly when the kind takes it;
+    the kind applies to the mechanism; it does not replace a censoring
+    miner; the target is an agent; a censor stops after the commit deadline,
+    when reveals start to be mined."""
     adversary, deadline = doc["adversary"], doc["schedule"]["commit_deadline"]
-    if adversary["kind"] == K.MINER_CENSOR_REVEALS.value and "miner" in doc:
+    kind = K(adversary["kind"])
+    for name in ("target", "censor_until"):
+        if (name in adversary) != (name in PARAMETERS_FOR.get(kind, ())):
+            return f"adversary.{name}"
+    if doc["mechanism"]["kind"] not in MECHANISMS_FOR[kind]:
         return "adversary.kind"
+    if kind is K.MINER_CENSOR_REVEALS and "miner" in doc:
+        return "adversary.kind"
+    if adversary.get("target") not in (None, *(entry["agent"] for entry in doc["agents"])):
+        return "adversary.target"
     if adversary.get("censor_until", deadline + 1) <= deadline:
         return "adversary.censor_until"
     return None
@@ -204,6 +255,17 @@ def scenario_of(doc: dict) -> Scenario | None:
     with pytest.raises(ScenarioError, match="^" + re.escape(f"field '{field}': ")):
         scenario_from_dict(doc)
     return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(adversary_documents())
+def test_a_scenario_builds_an_adversary_or_names_its_first_faulty_field(doc):
+    scenario = scenario_of(doc)
+    if scenario is not None:
+        adversary = doc["adversary"]
+        assert scenario.adversary == LeakStrategy(
+            K(adversary["kind"]), adversary.get("target"), adversary.get("censor_until")
+        )
 
 
 def coalition_gain_oracle(scenario, agent_deltas, seller_delta) -> Fraction:

@@ -881,11 +881,6 @@ def test_a_dataclass_error_still_names_its_object():
     with pytest.raises(ScenarioError, match=r"^field 'schedule': need 0 < commit deadline"):
         scenario_from_dict(doc)
 
-    doc = minimal_doc()
-    doc["adversary"] = {"kind": "miner_censor_reveals", "target": "ann", "censor_until": -1}
-    with pytest.raises(ScenarioError, match=r"^field 'adversary': miner censorship needs"):
-        scenario_from_dict(doc)
-
 
 @pytest.mark.parametrize(
     "field, keys",
@@ -944,9 +939,11 @@ CENSOR_ANN = {"kind": "miner_censor_reveals", "target": "ann"}
         # that stops censoring by then censors nothing
         ({"mode": "censor", "targets": ["ann"], "until": 0}, "miner.until"),
         ({"mode": "censor", "targets": ["ann"], "until": 2}, "miner.until"),
-        # a scenario adversary that censors obeys the same rule
+        # a scenario adversary that censors obeys the same rule, its one
+        # rule for censor_until
         (CENSOR_ANN | {"censor_until": 0}, "adversary.censor_until"),
         (CENSOR_ANN | {"censor_until": 2}, "adversary.censor_until"),
+        (CENSOR_ANN | {"censor_until": -1}, "adversary.censor_until"),
     ],
 )
 def test_a_censoring_miner_must_be_able_to_censor(miner, field):
@@ -954,6 +951,16 @@ def test_a_censoring_miner_must_be_able_to_censor(miner, field):
     doc[field.split(".")[0]] = miner
     with pytest.raises(ScenarioError, match=re.escape(f"field '{field}'")):
         scenario_from_dict(doc)
+
+
+def test_a_censoring_miner_names_each_target_once():
+    # the policy holds a set, so a repeated target would be merged unseen
+    # and written back once
+    doc = minimal_doc()
+    doc["miner"] = {"mode": "censor", "targets": ["bo", "ann", "bo"], "until": 4}
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(doc)
+    assert str(info.value) == "field 'miner.targets': lists agent 'bo' twice"
 
 
 def test_a_censor_that_outlasts_the_commit_deadline_parses():
@@ -971,8 +978,8 @@ def test_a_censor_that_outlasts_the_commit_deadline_parses():
         ({"mode": "honest", "targets": ["zzz"], "until": -4}, "miner.targets", "honest miner"),
         ({"mode": "honest", "until": 5}, "miner.until", "honest miner"),
         ({"mode": "honest", "targets": []}, "miner.targets", "honest miner"),
-        ({"kind": "fpa_tell_top_the_second", "target": "ann"}, "adversary", "target"),
-        ({"kind": "spa_raise_second_below_top", "target": "bo"}, "adversary", "target"),
+        ({"kind": "fpa_tell_top_the_second", "target": "ann"}, "adversary.target", "target"),
+        ({"kind": "spa_raise_second_below_top", "target": "bo"}, "adversary.target", "target"),
     ],
 )
 def test_a_field_its_kind_never_reads_is_rejected(entry, field, problem):
