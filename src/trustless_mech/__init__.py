@@ -46,7 +46,6 @@ from .commitments import (
     Commitment,
     CommitOpening,
     make_commitment,
-    random_salt,
     verify_opening,
 )
 from .contract import ContractState, PhaseSchedule, SettlementInput, drive
@@ -144,7 +143,6 @@ __all__ = [
     "lottery_priorities",
     "make_commitment",
     "plan_deviation",
-    "random_salt",
     "rank_utility",
     "run_with_adversary",
     "scenario_from_dict",

@@ -160,7 +160,10 @@ class HashStream:
         return self.read(32)
 
     def randbelow(self, bound: int) -> int:
-        """Uniform integer in [0, bound): the first of ``randbelow_many(bound, 1)``."""
+        """Uniform integer in [0, bound): the first of ``randbelow_many(bound, 1)``.
+
+        Kept with no run-path caller: ``bench/tracer.py`` wraps it to count
+        draws, and ``tests/test_beacon.py`` checks ``randbelow_many`` by it."""
         return next(self.randbelow_many(bound, 1))
 
     def randbelow_many(self, bound: int, count: int) -> Iterator[int]:

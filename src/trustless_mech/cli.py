@@ -224,7 +224,10 @@ def cmd_beacon_uniformity(args: argparse.Namespace) -> int:
     return 2
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: parsing leaves no state in the parser, so
+    in-process callers of ``main`` share one."""
     parser = argparse.ArgumentParser(
         prog="trustless-mech",
         description="commit-reveal mechanism simulator: honest runs, manipulations, reports",
@@ -258,15 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """``build_parser()``, built once per process: parsing leaves no state
-    in the parser, so in-process callers of ``main`` share one."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     handlers = {
         "run": cmd_run,
         "attack-suite": cmd_attack_suite,

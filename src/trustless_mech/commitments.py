@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import secrets
 from dataclasses import dataclass
 
 from .errors import WireFormatError
@@ -95,8 +94,3 @@ def verify_opening(
     preimage = commitment_preimage(agent, contract_id, opening)
     return hashlib.sha256(preimage).digest() == commitment.digest
 
-
-def random_salt() -> bytes:
-    """Fresh 32-byte salt from the OS entropy pool (ad-hoc use; scenario runs
-    derive salts from their seed stream instead)."""
-    return secrets.token_bytes(SALT_SIZE)

@@ -225,6 +225,9 @@ def _check_keys(doc: dict, known: tuple[str, ...], path: str) -> None:
     """Reject a key the format does not define, so a misspelling is not dropped."""
     for key in doc:
         if key not in known:
+            if not key or not set(key).isdisjoint("'.["):  # the quoted path would misread it
+                name = json.dumps(key).replace("'", "\\u0027")
+                path, key = path.removesuffix("."), f"[{name}]"
             raise _fail(f"{path}{key}", f"unknown key; expected one of {', '.join(known)}")
 
 

@@ -421,6 +421,30 @@ def test_attack_suite_summary_matches_the_digest_the_ci_workflow_pins(tmp_path, 
     assert hashlib.sha256((tmp_path / "suite" / "summary.txt").read_bytes()).hexdigest() == pin
 
 
+def test_attack_suite_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    # in-process runs share the hash seed pytest started with, so a set order
+    # that leaks into a report would show only as a flaky failure there
+    runs = []
+    for hash_seed in ("0", "1"):
+        cwd = tmp_path / hash_seed
+        cwd.mkdir()
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "trustless_mech.cli", "attack-suite",
+             "--out", "suite"],
+            cwd=cwd,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(ROOT / "src"),
+                 "PYTHONDONTWRITEBYTECODE": "1"},
+            capture_output=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        suite = cwd / "suite"
+        files = {p.relative_to(suite): p.read_bytes() for p in suite.rglob("*") if p.is_file()}
+        runs.append((done.stdout, files))
+    assert runs[0][1]
+    assert runs[0] == runs[1]
+
+
 # Installs the benchmark's per-layer tracer over the package, then runs two
 # commands through the traced `cli.main`; exits 0 only if both exit 0.
 TRACED_CLI = """

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from trustless_mech import CommitOpening, Commitment, make_commitment, random_salt, verify_opening
+from trustless_mech import CommitOpening, Commitment, make_commitment, verify_opening
 from trustless_mech.commitments import DIGEST_SIZE, DOMAIN_TAG, SALT_SIZE, encode_identifier
 from trustless_mech.errors import WireFormatError
 
@@ -121,12 +121,6 @@ def test_salted_single_bit_payloads_are_unlinkable_by_digest():
         opening = CommitOpening(payload=payload, salt=rng.randbytes(SALT_SIZE))
         digests.add(make_commitment("voter", "poll", opening).digest)
     assert len(digests) == 10_000
-
-
-def test_random_salt_is_well_sized_and_nonrepeating():
-    salts = {random_salt() for _ in range(100)}
-    assert len(salts) == 100
-    assert all(len(s) == SALT_SIZE for s in salts)
 
 
 def test_identifier_wire_limits():

@@ -74,6 +74,31 @@ def test_the_commit_reveal_layer_imports_no_mechanism(name):
     assert package <= {".chain", ".commitments", ".contract", ".errors"}
 
 
+# Standard-library sources of values a seed does not fix: entropy, clocks, ids.
+UNSEEDED_MODULES = {"secrets", "random", "time", "datetime", "uuid"}
+ENTROPY_READS = {"urandom", "getrandom"}
+
+
+@pytest.mark.parametrize(
+    "path", [*MODULES, Path(trustless_mech.__file__)], ids=[*(p.stem for p in MODULES), "__init__"]
+)
+def test_no_module_draws_randomness_outside_the_seeded_stream(path):
+    # every random value comes from beacon.HashStream; the package's own
+    # imports are read, since the standard library loads `random` and `time`
+    unseeded = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            unseeded += [a.name for a in node.names if a.name.split(".")[0] in UNSEEDED_MODULES]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] in UNSEEDED_MODULES:
+                unseeded.append(node.module)
+            elif node.module == "os":
+                unseeded += [f"os.{a.name}" for a in node.names if a.name in ENTROPY_READS]
+        elif isinstance(node, ast.Attribute) and node.attr in ENTROPY_READS:
+            unseeded.append(f"{ast.unparse(node.value)}.{node.attr}")
+    assert unseeded == []
+
+
 def _bench_package_imports():
     """``(file, module, name)`` for every ``from trustless_mech... import name``
     in the benchmark's scripts."""

@@ -345,7 +345,11 @@ json_values = st.recursive(
 def _parses_or_names_a_field(doc) -> None:
     try:
         result = scenario_from_dict(doc)
-    except ScenarioError:
+    except ScenarioError as exc:
+        if isinstance(doc, dict):
+            assert re.match(r"field '[^']+': ", str(exc)), str(exc)
+        else:
+            assert str(exc) == "scenario document must be a JSON object"
         return
     assert isinstance(result, Scenario)
 

@@ -906,6 +906,25 @@ def test_unknown_keys_are_rejected_by_path(field, keys):
         scenario_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "keys, field",
+    [
+        (("",), '[""]'),
+        (("schedule", "it's"), 'schedule["it\\u0027s"]'),
+        (("schedule.commit_deadline",), '["schedule.commit_deadline"]'),
+        (("schedule", "reveal[0]"), 'schedule["reveal[0]"]'),
+    ],
+)
+def test_an_unknown_key_that_is_no_plain_name_is_named_as_a_json_string(keys, field):
+    doc = boston_doc()
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = 1
+    with pytest.raises(ScenarioError, match=re.escape(f"field '{field}': unknown key")):
+        scenario_from_dict(doc)
+
+
 def test_every_key_the_writer_emits_is_known():
     # a censoring adversary and a censoring miner cannot share a scenario,
     # and only an auction agent carries a valuation, so three documents
