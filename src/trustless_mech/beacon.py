@@ -17,7 +17,11 @@ uniform stream yields exactly uniform draws and permutations.
 The uniformity experiment (``uniformity_histogram``) chi-squares a 64-bin
 histogram of beacon outputs, exactly and stdlib-only. It samples the SHA-256
 stream behind the honest draw and cannot see the reduction mod 2^64; the
-tests check that reduction exactly against ``aggregate``.
+tests check that reduction exactly against ``aggregate``. It takes the same
+draws as ``randbelow_many`` but applies the one rejection rule to the
+stream's bytes: the honest draw's bound, 2^63 + 1, is its own limit, so a
+word's high byte decides it (a high byte of 0x80 is compared in full), and
+since 64 divides 256, an accepted word's low byte gives its bin.
 """
 
 from __future__ import annotations
@@ -25,9 +29,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import operator
 import struct
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -44,8 +46,9 @@ DOMAIN_SALTS = 2**32 + 1
 DOMAIN_CONTRIBUTIONS = 2**32 + 2
 DOMAIN_UNIFORMITY = 2**32 + 3
 
-# Most words ``HashStream.randbelow_many`` reads at once, so a long run of
-# draws holds at most 1024 words in memory however many are asked for.
+# Most words ``HashStream.randbelow_many`` or ``uniformity_histogram`` reads
+# at once, so a long run of draws holds at most 1024 words in memory however
+# many are asked for.
 DRAW_ROUND = 1024
 _WORD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
@@ -173,7 +176,9 @@ class HashStream:
         the draws still owed, so no round reads past the last accepted draw;
         a round is read when the iterator reaches its first draw, and its
         accepted draws are handed out as one list. The arguments are checked
-        here, not on the first ``next()``.
+        here, not on the first ``next()``. ``uniformity_histogram`` takes the
+        draws of ``randbelow_many(2**63 + 1, trials)`` from their bytes, and
+        ``tests/test_beacon.py`` checks its reads against this.
         """
         if bound < 1:
             raise ValidationError(f"randbelow bound must be positive, got {bound}")
@@ -268,6 +273,9 @@ ADVERSARY_CONSTANTS = {
 
 
 UNIFORMITY_BINS = 64
+# Accepted draws' low bytes a histogram holds before it counts them, so its
+# memory stays flat however many trials are asked for.
+_TALLY_BYTES = 64 * DRAW_ROUND
 
 
 def uniformity_histogram(trials: int, seed: int = 0) -> list[int]:
@@ -281,20 +289,50 @@ def uniformity_histogram(trials: int, seed: int = 0) -> list[int]:
     a wrap anyway: the counts sample the SHA-256 stream behind the honest
     draw and cannot see the reduction mod 2^64. The constants' sum is
     aggregated once: every draw is a valid u64, so adding it mod 2^64 is
-    exactly ``aggregate`` over all five contributions. The draws are those
-    of a per-trial ``randbelow`` loop, taken in bulk by ``randbelow_many``.
-    The bin count divides 2^64, so it is a power of two, and a sum's bin is
-    the draw's low bits plus the constants' bin, mod the bin count: the low
-    bits are counted in one streaming pass, and the counts are then rotated
-    by the constants' bin.
+    exactly ``aggregate`` over all five contributions.
+
+    The draws are those of ``randbelow_many(2**63 + 1, trials)``, read from
+    the stream in the same rounds, but the one rejection rule is applied to
+    each round's bytes, not to drawn integers. The rule's limit is the bound
+    itself, 2^63 + 1: a word whose high byte is below 0x80 is accepted, one
+    whose high byte is above it is rejected, and only a word whose high byte
+    is 0x80 is compared in full. So an accepted word is its own draw, and as
+    the bin count divides 256, the draw's bin is its low byte mod the bin
+    count. The accepted low bytes are kept, each mapped by one table to the
+    bin of its sum with the constants, and counted once per bin.
     """
     if trials < 1:
         raise ValidationError(f"need at least one trial, got {trials}")
     bins = UNIFORMITY_BINS
+    bound = 2**63 + 1
+    nbytes, span = _word_width(bound)
+    limit = span - span % bound
+    # every accepted word is its own draw, and its low byte gives its bin
+    assert limit == bound and 256 % bins == 0
+    top = limit >> (8 * nbytes - 8)
+    below_top = bytes(byte < top for byte in range(256))
     shift = aggregate(ADVERSARY_CONSTANTS).value % bins
-    draws = HashStream(seed, DOMAIN_UNIFORMITY).randbelow_many(2**63 + 1, trials)
-    counts = Counter(map(operator.and_, draws, itertools.repeat(bins - 1)))
-    return [counts[(b - shift) % bins] for b in range(bins)]
+    sum_bin = bytes((byte + shift) % bins for byte in range(256))
+    stream = HashStream(seed, DOMAIN_UNIFORMITY)
+    counts = [0] * bins
+    kept = bytearray()
+    owed = trials
+    while owed:
+        data = stream.read(nbytes * min(owed, DRAW_ROUND))
+        high = data[0::nbytes]
+        accepted = bytearray(high.translate(below_top))
+        tie = high.find(top)
+        while tie >= 0:
+            accepted[tie] = int.from_bytes(data[tie * nbytes : (tie + 1) * nbytes], "big") < limit
+            tie = high.find(top, tie + 1)
+        before = len(kept)
+        kept.extend(itertools.compress(data[nbytes - 1 :: nbytes], accepted))
+        owed -= len(kept) - before
+        if len(kept) >= _TALLY_BYTES or not owed:
+            binned = kept.translate(sum_bin)
+            counts = [count + binned.count(b) for b, count in enumerate(counts)]
+            kept.clear()
+    return counts
 
 
 def chi_square_sf(statistic: float, df: int) -> float:

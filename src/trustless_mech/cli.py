@@ -123,9 +123,9 @@ def _json_text(value, pad: str = "") -> str:
     documents whose keys are all ``str``.
 
     With ``indent`` set the stdlib takes its pure-Python encoder, so each
-    container of scalars goes through the C encoder instead (one per
-    depth, see ``_flat_encoder``); only containers of containers are
-    joined here.
+    container of scalars, and each key, goes through the C encoder instead
+    (one per depth, see ``_flat_encoder``; it escapes as ``json.dumps``
+    does); only containers of containers are joined here.
     """
     if not isinstance(value, _CONTAINERS) or not value:
         return json.dumps(value)
@@ -135,7 +135,8 @@ def _json_text(value, pad: str = "") -> str:
         flat = _flat_encoder(pad).encode(value)
         return f"{flat[0]}\n{inner}{flat[1:-1]}\n{pad}{flat[-1]}"
     if isinstance(value, dict):
-        parts = [f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())]
+        key = _flat_encoder(pad).encode
+        parts = [f"{key(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())]
         brackets = "{}"
     else:
         parts = [_json_text(v, inner) for v in value]

@@ -19,6 +19,7 @@ from trustless_mech import BeaconOutput, HashStream, aggregate, derive_permutati
 from trustless_mech.beacon import (
     ADVERSARY_CONSTANTS,
     CONTRIBUTION_SIZE,
+    DOMAIN_UNIFORMITY,
     DRAW_ROUND,
     U64_MASK,
     chi_square_sf,
@@ -249,31 +250,29 @@ def test_uniformity_histogram_rejects_zero_trials():
         uniformity_histogram(0)
 
 
+def per_draw_histogram(seed: int, trials: int) -> list[int]:
+    """The oracle: a ``randbelow`` per trial, and ``aggregate`` over all five
+    contributions, which the histogram hoists."""
+    stream = HashStream(seed, DOMAIN_UNIFORMITY)
+    expected = [0] * 64
+    for _ in range(trials):
+        honest = stream.randbelow(2**63 + 1)
+        expected[aggregate({"honest": honest, **ADVERSARY_CONSTANTS}).value % 64] += 1
+    return expected
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, U64_MASK),
     trials=st.integers(1, 400),
 )
 def test_uniformity_histogram_matches_manual_aggregation(seed, trials):
-    # the per-trial aggregate the histogram hoists, kept here as the oracle
-    stream = HashStream(seed, 2**32 + 3)
-    expected = [0] * 64
-    for _ in range(trials):
-        honest = stream.randbelow(2**63 + 1)
-        value = aggregate({"honest": honest, **ADVERSARY_CONSTANTS}).value
-        expected[value % 64] += 1
-    assert uniformity_histogram(trials, seed=seed) == expected
+    assert uniformity_histogram(trials, seed=seed) == per_draw_histogram(seed, trials)
 
 
 @pytest.mark.parametrize("trials", [1023, 1024, 1025, 2049, 5000])
 def test_uniformity_histogram_matches_the_per_draw_loop_across_rounds(trials):
-    seed = 17 * trials
-    stream = HashStream(seed, 2**32 + 3)
-    expected = [0] * 64
-    for _ in range(trials):
-        honest = stream.randbelow(2**63 + 1)
-        expected[aggregate({"honest": honest, **ADVERSARY_CONSTANTS}).value % 64] += 1
-    assert uniformity_histogram(trials, seed=seed) == expected
+    assert uniformity_histogram(trials, seed=17 * trials) == per_draw_histogram(17 * trials, trials)
 
 
 def test_uniformity_histogram_memory_stays_flat():
@@ -286,6 +285,68 @@ def test_uniformity_histogram_memory_stays_flat():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+# Words whose high byte is 0x80, the limit's high byte, so only a full
+# comparison with 2^63 + 1 decides them, and the accepted word just below.
+# The one accepted tie, 2^63, is a 1 in 2^64 word, so no seed reaches it.
+TIE_WORDS = [
+    2**63,  # accepted, low byte 0
+    2**63 + 1,  # rejected: the limit itself
+    0x80FF_FFFF_FFFF_FFFF,  # rejected
+    0x8000_0000_0000_0001,  # rejected, though its later bytes are all but zero
+    2**63 - 1,  # accepted, high byte 0x7F
+]
+
+
+def serve_crafted_words(monkeypatch, words: list[int]) -> None:
+    """Make every ``HashStream`` read ``words`` first and its own bytes after."""
+    crafted = b"".join(word.to_bytes(8, "big") for word in words)
+    real_read = HashStream.read
+
+    def read(stream, n):
+        served = getattr(stream, "crafted_served", 0)
+        stream.crafted_served = served + n
+        head = crafted[served : served + n]
+        return head + real_read(stream, n - len(head))
+
+    monkeypatch.setattr(HashStream, "read", read)
+
+
+@pytest.mark.parametrize("trials", [5, 1024, 1100, 3000])
+def test_uniformity_histogram_decides_high_byte_ties_by_the_whole_word(monkeypatch, trials):
+    words = list(TIE_WORDS)
+    # the tie words again across the first three round boundaries, where a
+    # round reads DRAW_ROUND words while that many draws are owed
+    for boundary in (DRAW_ROUND, 2 * DRAW_ROUND, 3 * DRAW_ROUND):
+        filler = HashStream(boundary, 4).read(8 * (boundary - 3 - len(words)))
+        words += [int.from_bytes(filler[i : i + 8], "big") for i in range(0, len(filler), 8)]
+        words += TIE_WORDS
+    words += [2**63] * 40
+    serve_crafted_words(monkeypatch, words)
+    assert uniformity_histogram(trials, seed=9) == per_draw_histogram(9, trials)
+
+
+def record_read_sizes(monkeypatch) -> list[int]:
+    sizes: list[int] = []
+    real_read = HashStream.read
+
+    def read(stream, n):
+        sizes.append(n)
+        return real_read(stream, n)
+
+    monkeypatch.setattr(HashStream, "read", read)
+    return sizes
+
+
+@pytest.mark.parametrize("trials", [1, DRAW_ROUND - 1, DRAW_ROUND, DRAW_ROUND + 1, 20_000])
+def test_uniformity_histogram_reads_what_the_bulk_draws_read(monkeypatch, trials):
+    sizes = record_read_sizes(monkeypatch)
+    uniformity_histogram(trials, seed=trials)
+    histogram_sizes = sizes[:]
+    sizes.clear()
+    list(HashStream(trials, DOMAIN_UNIFORMITY).randbelow_many(2**63 + 1, trials))
+    assert histogram_sizes == sizes
 
 
 def assert_bulk_draws_match_single_draws(seed, bound, count):

@@ -398,6 +398,9 @@ def test_a_bundled_scenario_with_any_node_replaced_parses_or_names_a_field(node,
 
 @settings(max_examples=300, deadline=None)
 @given(json_values)
+# keys that need escaping, at the depth where the writer encodes keys itself
+@example({'say "hi"': [1, [2]], "back\\slash": {"x": None}, "na\u00efve \u2713": {"\u00e9": [{}]}})
+@example({"\x00ctrl\x1f": {"\n": [True]}, "\ud800": [[]], "\U0001f600": {"\"": {"\\": 1.5}}})
 def test_the_report_json_writer_matches_indented_json_dumps(doc):
     assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
 

@@ -761,17 +761,39 @@ def test_cli_beacon_uniformity_output_matches_the_pinned_digest(seed, tmp_path, 
     assert hashlib.sha256(out.encode()).hexdigest() == BEACON_UNIFORMITY_SHA256[seed]
 
 
+# sha256 of `beacon-uniformity --trials T --seed S` stdout at trial counts
+# that end on a partial draw round or draw once, frozen from the per-draw
+# histogram loop
+BEACON_UNIFORMITY_TRIALS_SHA256 = {
+    (1025, 7): "4b0c9d06c76e00f5ba349b2e993a679ae2276ec5399d51193db8c57b2321e282",
+    (1, 0): "ed2be48db2ad1fedf985d32eb93dd18dfb97e297f100edfa7a80603d889ef452",
+    (100000, 2): "19e1e74c358420b8e87073d64f0cfc17fc240c1e3d84956302023c0a0ea94948",
+}
+
+
+@pytest.mark.parametrize("trials, seed", sorted(BEACON_UNIFORMITY_TRIALS_SHA256))
+def test_cli_beacon_uniformity_output_at_other_trial_counts_matches_the_pinned_digest(
+    trials, seed, tmp_path, monkeypatch, capsys
+):
+    code, out, _ = run_cli(
+        ["beacon-uniformity", "--trials", str(trials), "--seed", str(seed)], tmp_path, monkeypatch, capsys
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BEACON_UNIFORMITY_TRIALS_SHA256[trials, seed]
+
+
 def test_beacon_uniformity_digest_matches_the_digest_the_ci_workflow_pins():
-    # the installed-package CI job checks the seed-1 output with `sha256sum --check`
+    # the installed-package CI job checks two outputs with `sha256sum --check`
     workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
     found = re.findall(
-        r"trustless-mech beacon-uniformity --trials 20000 --seed (\d+) > beacon\.txt\n"
-        r'\s*echo "([0-9a-f]{64})  beacon\.txt" \| sha256sum --check',
+        r"trustless-mech beacon-uniformity --trials (\d+) --seed (\d+) > (\S+)\n"
+        r'\s*echo "([0-9a-f]{64})  \3" \| sha256sum --check',
         workflow.read_text(),
     )
-    assert len(found) == 1
-    seed, pin = found[0]
-    assert pin == BEACON_UNIFORMITY_SHA256[int(seed)]
+    pins = {(20000, seed): pin for seed, pin in BEACON_UNIFORMITY_SHA256.items()} | BEACON_UNIFORMITY_TRIALS_SHA256
+    pinned = {(int(trials), int(seed)): pin for trials, seed, _, pin in found}
+    assert sorted(pinned) == [(1025, 7), (20000, 1)]
+    assert all(pin == pins[key] for key, pin in pinned.items())
 
 
 @pytest.mark.parametrize(
