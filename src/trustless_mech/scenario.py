@@ -4,20 +4,21 @@ A scenario fixes the mechanism, the phase schedule, every agent's truthful
 input, an optional manipulation strategy, the miner policy, and a 64-bit
 seed. Honest agents' commitment salts (and beacon contributions, when the
 file leaves them out) derive from the seed through the same hash stream
-the beacon uses, so a scenario replays byte-identically.
+the beacon uses, so a scenario replays byte-identically. An agent, schedule,
+school or adversary object is read and written as exactly its record's fields.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, get_args, get_origin, get_type_hints
 
 from importlib import resources
 
@@ -42,6 +43,10 @@ from .settlement import (
 # exponent into a full integer: every float's repr fits both.
 MAX_RATE_CHARS = 64
 MAX_RATE_EXPONENT = 400
+
+# `_unique_keys` files an object's first repeated key under this entry: no JSON
+# key, always a string, equals it, and an object quoted whole still reads it.
+_REPEATED = ("repeated key",)
 
 
 class ScenarioError(ValidationError):
@@ -221,22 +226,46 @@ def _check_censor_until(s: Scenario, path: str, until: int) -> None:
         raise _fail(path, "must be after the commit deadline, when reveals start")
 
 
+def _key_path(path: str, key: str) -> str:
+    """``key`` in the object at ``path``, bracketed as JSON if a quoted path would misread it."""
+    if key and set(key).isdisjoint("'.["):
+        return f"{path}{key}"
+    name = json.dumps(key).replace("'", "\\u0027")
+    return f"{path.removesuffix('.')}[{name}]"
+
+
 def _check_keys(doc: dict, known: tuple[str, ...], path: str) -> None:
-    """Reject a key the format does not define, so a misspelling is not dropped."""
+    """Reject a repeated key or one the format does not define: its value would be dropped."""
+    if _REPEATED in doc:
+        raise _fail(_key_path(path, doc[_REPEATED]), "duplicate key")
     for key in doc:
         if key not in known:
-            if not key or not set(key).isdisjoint("'.["):  # the quoted path would misread it
-                name = json.dumps(key).replace("'", "\\u0027")
-                path, key = path.removesuffix("."), f"[{name}]"
-            raise _fail(f"{path}{key}", f"unknown key; expected one of {', '.join(known)}")
+            raise _fail(_key_path(path, key), f"unknown key; expected one of {', '.join(known)}")
+
+
+# The noun a diagnostic gives an unknown value of each enum the format reads.
+_ENUM_NOUNS = {MechanismTag: "mechanism", LotteryMode: "mode", LeakStrategyKind: "strategy"}
 
 
 def _get(doc: dict, key: str, kind: type, path: str, *, required: bool = True, default=None):
-    if key not in doc or doc[key] is None:
+    """``doc[key]`` as ``kind``, or ``default`` if missing or null and not ``required``.
+    An enum of `_ENUM_NOUNS` is read from its value; ``tuple`` reads a list of strings."""
+    value = doc.get(key)
+    if value is None:
         if required:
             raise _fail(f"{path}{key}", "missing")
         return default
-    value = doc[key]
+    if kind in _ENUM_NOUNS:
+        value = _get(doc, key, str, path)
+        try:
+            return kind(value)
+        except ValueError:
+            raise _fail(f"{path}{key}", f"unknown {_ENUM_NOUNS[kind]} {value!r}") from None
+    if kind is tuple:
+        value = _get(doc, key, list, path)
+        if not all(isinstance(item, str) for item in value):
+            raise _fail(f"{path}{key}", "expected a list of strings")
+        return tuple(value)
     if kind is int and isinstance(value, bool):
         raise _fail(f"{path}{key}", "expected an integer, got a boolean")
     if not isinstance(value, kind):
@@ -247,30 +276,45 @@ def _get(doc: dict, key: str, kind: type, path: str, *, required: bool = True, d
     return value
 
 
-def _get_enum(
-    doc: dict, key: str, enum: type[Enum], path: str, noun: str, *, required: bool = True
-):
-    raw = _get(doc, key, str, path, required=required)
-    try:
-        return None if raw is None else enum(raw)
-    except ValueError:
-        raise _fail(f"{path}{key}", f"unknown {noun} {raw!r}") from None
+@cache
+def _layout(record: type) -> tuple[tuple[str, ...], tuple[tuple[str, type, bool], ...]]:
+    """A record's keys in field order, each with the type `_get` reads (``X``
+    for ``X | None``, ``tuple`` for ``tuple[str, ...]``) and whether it has no default."""
+    hints = get_type_hints(record)
+    layout = []
+    for f in (f for f in fields(record) if f.init):
+        kind = hints[f.name]
+        kind = get_args(kind)[0] if type(None) in get_args(kind) else kind
+        layout.append((f.name, get_origin(kind) or kind,
+                       f.default is MISSING and f.default_factory is MISSING))
+    return tuple(name for name, _, _ in layout), tuple(layout)
 
 
-def _build(record: type, path: str, **values):
+def _read_fields(record: type, doc, path: str) -> dict:
+    """A plain record's fields, read from an object keyed by exactly those
+    fields; one with a default may be left out or null, and keeps its default."""
+    if not isinstance(doc, dict):
+        raise _fail(path[:-1], "expected an object")
+    keys, layout = _layout(record)
+    _check_keys(doc, keys, path)
+    values = {}
+    for name, kind, required in layout:
+        if required or doc.get(name) is not None:
+            values[name] = _get(doc, name, kind, path)
+    return values
+
+
+def _read(record: type, doc, path: str):
+    """A plain record read from the object at ``path``, which its own checks blame."""
+    return _build(record, path[:-1], _read_fields(record, doc, path))
+
+
+def _build(record: type, path: str, values: dict):
     """Construct a record from fields already read; ``path`` names the rule it breaks."""
     try:
         return record(**values)
     except ValidationError as exc:
         raise _fail(path, str(exc)) from exc
-
-
-def _get_strings(doc: dict, key: str, path: str, *, required: bool = True) -> list[str] | None:
-    """A list field whose entries must all be strings."""
-    value = _get(doc, key, list, path, required=required)
-    if value is not None and not all(isinstance(item, str) for item in value):
-        raise _fail(f"{path}{key}", "expected a list of strings")
-    return value
 
 
 def _parse_rate(value: object) -> Fraction:
@@ -285,7 +329,7 @@ def _parse_rate(value: object) -> Fraction:
 
 def _parse_mechanism(doc: dict, path: str = "mechanism.") -> MechanismKind:
     _check_keys(doc, ("kind", "ctrs", "schools", "priority_mode", "with_beacon"), path)
-    tag = _get_enum(doc, "kind", MechanismTag, path, "mechanism")
+    tag = _get(doc, "kind", MechanismTag, path)
 
     rates = _get(doc, "ctrs", list, path, required=False)
     try:
@@ -296,54 +340,16 @@ def _parse_mechanism(doc: dict, path: str = "mechanism.") -> MechanismKind:
     schools = []
     for i, entry in enumerate(_get(doc, "schools", list, path, required=False, default=())):
         spath = f"{path}schools[{i}]."
-        if not isinstance(entry, dict):
-            raise _fail(spath[:-1], "expected an object")
-        _check_keys(entry, ("school", "capacity", "priority"), spath)
-        school = _get(entry, "school", str, spath)
-        capacity = _get(entry, "capacity", int, spath)
-        if capacity < 0:
+        values = _read_fields(SchoolSpec, entry, spath)
+        if values["capacity"] < 0:  # SchoolSpec's own check would blame the priority
             raise _fail(f"{spath}capacity", "must be nonnegative")
-        priority = _get_strings(entry, "priority", spath, required=False) or []
-        schools.append(_build(SchoolSpec, f"{spath}priority", school=school,
-                              capacity=capacity, priority=tuple(priority)))
+        schools.append(_build(SchoolSpec, f"{spath}priority", values))
 
-    return _build(
-        MechanismKind, path[:-1], tag=tag, ctrs=ctrs, schools=tuple(schools),
-        priority_mode=_get_enum(doc, "priority_mode", LotteryMode, path, "mode", required=False),
+    return _build(MechanismKind, path[:-1], dict(
+        tag=tag, ctrs=ctrs, schools=tuple(schools),
+        priority_mode=_get(doc, "priority_mode", LotteryMode, path, required=False),
         with_beacon=_get(doc, "with_beacon", bool, path, required=False, default=False),
-    )
-
-
-def _parse_agents(raw: list, path: str = "agents") -> tuple[AgentSpec, ...]:
-    out = []
-    for i, entry in enumerate(raw):
-        apath = f"{path}[{i}]."
-        if not isinstance(entry, dict):
-            raise _fail(apath[:-1], "expected an object")
-        _check_keys(entry, ("agent", "bid", "valuation", "ranking", "contribution"), apath)
-        ranking = _get_strings(entry, "ranking", apath, required=False)
-        out.append(
-            AgentSpec(
-                agent=_get(entry, "agent", str, apath),
-                bid=_get(entry, "bid", int, apath, required=False),
-                valuation=_get(entry, "valuation", int, apath, required=False),
-                ranking=None if ranking is None else tuple(ranking),
-                contribution=_get(entry, "contribution", int, apath, required=False),
-            )
-        )
-    return tuple(out)
-
-
-def _parse_adversary(doc: dict | None) -> LeakStrategy | None:
-    if doc is None:
-        return None
-    path = "adversary."
-    _check_keys(doc, ("kind", "target", "censor_until"), path)
-    return LeakStrategy(
-        kind=_get_enum(doc, "kind", LeakStrategyKind, path, "strategy"),
-        target=_get(doc, "target", str, path, required=False),
-        censor_until=_get(doc, "censor_until", int, path, required=False),
-    )
+    ))
 
 
 def _parse_miner(doc: dict | None) -> MinerPolicy:
@@ -359,7 +365,7 @@ def _parse_miner(doc: dict | None) -> MinerPolicy:
             if key in doc:
                 raise _fail(f"{path}{key}", f"an honest miner takes no {key}")
         return MinerPolicy.honest()
-    targets = _get_strings(doc, "targets", path)
+    targets = _get(doc, "targets", tuple, path)
     if not targets:
         raise _fail(f"{path}targets", "a censoring miner needs at least one target")
     if len(set(targets)) < len(targets):  # the policy's set would merge them unseen
@@ -372,23 +378,17 @@ def _parse_miner(doc: dict | None) -> MinerPolicy:
 def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
-    _check_keys(
-        doc, ("name", "seed", "mechanism", "schedule", "agents", "adversary", "miner"), ""
-    )
-    schedule_doc = _get(doc, "schedule", dict, "")
-    _check_keys(schedule_doc, ("commit_deadline", "reveal_deadline"), "schedule.")
-    schedule = _build(
-        PhaseSchedule, "schedule",
-        commit_deadline=_get(schedule_doc, "commit_deadline", int, "schedule."),
-        reveal_deadline=_get(schedule_doc, "reveal_deadline", int, "schedule."),
-    )
+    _check_keys(doc, tuple(f.name for f in fields(Scenario)), "")
+    schedule = _read(PhaseSchedule, _get(doc, "schedule", dict, ""), "schedule.")
     return Scenario(
         name=_get(doc, "name", str, ""),
         seed=_get(doc, "seed", int, ""),
         mechanism=_parse_mechanism(_get(doc, "mechanism", dict, "")),
         schedule=schedule,
-        agents=_parse_agents(_get(doc, "agents", list, "")),
-        adversary=_parse_adversary(_get(doc, "adversary", dict, "", required=False)),
+        agents=tuple(_read(AgentSpec, entry, f"agents[{i}].")
+                     for i, entry in enumerate(_get(doc, "agents", list, ""))),
+        adversary=None if _get(doc, "adversary", dict, "", required=False) is None
+        else _read(LeakStrategy, doc["adversary"], "adversary."),
         miner=_parse_miner(_get(doc, "miner", dict, "", required=False)),
     )
 
@@ -431,12 +431,12 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """One JSON object, refusing a key given twice: plain decoding keeps the
-    last value and drops the rest without a word."""
+    """One JSON object, noting its first repeated key for `_check_keys` to name:
+    plain decoding keeps the last value and drops the rest without a word."""
     doc = {}
     for key, value in pairs:
         if key in doc:
-            raise ScenarioError(f"duplicate key {key!r}")
+            doc.setdefault(_REPEATED, key)
         doc[key] = value
     return doc
 
@@ -445,8 +445,6 @@ def _from_text(text: str, source: str) -> Scenario:
     """Decode one scenario document; every error is prefixed with ``source``."""
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
-    except ScenarioError as exc:  # raised by _unique_keys
-        raise ScenarioError(f"{source}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except RecursionError:

@@ -11,7 +11,9 @@
    over every kind, mechanism and parameter case it names the first
    faulty field in the order of a reference kept here.
 3. The scenario parser answers any JSON document with a `Scenario` or a
-   `ScenarioError` naming the field, never with another exception.
+   `ScenarioError` naming the field, never with another exception, and
+   reads back every plain record the writer writes, a key left out or null
+   reading as the field's default.
 4. Reports hold the same strings whether utilities are `int` or `Fraction`,
    and the report JSON writer gives the bytes of the stdlib's indented
    `json.dumps`.
@@ -35,6 +37,7 @@ import io
 import json
 import re
 import tempfile
+import typing
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -45,6 +48,7 @@ from hypothesis import strategies as st
 
 from trustless_mech import (
     AgentInput,
+    AgentSpec,
     BeaconOutput,
     CommitOpening,
     ExecutionMode,
@@ -54,6 +58,7 @@ from trustless_mech import (
     MechanismKind,
     MechanismTag,
     OperatorView,
+    PhaseSchedule,
     Scenario,
     ScenarioError,
     SchoolSpec,
@@ -80,7 +85,7 @@ from trustless_mech.cli import _json_text, main
 from trustless_mech.commitments import DIGEST_SIZE, SALT_SIZE
 from trustless_mech.contract import parse_reveal_payload, reveal_message
 from trustless_mech.errors import ValidationError
-from trustless_mech.scenario import bundled_scenario_names
+from trustless_mech.scenario import _ENUM_NOUNS, _read, _set_fields, bundled_scenario_names
 from trustless_mech.settlement import _drawn_lottery, lottery_schools
 from trustless_mech.school_choice import (
     boston,
@@ -394,6 +399,62 @@ def _replaced(doc, path: tuple, value):
 def test_a_bundled_scenario_with_any_node_replaced_parses_or_names_a_field(node, value):
     doc, path = node
     _parses_or_names_a_field(_replaced(doc, path, value))
+
+
+# A text the reader takes as a string field: a lone surrogate is not text.
+plain_texts = st.text(st.characters(exclude_categories=["Cs"]), max_size=6)
+FIELD_VALUES = {
+    str: plain_texts,
+    int: st.integers(),
+    bool: st.booleans(),
+    tuple[str, ...]: st.lists(plain_texts, max_size=4).map(tuple),
+    **{enum: st.sampled_from(enum) for enum in _ENUM_NOUNS},
+}
+
+
+def _values_of(hint):
+    """Any value of a field typed ``hint``, None included for ``X | None``."""
+    args = typing.get_args(hint)
+    return st.none() | FIELD_VALUES[args[0]] if type(None) in args else FIELD_VALUES[hint]
+
+
+def _built_or_none(record, values):
+    try:
+        return record(**values)
+    except ValidationError:  # e.g. a schedule whose deadlines are out of order
+        return None
+
+
+@st.composite
+def plain_records(draw):
+    """A valid `AgentSpec`, `SchoolSpec`, `PhaseSchedule` or `LeakStrategy`,
+    any field of which may hold its default."""
+    record = draw(st.sampled_from((AgentSpec, SchoolSpec, PhaseSchedule, LeakStrategy)))
+    hints = typing.get_type_hints(record)
+    values = {}
+    for field in dataclasses.fields(record):
+        if field.default is dataclasses.MISSING or draw(st.booleans()):
+            values[field.name] = draw(_values_of(hints[field.name]))
+    built = _built_or_none(record, values)
+    assume(built is not None)
+    return built
+
+
+@settings(max_examples=300, deadline=None)
+@given(plain_records(), st.data())
+def test_a_plain_record_reads_back_as_written(value, data):
+    record = type(value)
+    doc = json.loads(json.dumps(_set_fields(value)))
+    assert _read(record, doc, "record.") == value
+    for field in dataclasses.fields(record):
+        if field.default is not dataclasses.MISSING:
+            absent = dict(doc)
+            if data.draw(st.booleans(), label=f"{field.name} null"):
+                absent[field.name] = None
+            else:
+                absent.pop(field.name, None)
+            default = dataclasses.replace(value, **{field.name: field.default})
+            assert _read(record, absent, "record.") == default
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,6 +1,7 @@
 """Scenario files, their validation diagnostics, and the command line."""
 
 import copy
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,6 +10,7 @@ import re
 import subprocess
 import sys
 import types
+import typing
 from pathlib import Path
 
 import pytest
@@ -17,10 +19,14 @@ import scipy.stats
 import trustless_mech.scenario as scenario_module
 from trustless_mech import (
     AgentInput,
+    AgentSpec,
     InvariantViolation,
+    LeakStrategy,
     MechanismTag,
     MinerPolicy,
+    PhaseSchedule,
     ScenarioError,
+    SchoolSpec,
     bundled_scenario_names,
     dump_scenario,
     load_bundled,
@@ -71,6 +77,50 @@ def test_bundled_scenarios_round_trip_through_dicts():
     for name in names:
         scenario = load_bundled(name)
         assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
+
+
+# The records a scenario file spells field by field, each read by `_read`.
+PLAIN_RECORDS = (AgentSpec, PhaseSchedule, SchoolSpec, LeakStrategy)
+
+
+def unreadable_fields(record: type) -> list[str]:
+    """The init fields of ``record`` whose type the scenario reader does not
+    read. It reads str, int, bool, tuple[str, ...] and the enums it has a noun
+    for; a field that may be null is ``X | None`` and defaults to None."""
+    hints = typing.get_type_hints(record)
+    unreadable = []
+    for field in (f for f in dataclasses.fields(record) if f.init):
+        kind, args = hints[field.name], typing.get_args(hints[field.name])
+        if type(None) in args:
+            if len(args) != 2 or args[1] is not type(None) or field.default is not None:
+                unreadable.append(field.name)
+                continue
+            kind = args[0]
+        if kind not in (str, int, bool, tuple[str, ...], *scenario_module._ENUM_NOUNS):
+            unreadable.append(field.name)
+    return unreadable
+
+
+@pytest.mark.parametrize("record", PLAIN_RECORDS, ids=lambda r: r.__name__)
+def test_every_field_of_a_plain_record_has_a_type_the_reader_reads(record):
+    assert unreadable_fields(record) == []
+
+
+@dataclasses.dataclass(frozen=True)
+class UnreadableRecord:
+    name: str
+    members: frozenset[str]
+    counts: tuple[int, ...] = ()
+    either: int | str = 0
+    maybe: str | None = "x"
+    fine: int | None = None
+
+
+def test_a_field_the_reader_cannot_read_is_named():
+    assert unreadable_fields(UnreadableRecord) == ["members", "counts", "either", "maybe"]
+    # unguarded, such a field would first fail for a user who wrote a valid list
+    with pytest.raises(ScenarioError, match=r"^field 'r.members': expected frozenset, got list$"):
+        scenario_module._read(UnreadableRecord, {"name": "n", "members": ["a"]}, "r.")
 
 
 def lottery_doc() -> dict:
@@ -576,18 +626,23 @@ def test_undecodable_scenario_files_exit_1(content, problem, tmp_path, monkeypat
 
 
 @pytest.mark.parametrize(
-    "doc, member, repeated, key",
+    "doc, member, repeated, path",
     [
         (minimal_doc, '"seed": 5', '"seed": 1, "seed": 5', "seed"),
         (minimal_doc, '"reveal_deadline": 6', '"reveal_deadline": 6, "reveal_deadline": 7',
-         "reveal_deadline"),
-        (minimal_doc, '"bid": 9', '"bid": 3, "bid": 9', "bid"),
-        (boston_doc, '"capacity": 1', '"capacity": 1, "capacity": 2', "capacity"),
+         "schedule.reveal_deadline"),
+        (minimal_doc, '"bid": 4', '"bid": 3, "bid": 4', "agents[1].bid"),
+        (boston_doc, '"capacity": 1', '"capacity": 1, "capacity": 2',
+         "mechanism.schools[0].capacity"),
+        (lottery_doc, '"target": "bo"', '"target": "bo", "target": "ann"', "adversary.target"),
+        (lottery_doc, '"targets": ["cy", "ann"]', '"targets": ["ann"], "targets": ["cy", "ann"]',
+         "miner.targets"),
+        (minimal_doc, '"seed": 5', '"seed": 5, "x.y": 1, "x.y": 2', '["x.y"]'),
     ],
-    ids=["top-level", "schedule", "agent", "school"],
+    ids=["top-level", "schedule", "agent", "school", "adversary", "miner", "odd-key"],
 )
 def test_a_repeated_key_exits_1_naming_the_key(
-    doc, member, repeated, key, tmp_path, monkeypatch, capsys
+    doc, member, repeated, path, tmp_path, monkeypatch, capsys
 ):
     # plain JSON decoding would keep the last value and drop the first silently
     text = json.dumps(doc())
@@ -598,7 +653,7 @@ def test_a_repeated_key_exits_1_naming_the_key(
     )
     assert code == 1
     assert out == ""
-    assert err == f"error: dup.json: duplicate key '{key}'\n"
+    assert err == f"error: dup.json: field '{path}': duplicate key\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -607,7 +662,9 @@ def test_a_bundled_file_with_a_repeated_key_is_named_by_its_label(tmp_path, monk
     (tmp_path / "scenarios" / "x.json").write_text('{"name": "x", "name": "y"}')
     fake_resources = types.SimpleNamespace(files=lambda package: tmp_path)
     monkeypatch.setattr(scenario_module, "resources", fake_resources)
-    with pytest.raises(ScenarioError, match=r"^bundled scenario 'x': duplicate key 'name'$"):
+    with pytest.raises(
+        ScenarioError, match=r"^bundled scenario 'x': field 'name': duplicate key$"
+    ):
         load_bundled("x")
 
 
