@@ -26,16 +26,17 @@ from .adversaries import STRATEGY_RULES, LeakStrategy, LeakStrategyKind, exact_s
 from .auctions import SlotCTRs
 from .beacon import DOMAIN_CONTRIBUTIONS, DOMAIN_SALTS, U64_MASK, HashStream
 from .chain import MinerPolicy
-from .commitments import Commitment, CommitOpening, make_commitment
+from .commitments import Commitment, CommitOpening, encode_identifier, make_commitment
 from .contract import PhaseSchedule
 from .errors import ValidationError, WireFormatError
-from .school_choice import LotteryMode, SchoolSpec, encode_ranking
+from .school_choice import LotteryMode, SchoolSpec
 from .settlement import (
     AUCTION_TAGS,
     AgentInput,
     MechanismKind,
     MechanismTag,
     encode_agent_payload,
+    encode_field,
 )
 
 
@@ -125,8 +126,10 @@ def _fail(path: str, problem: str) -> ScenarioError:
 
 
 def _validate(s: Scenario) -> None:
-    if not s.name or len(s.name.encode()) > 255:
-        raise _fail("name", "must be 1..255 encoded bytes")
+    try:
+        encode_identifier(s.name)
+    except WireFormatError as exc:
+        raise _fail("name", str(exc)) from exc
     if s.name in (".", "..") or any(c in s.name for c in "/\\\0"):
         raise _fail("name", "must be one plain path component: it names the report files")
     if not 0 <= s.seed <= U64_MASK:
@@ -135,51 +138,30 @@ def _validate(s: Scenario) -> None:
         raise _fail("agents", "at least one agent is required")
 
     tag = s.mechanism.tag
-    # the agent fields the mechanism reads; any other would be dropped unread
-    if tag in AUCTION_TAGS:
-        read = ("bid", "valuation")
-    else:
-        read = ("ranking",) if tag is MechanismTag.BOSTON else ()
+    wire = s.mechanism.wire_fields  # what a reveal carries; an auction also reads a valuation
     seen: set[str] = set()
     for i, spec in enumerate(s.agents):
-        path = f"agents[{i}]"
-        if not spec.agent or len(spec.agent.encode()) > 255:
-            raise _fail(f"{path}.agent", "must be 1..255 encoded bytes")
-        if spec.agent in seen:
-            raise _fail(f"{path}.agent", f"duplicate agent {spec.agent!r}")
-        seen.add(spec.agent)
-        for name in ("bid", "valuation", "ranking"):
-            if name not in read and getattr(spec, name) is not None:
-                raise _fail(f"{path}.{name}", f"a {tag.value} contract takes no {name}")
-        if spec.bid is not None and not 0 <= spec.bid <= U64_MASK:
-            raise _fail(f"{path}.bid", "must be an unsigned 64-bit integer")
-        if spec.valuation is not None and spec.valuation < 0:
-            raise _fail(f"{path}.valuation", "must be nonnegative")
-        if spec.contribution is not None:
-            if not s.mechanism.uses_beacon:
-                raise _fail(f"{path}.contribution", f"a {tag.value} contract "
-                            "without a beacon takes no contribution")
-            if not 0 <= spec.contribution <= U64_MASK:
-                raise _fail(f"{path}.contribution", "must be an unsigned 64-bit integer")
-        if spec.ranking is not None and len(set(spec.ranking)) != len(spec.ranking):
-            raise _fail(f"{path}.ranking", "lists a school twice")
+        name = "agent"
+        try:
+            encode_identifier(spec.agent)
+            if spec.agent in seen:
+                raise ValidationError(f"duplicate agent {spec.agent!r}")
+            seen.add(spec.agent)
+            for name in ("bid", "valuation", "ranking", "contribution"):
+                value = getattr(spec, name)
+                if name in wire:  # a contribution left out is drawn from the seed
+                    if value is not None or name != "contribution":
+                        encode_field(s.mechanism, name, value)
+                elif name == "valuation" and tag in AUCTION_TAGS:
+                    if value is not None and value < 0:
+                        raise ValidationError("must be nonnegative")
+                elif value is not None:
+                    beacon = " without a beacon" if name == "contribution" else ""
+                    raise ValidationError(f"a {tag.value} contract{beacon} takes no {name}")
+        except (ValidationError, WireFormatError) as exc:
+            raise _fail(f"agents[{i}].{name}", str(exc)) from exc
 
-    if tag in AUCTION_TAGS:
-        for i, spec in enumerate(s.agents):
-            if spec.bid is None:
-                raise _fail(f"agents[{i}].bid", f"required for a {tag.value} auction")
     if tag is MechanismTag.BOSTON:
-        index_of = s.mechanism.school_index
-        for i, spec in enumerate(s.agents):
-            if spec.ranking is None:
-                raise _fail(f"agents[{i}].ranking", "required for school choice")
-            for school in spec.ranking:
-                if school not in index_of:
-                    raise _fail(f"agents[{i}].ranking", f"unknown school {school!r}")
-            try:  # the reveal carries the ranking as one byte per school index
-                encode_ranking([index_of[school] for school in spec.ranking])
-            except WireFormatError as exc:
-                raise _fail(f"agents[{i}].ranking", str(exc)) from exc
         mode = s.mechanism.priority_mode
         for j, school_spec in enumerate(s.mechanism.schools):
             path = f"mechanism.schools[{j}].priority"
@@ -191,6 +173,9 @@ def _validate(s: Scenario) -> None:
                 raise _fail(
                     path, f"school {school_spec.school!r} priority omits {sorted(missing)}"
                 )
+            elif strangers := set(school_spec.priority) - seen:
+                raise _fail(path, f"school {school_spec.school!r} priority names non-agents "
+                            f"{sorted(strangers)}")
 
     if s.adversary is not None:
         kind = s.adversary.kind
@@ -317,7 +302,12 @@ def _build(record: type, path: str, values: dict):
         raise _fail(path, str(exc)) from exc
 
 
-def _parse_rate(value: object) -> Fraction:
+def _parse_rate(entry: tuple[int, object]) -> Fraction:
+    """Rate entry ``(i, value)``: a string, or a JSON number read through its repr."""
+    i, value = entry
+    kind = {bool: "boolean", list: "array", dict: "object", type(None): "null"}.get(type(value))
+    if kind:
+        raise ValidationError(f"entry {i} is a JSON {kind}, not a rate string or number")
     text = str(value)
     if len(text) > MAX_RATE_CHARS:
         raise ValidationError(f"rate longer than {MAX_RATE_CHARS} characters")
@@ -333,7 +323,7 @@ def _parse_mechanism(doc: dict, path: str = "mechanism.") -> MechanismKind:
 
     rates = _get(doc, "ctrs", list, path, required=False)
     try:
-        ctrs = None if rates is None else SlotCTRs(rates=tuple(_parse_rate(x) for x in rates))
+        ctrs = None if rates is None else SlotCTRs(rates=tuple(map(_parse_rate, enumerate(rates))))
     except (ValueError, ZeroDivisionError, ValidationError) as exc:
         raise _fail(f"{path}ctrs", str(exc)) from None
 

@@ -168,6 +168,8 @@ def encode_ranking(school_indices: Sequence[int]) -> bytes:
     for idx in school_indices:
         if not 0 <= idx <= 255:
             raise WireFormatError(f"school index {idx} outside one byte")
+    if len(set(school_indices)) != len(school_indices):
+        raise WireFormatError("ranking repeats a school index")
     return bytes([len(school_indices)]) + bytes(school_indices)
 
 

@@ -107,8 +107,15 @@ class MechanismKind:
         carries for it; built once per mechanism."""
         return MappingProxyType({s.school: i for i, s in enumerate(self.schools)})
 
+    @cached_property
+    def wire_fields(self) -> tuple[str, ...]:
+        """The `AgentInput` fields a reveal payload carries, in wire order."""
+        by_tag = {MechanismTag.BEACON: (), MechanismTag.BOSTON: ("ranking",)}
+        report = by_tag.get(self.tag, ("bid",))
+        return report + ("contribution",) if self.uses_beacon else report
+
     def __getstate__(self) -> dict:
-        # the cached index does not pickle; it is rebuilt on first use
+        # the cached index does not pickle; both caches are rebuilt on first use
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
@@ -159,29 +166,27 @@ class SettlementResult:
         return doc
 
 
+def encode_field(mechanism: MechanismKind, name: str, value) -> bytes:
+    """Wire form of the reveal field ``name``, one of the mechanism's
+    `wire_fields`; the encoder of each value checks its range."""
+    if value is None:
+        raise ValidationError(f"a {mechanism.tag.value} reveal needs a {name}")
+    if name == "bid":
+        return encode_bid(value)
+    if name == "contribution":
+        return encode_contribution(value)
+    try:
+        indices = [mechanism.school_index[school] for school in value]
+    except KeyError as exc:
+        raise ValidationError(f"unknown school {exc.args[0]!r}") from None
+    return encode_ranking(indices)
+
+
 def encode_agent_payload(mechanism: MechanismKind, agent_input: AgentInput) -> bytes:
     """Mechanism portion of a reveal payload (salt excluded), bit-exact."""
-    if mechanism.tag is MechanismTag.BEACON:
-        if agent_input.contribution is None:
-            raise ValidationError("beacon contract input needs a contribution")
-        return encode_contribution(agent_input.contribution)
-
-    if mechanism.tag is MechanismTag.BOSTON:
-        if agent_input.ranking is None:
-            raise ValidationError("school-choice input needs a ranking")
-        try:
-            body = encode_ranking([mechanism.school_index[s] for s in agent_input.ranking])
-        except KeyError as exc:
-            raise ValidationError(f"ranking names unknown school {exc.args[0]!r}") from exc
-    else:
-        if agent_input.bid is None:
-            raise ValidationError(f"{mechanism.tag.value} input needs a bid")
-        body = encode_bid(agent_input.bid)
-
-    if mechanism.with_beacon:
-        if agent_input.contribution is None:
-            raise ValidationError("contract carries a beacon; input needs a contribution")
-        body += encode_contribution(agent_input.contribution)
+    body = b""
+    for name in mechanism.wire_fields:
+        body += encode_field(mechanism, name, getattr(agent_input, name))
     return body
 
 

@@ -18,7 +18,9 @@
    and the report JSON writer gives the bytes of the stdlib's indented
    `json.dumps`.
 5. `run` writes the same bytes on a rerun, a sealed view yields no rebids,
-   and every wire codec round-trips.
+   and every wire codec round-trips. The reveal encoder, its decoder and a
+   scenario agree on which agent values a reveal can carry, and a scenario
+   names the first field the encoder refuses.
 6. `settle` answers any payload bytes: each agent either takes part, with an
    input that re-encodes to its payload, or is reported as malformed.
 7. Every auction's utilities and revenue split the slot-weighted value of
@@ -610,9 +612,9 @@ def test_reveal_payloads_round_trip(agent, payload, salt):
 
 
 @st.composite
-def mechanisms(draw, kinds=MECHANISMS) -> MechanismKind:
+def mechanisms(draw, kinds=MECHANISMS, students=AGENT_NAMES) -> MechanismKind:
     """A mechanism of one of ``kinds``: auctions with or without a beacon,
-    school choice with fixed priorities or a beacon lottery."""
+    school choice with fixed priorities over ``students`` or a beacon lottery."""
     tag = MechanismTag(draw(st.sampled_from(kinds)))
     if tag is MechanismTag.BEACON:
         return MechanismKind(tag=tag)
@@ -628,7 +630,7 @@ def mechanisms(draw, kinds=MECHANISMS) -> MechanismKind:
         SchoolSpec(
             school,
             draw(st.integers(0, 2)),
-            draw(st.permutations(AGENT_NAMES)) if mode is None else (),
+            draw(st.permutations(students)) if mode is None else (),
         )
         for school in SCHOOL_NAMES[: draw(st.integers(1, 3))]
     )
@@ -658,6 +660,74 @@ def test_settle_reports_any_undecodable_payload_as_malformed(mechanism, by_agent
     for agent in result.participants:
         agent_input = decode_agent_payload(mechanism, payload_of[agent])
         assert encode_agent_payload(mechanism, agent_input) == payload_of[agent]
+
+
+def reference_wire_fields(mechanism: MechanismKind) -> tuple[str, ...]:
+    """The agent fields a reveal carries, in wire order: the report, then a
+    contribution whenever the contract runs a beacon."""
+    by_tag = {MechanismTag.BEACON: (), MechanismTag.BOSTON: ("ranking",)}
+    report = by_tag.get(mechanism.tag, ("bid",))
+    beacon = mechanism.tag is MechanismTag.BEACON or mechanism.with_beacon
+    return report + ("contribution",) if beacon else report
+
+
+def reference_wire_fault(mechanism: MechanismKind, values: dict) -> str | None:
+    """The first field a reveal carries that is missing or that its wire form
+    cannot hold; None if every one fits."""
+    schools = {s.school for s in mechanism.schools}
+    for name in reference_wire_fields(mechanism):
+        value = values[name]
+        if value is None:
+            return name
+        if name == "ranking":
+            if not set(value) <= schools or len(set(value)) < len(value):
+                return name
+        elif not 0 <= value < 2**64:
+            return name
+    return None
+
+
+wire_ints = st.none() | st.integers(0, 2**64 - 1) | st.sampled_from([-1, 2**64, -(2**64), 2**70])
+# west is no school, and an entry may repeat
+wire_rankings = st.lists(st.sampled_from((*SCHOOL_NAMES, "west")), max_size=4).map(tuple)
+agent_values = st.fixed_dictionaries({
+    "bid": wire_ints,
+    "ranking": st.none() | wire_rankings,
+    "contribution": wire_ints,
+})
+
+
+@settings(max_examples=400, deadline=None)
+@given(mechanisms(students=("ann", "bo")), agent_values)
+@example(  # a repeated school, which the decoder refuses, so the encoder must too
+    MechanismKind(tag=MechanismTag.BOSTON, schools=(SchoolSpec("north", 1, ("ann", "bo")),)),
+    {"bid": None, "ranking": ("north", "north"), "contribution": None},
+)
+def test_the_encoder_the_decoder_and_a_scenario_agree_on_every_reveal_value(mechanism, values):
+    carried = reference_wire_fields(mechanism)
+    fault = reference_wire_fault(mechanism, values)
+    try:
+        payload = encode_agent_payload(mechanism, AgentInput(**values))
+    except (ValidationError, WireFormatError):
+        assert fault is not None
+    else:
+        assert fault is None
+        assert decode_agent_payload(mechanism, payload) == AgentInput(
+            **{name: values[name] for name in carried}
+        )
+
+    # a scenario draws a contribution it leaves out from the seed
+    drawn = values | {"contribution": 0} if values["contribution"] is None else values
+    fault = reference_wire_fault(mechanism, drawn)
+    honest = {"bid": 1, "ranking": (), "contribution": None}
+    agents = (AgentSpec("ann", **{name: values[name] for name in carried}),
+              AgentSpec("bo", **{name: honest[name] for name in carried}))
+    try:
+        Scenario("probe", 1, mechanism, PhaseSchedule(2, 6), agents)
+    except ScenarioError as exc:
+        assert str(exc).startswith(f"field 'agents[0].{fault}': ")
+    else:
+        assert fault is None
 
 
 @st.composite

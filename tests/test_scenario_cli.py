@@ -367,6 +367,8 @@ LONE_SURROGATE = json.loads('"\\ud800"')  # valid JSON, but not encodable text
         ("name", ("name",), LONE_SURROGATE),
         ("agents[0].agent", ("agents", 0, "agent"), LONE_SURROGATE),
         ("mechanism.schools[1].priority", (*SCHOOL, 1, "priority"), ["ann"]),
+        # no agent is called zed, so the entry would be dropped unread
+        ("mechanism.schools[0].priority", (*SCHOOL, 0, "priority"), ["ann", "zed", "bo"]),
         # the lottery would replace this order, so it is refused, not ignored
         ("mechanism.schools[0].priority", ("mechanism",), {
             "kind": "boston", "priority_mode": "single_lottery", "with_beacon": True,
@@ -430,6 +432,20 @@ def test_every_rate_in_use_parses(rates):
     doc = minimal_doc()
     doc["mechanism"] = {"kind": "gsp", "ctrs": rates}
     assert len(scenario_from_dict(doc).mechanism.ctrs) == len(rates)
+
+
+@pytest.mark.parametrize("entry, kind", [
+    ("true", "boolean"), ("[1]", "array"), ('{"a": 1}', "object"), ("null", "null"),
+    ('{"a": 1, "a": 2}', "object"),
+])
+def test_a_rate_that_is_no_string_or_number_names_its_index_and_json_type(entry, kind):
+    doc = minimal_doc()
+    doc["mechanism"] = {"kind": "gsp", "ctrs": ["1", "ENTRY"]}
+    text = json.dumps(doc).replace('"ENTRY"', entry)
+    with pytest.raises(ScenarioError, match="^" + re.escape(
+        f"probe.json: field 'mechanism.ctrs': entry 1 is a JSON {kind}, not a rate string or number"
+    ) + "$"):
+        scenario_module._from_text(text, "probe.json")
 
 
 def test_an_honest_miner_is_one_with_no_targets():

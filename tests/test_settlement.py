@@ -85,6 +85,23 @@ def test_payload_round_trips_for_every_mechanism_shape():
         assert decode_agent_payload(mechanism, data) == agent_input
 
 
+@pytest.mark.parametrize("mechanism, carried", [
+    (FPA, ("bid",)),
+    (SPA, ("bid",)),
+    (BEACON, ("contribution",)),
+    (BOSTON, ("ranking",)),
+    (FPA_WITH_BEACON, ("bid", "contribution")),
+    (BOSTON_LOTTERY, ("ranking", "contribution")),
+])
+def test_a_reveal_carries_the_report_then_the_contribution(mechanism, carried):
+    assert mechanism.wire_fields == carried
+
+
+def test_encode_refuses_a_ranking_the_decoder_would_refuse():
+    with pytest.raises(WireFormatError, match="^ranking repeats a school index$"):
+        encode_agent_payload(BOSTON, AgentInput(ranking=("north", "north")))
+
+
 def test_encode_rejects_missing_fields():
     with pytest.raises(ValidationError):
         encode_agent_payload(FPA, AgentInput())
