@@ -26,7 +26,6 @@ from .contract import commit_message, drive, reveal_message
 from .errors import InvariantViolation
 from .school_choice import SchoolSpec, boston, first_round_admissions, rank_utility
 from .settlement import (
-    AUCTION_TAGS,
     AgentInput,
     MechanismKind,
     MechanismTag,
@@ -341,27 +340,25 @@ def agent_utilities(
 ) -> dict[str, Fraction | int]:
     """Per-agent utility of a settled outcome, always against TRUE preferences.
 
-    Auctions use valuation minus payment (CTR-weighted for slot auctions),
-    school choice uses the negative true rank of the assigned school, and a
-    bare lottery pays 1 to the winner. Excluded agents get the empty-handed
-    value for their mechanism. A utility is an exact ``int``, or a
-    ``Fraction`` where a click-through rate enters (a GSP slot holder).
+    The settled outcome decides the rule: an auction outcome pays valuation
+    minus payment (CTR-weighted for slot auctions), a matching pays the
+    negative true rank of the assigned school, and a bare lottery pays 1 to
+    the winner. Excluded agents get the empty-handed value of that rule. A
+    utility is an exact ``int``, or a ``Fraction`` where a click-through
+    rate enters (a GSP slot holder).
     """
-    mech = scenario.mechanism
+    n_schools = len(scenario.mechanism.schools)
     out: dict[str, Fraction | int] = {}
     for spec in scenario.agents:
         agent = spec.agent
-        if mech.tag in AUCTION_TAGS:
+        if result.auction is not None:
             value = spec.valuation if spec.valuation is not None else (spec.bid or 0)
-            util = 0 if result.auction is None else auction_utility(value, agent, result.auction)
-        elif mech.tag is MechanismTag.BOSTON:
-            assigned = (
-                result.matching.assignment.get(agent) if result.matching is not None else None
-            )
-            util = rank_utility(spec.ranking or (), assigned, len(mech.schools))
+            util = auction_utility(value, agent, result.auction)
+        elif result.matching is not None:
+            assigned = result.matching.assignment.get(agent)
+            util = rank_utility(spec.ranking or (), assigned, n_schools)
         else:
-            won = bool(result.lottery) and result.lottery[0] == agent
-            util = 1 if won else 0
+            util = 1 if result.lottery[:1] == (agent,) else 0
         out[agent] = util
     return out
 

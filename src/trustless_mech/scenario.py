@@ -31,7 +31,6 @@ from .contract import PhaseSchedule
 from .errors import ValidationError, WireFormatError
 from .school_choice import LotteryMode, SchoolSpec
 from .settlement import (
-    AUCTION_TAGS,
     AgentInput,
     MechanismKind,
     MechanismTag,
@@ -152,7 +151,7 @@ def _validate(s: Scenario) -> None:
                 if name in wire:  # a contribution left out is drawn from the seed
                     if value is not None or name != "contribution":
                         encode_field(s.mechanism, name, value)
-                elif name == "valuation" and tag in AUCTION_TAGS:
+                elif name == "valuation" and "bid" in wire:
                     if value is not None and value < 0:
                         raise ValidationError("must be nonnegative")
                 elif value is not None:
@@ -161,21 +160,18 @@ def _validate(s: Scenario) -> None:
         except (ValidationError, WireFormatError) as exc:
             raise _fail(f"agents[{i}].{name}", str(exc)) from exc
 
-    if tag is MechanismTag.BOSTON:
-        mode = s.mechanism.priority_mode
-        for j, school_spec in enumerate(s.mechanism.schools):
-            path = f"mechanism.schools[{j}].priority"
-            if mode is not None:
-                # the lottery replaces every priority order, so a list would be ignored
-                if school_spec.priority:
-                    raise _fail(path, f"must be empty under {mode.value}")
-            elif missing := seen - set(school_spec.priority):
-                raise _fail(
-                    path, f"school {school_spec.school!r} priority omits {sorted(missing)}"
-                )
-            elif strangers := set(school_spec.priority) - seen:
-                raise _fail(path, f"school {school_spec.school!r} priority names non-agents "
-                            f"{sorted(strangers)}")
+    mode = s.mechanism.priority_mode
+    for j, school_spec in enumerate(s.mechanism.schools):
+        path = f"mechanism.schools[{j}].priority"
+        if mode is not None:
+            # the lottery replaces every priority order, so a list would be ignored
+            if school_spec.priority:
+                raise _fail(path, f"must be empty under {mode.value}")
+        elif missing := seen - set(school_spec.priority):
+            raise _fail(path, f"school {school_spec.school!r} priority omits {sorted(missing)}")
+        elif strangers := set(school_spec.priority) - seen:
+            raise _fail(path, f"school {school_spec.school!r} priority names non-agents "
+                        f"{sorted(strangers)}")
 
     if s.adversary is not None:
         kind = s.adversary.kind

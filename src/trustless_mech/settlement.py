@@ -3,10 +3,11 @@
 This is the glue between the contract runtime and the pure mechanisms, and
 the one module that knows which mechanism a run uses: it defines
 `MechanismKind`, decodes each opaque payload the contract verified for that
-kind, aggregates beacon contributions when present, derives the tie-break
-permutation or lottery priorities, and runs the allocation rule. Both
-execution modes funnel through `settle_inputs`, so a centralized run and a
-decentralized run of the same inputs settle identically by construction.
+kind by the same `wire_fields` walk that encodes it, aggregates beacon
+contributions when present, derives the tie-break permutation or lottery
+priorities, and runs the allocation rule. Both execution modes funnel
+through `settle_inputs`, so a centralized run and a decentralized run of the
+same inputs settle identically by construction.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .auctions import (
     SlotCTRs,
 )
 from .beacon import (
-    CONTRIBUTION_SIZE,
     BeaconOutput,
     aggregate,
     beacon_order,
@@ -58,9 +58,6 @@ class MechanismTag(Enum):
     SECOND_PRICE = "second_price"
     GSP = "gsp"
     BOSTON = "boston"
-
-
-AUCTION_TAGS = (MechanismTag.FIRST_PRICE, MechanismTag.SECOND_PRICE, MechanismTag.GSP)
 
 
 @dataclass(frozen=True)
@@ -191,26 +188,32 @@ def encode_agent_payload(mechanism: MechanismKind, agent_input: AgentInput) -> b
 
 
 def decode_agent_payload(mechanism: MechanismKind, data: bytes) -> AgentInput:
-    if mechanism.tag is MechanismTag.BEACON:
-        return AgentInput(contribution=decode_contribution(data))
+    """Inverse of `encode_agent_payload`: the mechanism's `wire_fields` read
+    front to back. Bytes left over after the last field are malformed."""
+    values = {}
+    at = 0
+    for name in mechanism.wire_fields:
+        values[name], at = _decode_field(mechanism, name, data, at)
+    if at != len(data):
+        raise WireFormatError("payload has bytes after its last field")
+    return AgentInput(**values)
 
-    contribution = None
-    if mechanism.with_beacon:
-        if len(data) < CONTRIBUTION_SIZE:
-            raise WireFormatError("payload too short for appended contribution")
-        contribution = decode_contribution(data[-CONTRIBUTION_SIZE:])
-        data = data[:-CONTRIBUTION_SIZE]
 
-    if mechanism.tag is MechanismTag.BOSTON:
-        indices = decode_ranking(data)
-        schools = mechanism.schools
-        try:
-            ranking = tuple([schools[i].school for i in indices])
-        except IndexError:
-            idx = next(i for i in indices if i >= len(schools))
-            raise WireFormatError(f"school index {idx} out of range") from None
-        return AgentInput(ranking=ranking, contribution=contribution)
-    return AgentInput(bid=decode_bid(data), contribution=contribution)
+def _decode_field(mechanism: MechanismKind, name: str, data: bytes, at: int) -> tuple[object, int]:
+    """The reveal field ``name`` read from ``data`` at offset ``at``, and the
+    offset after it. A bid and a contribution are 8 bytes each; a ranking is
+    a length byte and that many school indices."""
+    if name != "ranking":
+        decode = decode_bid if name == "bid" else decode_contribution
+        return decode(data[at : at + 8]), at + 8
+    end = at + 1 + (data[at] if at < len(data) else 0)
+    indices = decode_ranking(data[at:end])
+    schools = mechanism.schools
+    try:
+        return tuple([schools[i].school for i in indices]), end
+    except IndexError:
+        idx = next(i for i in indices if i >= len(schools))
+        raise WireFormatError(f"school index {idx} out of range") from None
 
 
 def input_beacon(inputs: Mapping[str, AgentInput]) -> BeaconOutput:

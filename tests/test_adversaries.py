@@ -109,6 +109,31 @@ def censor(target: str, until: int) -> LeakStrategy:
     return LeakStrategy(LeakStrategyKind.MINER_CENSOR_REVEALS, target=target, censor_until=until)
 
 
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        beacon_scenario(),
+        auction_scenario(FPA, {"a": 5, "b": 3}),
+        auction_scenario(SPA, {"a": 5, "b": 3}),
+        auction_scenario(GSP2, {"a": 5, "b": 3, "c": 1}),
+        college_scenario(),
+    ],
+    ids=["beacon", "first_price", "second_price", "gsp", "boston"],
+)
+def test_an_agent_whose_reveal_is_censored_past_the_deadline_is_left_empty_handed(scenario):
+    # the settled outcome is empty, yet still says which utility rule applies
+    everyone = {spec.agent for spec in scenario.agents}
+    miner = MinerPolicy.censor(everyone, scenario.schedule.reveal_deadline)
+    censored = replace(scenario, miner=miner)
+    result, _ = adversaries.execute_run(censored, DECENTRAL)
+    assert result.participants == ()
+    schools = scenario.mechanism.schools
+    empty_handed = -(len(schools) + 1) if schools else 0
+    utilities = adversaries.agent_utilities(censored, result)
+    assert utilities == dict.fromkeys(everyone, empty_handed)
+    assert {type(u) for u in utilities.values()} == {int}
+
+
 def test_sealed_views_identify_themselves():
     assert sealed_view().sealed
     assert not open_view({}).sealed

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import trustless_mech
+from trustless_mech import settlement
+from trustless_mech.settlement import MechanismTag
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 MODULES = sorted(
@@ -72,6 +74,46 @@ def test_the_commit_reveal_layer_imports_no_mechanism(name):
             imported.update(prefix + name for name in names)
     package = {module for module in imported if module.startswith((".", "trustless_mech"))}
     assert package <= {".chain", ".commitments", ".contract", ".errors"}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.stem != "settlement"],
+    ids=[p.stem for p in MODULES if p.stem != "settlement"],
+)
+def test_only_settlement_compares_against_a_mechanism_tag(path):
+    # a new mechanism then edits settlement alone; naming a tag as data, as
+    # the strategy rules do, is no branch on it
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    tag_tuples = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "settlement"
+        for alias in node.names
+        if _is_tag_tuple(getattr(settlement, alias.name))
+    }
+
+    def names_a_tag(operand: ast.expr) -> bool:
+        if isinstance(operand, ast.Name):
+            return operand.id in tag_tuples
+        return (
+            isinstance(operand, ast.Attribute)
+            and isinstance(operand.value, ast.Name)
+            and operand.value.id == "MechanismTag"
+            and operand.attr in MechanismTag.__members__
+        )
+
+    branches = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare) and any(map(names_a_tag, [node.left, *node.comparators]))
+    ]
+    assert branches == []
+
+
+def _is_tag_tuple(value) -> bool:
+    return isinstance(value, tuple) and bool(value) and all(
+        isinstance(tag, MechanismTag) for tag in value
+    )
 
 
 # Standard-library sources of values a seed does not fix: entropy, clocks, ids.

@@ -22,7 +22,9 @@
    scenario agree on which agent values a reveal can carry, and a scenario
    names the first field the encoder refuses.
 6. `settle` answers any payload bytes: each agent either takes part, with an
-   input that re-encodes to its payload, or is reported as malformed.
+   input that re-encodes to its payload, or is reported as malformed. The
+   decoder, which reads a reveal front to back, accepts and reads the same
+   bytes as a reference that reads the contribution off the back.
 7. Every auction's utilities and revenue split the slot-weighted value of
    the allocation exactly.
 8. The kept lottery returns what a fresh draw returns, as an immutable
@@ -728,6 +730,47 @@ def test_the_encoder_the_decoder_and_a_scenario_agree_on_every_reveal_value(mech
         assert str(exc).startswith(f"field 'agents[0].{fault}': ")
     else:
         assert fault is None
+
+
+def reference_decode(mechanism: MechanismKind, data: bytes) -> AgentInput:
+    """A reveal read from the back: the last 8 bytes are the contribution
+    when the contract runs a beacon, and the rest is the bid or the ranking."""
+    carried = reference_wire_fields(mechanism)
+    values = {}
+    if "contribution" in carried:
+        if len(data) < 8:
+            raise WireFormatError("no room for a contribution")
+        values["contribution"] = decode_contribution(data[-8:])
+        data = data[:-8]
+    if "bid" in carried:
+        values["bid"] = decode_bid(data)
+    elif "ranking" in carried:
+        indices = decode_ranking(data)
+        if any(i >= len(mechanism.schools) for i in indices):
+            raise WireFormatError("no such school")
+        values["ranking"] = tuple(mechanism.schools[i].school for i in indices)
+    elif data:
+        raise WireFormatError("bytes after the contribution")
+    return AgentInput(**values)
+
+
+@settings(max_examples=600, deadline=None)
+@given(mechanisms(), st.binary(max_size=24))
+@example(MechanismKind(tag=MechanismTag.FIRST_PRICE), encode_bid(5) + b"\x00")
+@example(  # declares two schools and carries one; read from the front, the
+    # contribution's first byte would complete the ranking
+    MechanismKind(tag=MechanismTag.BOSTON, schools=(SchoolSpec("north", 1), SchoolSpec("south", 1)),
+                  priority_mode=LotteryMode.SINGLE, with_beacon=True),
+    bytes([2, 0]) + encode_contribution(1 << 56),
+)
+def test_the_decoder_accepts_what_a_reference_reading_from_the_back_accepts(mechanism, data):
+    try:
+        expected = reference_decode(mechanism, data)
+    except WireFormatError:
+        with pytest.raises(WireFormatError):
+            decode_agent_payload(mechanism, data)
+    else:
+        assert decode_agent_payload(mechanism, data) == expected
 
 
 @st.composite
