@@ -12,11 +12,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .beacon import U64_MASK
-from .errors import MechSimError, ValidationError, WireFormatError
+from .errors import MechSimError, ValidationError
 
 EPSILON_TICKS = 1
-BID_WIRE_SIZE = 8
 
 
 class NoParticipants(MechSimError):
@@ -153,16 +151,3 @@ def seller_revenue(outcome: AuctionOutcome) -> Fraction:
     for slot, agent in outcome.allocation.items():
         total += outcome.ctrs.rates[slot] * outcome.payments[agent]
     return total
-
-
-def encode_bid(amount: int) -> bytes:
-    """8 big-endian bytes of the bid in ticks: the auction reveal payload."""
-    if not 0 <= amount <= U64_MASK:
-        raise WireFormatError(f"bid {amount} outside unsigned 64-bit wire range")
-    return amount.to_bytes(BID_WIRE_SIZE, "big")
-
-
-def decode_bid(data: bytes) -> int:
-    if len(data) != BID_WIRE_SIZE:
-        raise WireFormatError(f"bid payload must be {BID_WIRE_SIZE} bytes, got {len(data)}")
-    return int.from_bytes(data, "big")

@@ -33,10 +33,9 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import ValidationError, WireFormatError
+from .errors import ValidationError
 
 U64_MASK = (1 << 64) - 1
-CONTRIBUTION_SIZE = 8
 
 # Stream domains used by scenario plumbing (permutation domains for school
 # lotteries are the school indices themselves, with 0 doubling as the
@@ -86,19 +85,6 @@ def aggregate(contributions: Mapping[str, int]) -> BeaconOutput:
     for agent in contributions:
         total += _check_u64(contributions[agent], f"contribution from {agent!r}")
     return BeaconOutput(value=total & U64_MASK, contributors=tuple(sorted(contributions)))
-
-
-def encode_contribution(value: int) -> bytes:
-    """8 big-endian bytes, the wire form used inside reveal payloads."""
-    return _check_u64(value, "contribution").to_bytes(CONTRIBUTION_SIZE, "big")
-
-
-def decode_contribution(data: bytes) -> int:
-    if len(data) != CONTRIBUTION_SIZE:
-        raise WireFormatError(
-            f"contribution must be {CONTRIBUTION_SIZE} bytes, got {len(data)}"
-        )
-    return int.from_bytes(data, "big")
 
 
 class HashStream:

@@ -15,7 +15,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .beacon import DOMAIN_TIE_BREAK, BeaconOutput, beacon_order
-from .errors import ValidationError, WireFormatError
+from .errors import ValidationError
 
 
 class LotteryMode(Enum):
@@ -159,28 +159,3 @@ def rank_utility(true_ranking: Sequence[str], assigned: str | None, n_schools: i
     if assigned is not None and assigned in true_ranking:
         return -(true_ranking.index(assigned) + 1)
     return -(n_schools + 1)
-
-
-def encode_ranking(school_indices: Sequence[int]) -> bytes:
-    """Reveal payload: one length byte, then school indices as unsigned bytes."""
-    if len(school_indices) > 255:
-        raise WireFormatError("ranking longer than 255 schools")
-    for idx in school_indices:
-        if not 0 <= idx <= 255:
-            raise WireFormatError(f"school index {idx} outside one byte")
-    if len(set(school_indices)) != len(school_indices):
-        raise WireFormatError("ranking repeats a school index")
-    return bytes([len(school_indices)]) + bytes(school_indices)
-
-
-def decode_ranking(data: bytes) -> tuple[int, ...]:
-    if not data:
-        raise WireFormatError("empty ranking payload")
-    length = data[0]
-    if len(data) != 1 + length:
-        raise WireFormatError(
-            f"ranking payload declares {length} entries but carries {len(data) - 1}"
-        )
-    if len(set(data[1:])) != length:
-        raise WireFormatError("ranking payload repeats a school index")
-    return tuple(data[1:])

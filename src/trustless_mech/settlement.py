@@ -1,9 +1,11 @@
 """Turns verified reveal payloads into mechanism outcomes.
 
 This is the glue between the contract runtime and the pure mechanisms, and
-the one module that knows which mechanism a run uses: it defines
-`MechanismKind`, decodes each opaque payload the contract verified for that
-kind by the same `wire_fields` walk that encodes it, aggregates beacon
+the one module that knows which mechanism a run uses and how its reveals
+are written: it defines `MechanismKind`, whose `wire_fields` lay a reveal
+out, writes each field (`encode_field`) and reads it back, so the mechanism
+modules hold no wire code. It decodes each opaque payload the contract
+verified by the same `wire_fields` walk that encodes it, aggregates beacon
 contributions when present, derives the tie-break permutation or lottery
 priorities, and runs the allocation rule. Both execution modes funnel
 through `settle_inputs`, so a centralized run and a decentralized run of the
@@ -20,21 +22,13 @@ from typing import Mapping
 
 from .auctions import (
     Bid,
-    decode_bid,
-    encode_bid,
     first_price,
     gsp,
     second_price,
     AuctionOutcome,
     SlotCTRs,
 )
-from .beacon import (
-    BeaconOutput,
-    aggregate,
-    beacon_order,
-    decode_contribution,
-    encode_contribution,
-)
+from .beacon import U64_MASK, BeaconOutput, aggregate, beacon_order
 from .contract import SettlementInput
 from .errors import ValidationError, WireFormatError
 from .school_choice import (
@@ -42,14 +36,15 @@ from .school_choice import (
     Matching,
     SchoolSpec,
     boston,
-    decode_ranking,
-    encode_ranking,
     lottery_priorities,
 )
 
 NOTE_DEGENERATE_BEACON = "degenerate beacon: no verified contributions, identifier-order fallback"
 NOTE_NO_PARTICIPANTS = "no participants after exclusions; empty outcome"
 NOTE_RANK_UTILITY = "school-choice utilities are ordinal ranks (package convention, not from the mechanism)"
+
+# Bytes of a bid or a contribution on the wire: one big-endian word.
+_WORD_SIZE = 8
 
 
 class MechanismTag(Enum):
@@ -165,18 +160,27 @@ class SettlementResult:
 
 def encode_field(mechanism: MechanismKind, name: str, value) -> bytes:
     """Wire form of the reveal field ``name``, one of the mechanism's
-    `wire_fields`; the encoder of each value checks its range."""
+    `wire_fields`, refused unless the value fits it. A bid and a
+    contribution are one 8-byte big-endian word each; a ranking is one
+    length byte and the index of each school it lists, one byte each."""
     if value is None:
         raise ValidationError(f"a {mechanism.tag.value} reveal needs a {name}")
-    if name == "bid":
-        return encode_bid(value)
-    if name == "contribution":
-        return encode_contribution(value)
+    if name != "ranking":
+        if not 0 <= value <= U64_MASK:
+            raise WireFormatError(f"{name} {value} outside unsigned 64-bit wire range")
+        return value.to_bytes(_WORD_SIZE, "big")
     try:
         indices = [mechanism.school_index[school] for school in value]
     except KeyError as exc:
         raise ValidationError(f"unknown school {exc.args[0]!r}") from None
-    return encode_ranking(indices)
+    if len(indices) > 255:
+        raise WireFormatError("ranking longer than 255 schools")
+    for idx in indices:
+        if idx > 255:
+            raise WireFormatError(f"school index {idx} outside one byte")
+    if len(set(indices)) != len(indices):
+        raise WireFormatError("ranking repeats a school index")
+    return bytes([len(indices), *indices])
 
 
 def encode_agent_payload(mechanism: MechanismKind, agent_input: AgentInput) -> bytes:
@@ -201,13 +205,21 @@ def decode_agent_payload(mechanism: MechanismKind, data: bytes) -> AgentInput:
 
 def _decode_field(mechanism: MechanismKind, name: str, data: bytes, at: int) -> tuple[object, int]:
     """The reveal field ``name`` read from ``data`` at offset ``at``, and the
-    offset after it. A bid and a contribution are 8 bytes each; a ranking is
-    a length byte and that many school indices."""
+    offset after it: the inverse of `encode_field`."""
     if name != "ranking":
-        decode = decode_bid if name == "bid" else decode_contribution
-        return decode(data[at : at + 8]), at + 8
-    end = at + 1 + (data[at] if at < len(data) else 0)
-    indices = decode_ranking(data[at:end])
+        end = at + _WORD_SIZE
+        if end > len(data):
+            raise WireFormatError(f"{name} must be {_WORD_SIZE} bytes, got {len(data) - at}")
+        return int.from_bytes(data[at:end], "big"), end
+    if at == len(data):
+        raise WireFormatError("empty ranking payload")
+    length = data[at]
+    end = at + 1 + length
+    indices = data[at + 1 : end]
+    if len(indices) != length:
+        raise WireFormatError(f"ranking payload declares {length} entries but carries {len(indices)}")
+    if len(set(indices)) != length:
+        raise WireFormatError("ranking payload repeats a school index")
     schools = mechanism.schools
     try:
         return tuple([schools[i].school for i in indices]), end

@@ -15,8 +15,8 @@ from trustless_mech import (
     second_price,
     seller_revenue,
 )
-from trustless_mech.auctions import InstanceShape, NoParticipants, decode_bid, encode_bid
-from trustless_mech.errors import ValidationError, WireFormatError
+from trustless_mech.auctions import InstanceShape, NoParticipants
+from trustless_mech.errors import ValidationError
 
 
 def bids(**amounts: int) -> list[Bid]:
@@ -227,15 +227,3 @@ def test_losers_never_pay():
         for outcome in [first_price(entries), second_price(entries), gsp(entries, ctrs)]:
             holders = set(outcome.allocation.values())
             assert set(outcome.payments) == holders
-
-
-def test_bid_wire_codec():
-    for amount in [0, 1, 10, 1 << 40, (1 << 64) - 1]:
-        assert decode_bid(encode_bid(amount)) == amount
-    assert encode_bid(10) == b"\x00" * 7 + b"\x0a"
-    with pytest.raises(WireFormatError):
-        encode_bid(1 << 64)
-    with pytest.raises(WireFormatError):
-        decode_bid(b"\x00" * 7)
-    with pytest.raises(WireFormatError):
-        decode_bid(b"\x00" * 9)

@@ -18,16 +18,13 @@ from trustless_mech import beacon as beacon_module
 from trustless_mech import BeaconOutput, HashStream, aggregate, derive_permutation, uniformity_histogram
 from trustless_mech.beacon import (
     ADVERSARY_CONSTANTS,
-    CONTRIBUTION_SIZE,
     DOMAIN_UNIFORMITY,
     DRAW_ROUND,
     U64_MASK,
     chi_square_sf,
     chi_square_test,
-    decode_contribution,
-    encode_contribution,
 )
-from trustless_mech.errors import ValidationError, WireFormatError
+from trustless_mech.errors import ValidationError
 
 
 class ReferenceStream:
@@ -102,18 +99,6 @@ def test_aggregate_rejects_out_of_range_contributions():
         aggregate({"A": -1})
     with pytest.raises(ValidationError):
         aggregate({"A": 1 << 64})
-
-
-def test_contribution_wire_codec():
-    for value in [0, 1, 255, 1 << 32, U64_MASK]:
-        data = encode_contribution(value)
-        assert len(data) == CONTRIBUTION_SIZE
-        assert decode_contribution(data) == value
-    assert encode_contribution(1) == b"\x00" * 7 + b"\x01"
-    with pytest.raises(WireFormatError):
-        decode_contribution(b"\x00" * 7)
-    with pytest.raises(ValidationError):
-        encode_contribution(-1)
 
 
 def test_stream_u64_frozen_value():

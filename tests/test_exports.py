@@ -76,6 +76,21 @@ def test_the_commit_reveal_layer_imports_no_mechanism(name):
     assert package <= {".chain", ".commitments", ".contract", ".errors"}
 
 
+@pytest.mark.parametrize("name", ["auctions", "beacon", "school_choice"])
+def test_the_mechanism_modules_hold_no_wire_code(name):
+    # settlement writes and reads every byte of a reveal, so a wire rule
+    # changes in one module; the mechanisms see plain values only
+    path = Path(trustless_mech.__file__).parent / f"{name}.py"
+    wire = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        # a name read, an attribute, or an imported alias
+        if "WireFormatError" in {getattr(node, key, None) for key in ("id", "attr", "name")}:
+            wire.append(f"{path.name}:{node.lineno}: WireFormatError")
+        if isinstance(node, ast.FunctionDef) and node.name.startswith(("encode_", "decode_")):
+            wire.append(f"{path.name}:{node.lineno}: def {node.name}")
+    assert wire == []
+
+
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.stem != "settlement"],
     ids=[p.stem for p in MODULES if p.stem != "settlement"],

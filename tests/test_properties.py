@@ -83,20 +83,13 @@ from trustless_mech import (
     verify_opening,
 )
 from trustless_mech.adversaries import execute_run
-from trustless_mech.auctions import decode_bid, encode_bid
-from trustless_mech.beacon import decode_contribution, encode_contribution
 from trustless_mech.cli import _json_text, main
 from trustless_mech.commitments import DIGEST_SIZE, SALT_SIZE
 from trustless_mech.contract import parse_reveal_payload, reveal_message
 from trustless_mech.errors import ValidationError
 from trustless_mech.scenario import _ENUM_NOUNS, _read, _set_fields, bundled_scenario_names
-from trustless_mech.settlement import _drawn_lottery, lottery_schools
-from trustless_mech.school_choice import (
-    boston,
-    decode_ranking,
-    encode_ranking,
-    first_round_admissions,
-)
+from trustless_mech.settlement import _drawn_lottery, encode_field, lottery_schools
+from trustless_mech.school_choice import boston, first_round_admissions
 
 AGENT_NAMES = ("ann", "bo", "cy", "dee", "eli", "fay")
 SCHOOL_NAMES = ("north", "south", "east")
@@ -582,25 +575,40 @@ def test_a_renamed_scenario_commits_fresh_digests():
 
 
 u64s = st.integers(0, 2**64 - 1)
+FIRST_PRICE = MechanismKind(tag=MechanismTag.FIRST_PRICE)
+BEACON_ONLY = MechanismKind(tag=MechanismTag.BEACON)
+# every index a ranking byte can hold names a school
+SCHOOLS_256 = MechanismKind(
+    tag=MechanismTag.BOSTON, schools=tuple(SchoolSpec(f"s{i}", 1) for i in range(256))
+)
 
 
 @given(u64s)
 def test_bids_round_trip(amount):
-    assert decode_bid(encode_bid(amount)) == amount
+    data = encode_field(FIRST_PRICE, "bid", amount)
+    assert data == amount.to_bytes(8, "big")
+    assert decode_agent_payload(FIRST_PRICE, data) == AgentInput(bid=amount)
 
 
 @given(u64s)
 def test_contributions_round_trip(value):
-    assert decode_contribution(encode_contribution(value)) == value
+    data = encode_field(BEACON_ONLY, "contribution", value)
+    assert data == value.to_bytes(8, "big")
+    assert decode_agent_payload(BEACON_ONLY, data) == AgentInput(contribution=value)
 
 
 @given(st.lists(st.integers(0, 255), max_size=255))
 def test_rankings_round_trip(indices):
+    ranking = tuple(f"s{i}" for i in indices)
+    data = bytes([len(indices), *indices])
     if len(set(indices)) < len(indices):
         with pytest.raises(WireFormatError, match="repeats"):
-            decode_ranking(encode_ranking(indices))
+            encode_field(SCHOOLS_256, "ranking", ranking)
+        with pytest.raises(WireFormatError, match="repeats"):
+            decode_agent_payload(SCHOOLS_256, data)
     else:
-        assert decode_ranking(encode_ranking(indices)) == tuple(indices)
+        assert encode_field(SCHOOLS_256, "ranking", ranking) == data
+        assert decode_agent_payload(SCHOOLS_256, data) == AgentInput(ranking=ranking)
 
 
 @given(
@@ -734,18 +742,26 @@ def test_the_encoder_the_decoder_and_a_scenario_agree_on_every_reveal_value(mech
 
 def reference_decode(mechanism: MechanismKind, data: bytes) -> AgentInput:
     """A reveal read from the back: the last 8 bytes are the contribution
-    when the contract runs a beacon, and the rest is the bid or the ranking."""
+    when the contract runs a beacon, and the rest is the bid or the ranking.
+    A bid is 8 big-endian bytes; a ranking is a length byte that counts the
+    distinct school indices after it."""
     carried = reference_wire_fields(mechanism)
     values = {}
     if "contribution" in carried:
         if len(data) < 8:
             raise WireFormatError("no room for a contribution")
-        values["contribution"] = decode_contribution(data[-8:])
+        values["contribution"] = int.from_bytes(data[-8:], "big")
         data = data[:-8]
     if "bid" in carried:
-        values["bid"] = decode_bid(data)
+        if len(data) != 8:
+            raise WireFormatError("a bid is 8 bytes")
+        values["bid"] = int.from_bytes(data, "big")
     elif "ranking" in carried:
-        indices = decode_ranking(data)
+        if not data or data[0] != len(data) - 1:
+            raise WireFormatError("the length byte does not count the indices")
+        indices = list(data[1:])
+        if len(set(indices)) < len(indices):
+            raise WireFormatError("a school listed twice")
         if any(i >= len(mechanism.schools) for i in indices):
             raise WireFormatError("no such school")
         values["ranking"] = tuple(mechanism.schools[i].school for i in indices)
@@ -756,12 +772,12 @@ def reference_decode(mechanism: MechanismKind, data: bytes) -> AgentInput:
 
 @settings(max_examples=600, deadline=None)
 @given(mechanisms(), st.binary(max_size=24))
-@example(MechanismKind(tag=MechanismTag.FIRST_PRICE), encode_bid(5) + b"\x00")
+@example(MechanismKind(tag=MechanismTag.FIRST_PRICE), (5).to_bytes(8, "big") + b"\x00")
 @example(  # declares two schools and carries one; read from the front, the
     # contribution's first byte would complete the ranking
     MechanismKind(tag=MechanismTag.BOSTON, schools=(SchoolSpec("north", 1), SchoolSpec("south", 1)),
                   priority_mode=LotteryMode.SINGLE, with_beacon=True),
-    bytes([2, 0]) + encode_contribution(1 << 56),
+    bytes([2, 0]) + (1 << 56).to_bytes(8, "big"),
 )
 def test_the_decoder_accepts_what_a_reference_reading_from_the_back_accepts(mechanism, data):
     try:

@@ -426,6 +426,16 @@ def test_out_of_range_values_name_the_field(field, base, keys, value):
         scenario_from_dict(doc)
 
 
+@pytest.mark.parametrize("value", [2**64, -1])
+def test_an_out_of_range_contribution_reads_as_the_wire_rule(value):
+    # a contribution and a bid share one 8-byte word rule, and one message
+    doc = lottery_doc()
+    doc["agents"][0]["contribution"] = value
+    expected = f"field 'agents[0].contribution': contribution {value} outside unsigned 64-bit wire range"
+    with pytest.raises(ScenarioError, match="^" + re.escape(expected) + "$"):
+        scenario_from_dict(doc)
+
+
 @pytest.mark.parametrize("rates", [["1.0", "0.75", "0.5"], ["1.0", "0.8"], ["0.5", "0.25"],
                                    ["4/5", "1e-300"], [1, 0.5, 5e-324]])
 def test_every_rate_in_use_parses(rates):

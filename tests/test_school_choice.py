@@ -16,8 +16,7 @@ from trustless_mech import (
     rank_utility,
 )
 from trustless_mech import beacon
-from trustless_mech.errors import ValidationError, WireFormatError
-from trustless_mech.school_choice import decode_ranking, encode_ranking
+from trustless_mech.errors import ValidationError
 
 
 def two_college_instance():
@@ -268,22 +267,3 @@ def test_rank_utility_unassigned_is_worst():
     # a school the student never listed counts the same as no school
     assert rank_utility(ranking, "elsewhere", n_schools=3) == -4
     assert rank_utility(ranking, None, n_schools=3) < rank_utility(ranking, "second", n_schools=3)
-
-
-def test_ranking_wire_codec():
-    assert encode_ranking([]) == b"\x00"
-    assert encode_ranking([2, 0, 1]) == b"\x03\x02\x00\x01"
-    assert decode_ranking(b"\x03\x02\x00\x01") == (2, 0, 1)
-    assert decode_ranking(b"\x00") == ()
-    with pytest.raises(WireFormatError):
-        encode_ranking(list(range(256)))
-    with pytest.raises(WireFormatError):
-        encode_ranking([256])
-    with pytest.raises(WireFormatError):
-        decode_ranking(b"")
-    with pytest.raises(WireFormatError):
-        decode_ranking(b"\x02\x00")
-    with pytest.raises(WireFormatError):
-        decode_ranking(b"\x01\x00\x01")
-    with pytest.raises(WireFormatError):
-        decode_ranking(b"\x03\x01\x00\x01")

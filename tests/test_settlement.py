@@ -1,4 +1,4 @@
-"""Payload codecs and the bridge from verified reveals to mechanism outcomes."""
+"""Reveal payload codecs and the bridge from verified reveals to mechanism outcomes."""
 
 import json
 from fractions import Fraction
@@ -20,11 +20,13 @@ from trustless_mech import (
     settle,
     settle_inputs,
 )
+from trustless_mech.beacon import U64_MASK
 from trustless_mech.errors import ValidationError, WireFormatError
 from trustless_mech.settlement import (
     NOTE_DEGENERATE_BEACON,
     NOTE_NO_PARTICIPANTS,
     NOTE_RANK_UTILITY,
+    encode_field,
 )
 
 FPA = MechanismKind(tag=MechanismTag.FIRST_PRICE)
@@ -124,6 +126,59 @@ def test_decode_rejects_malformed_payloads():
         decode_agent_payload(BOSTON, b"\x01\x05")
     with pytest.raises(WireFormatError):
         decode_agent_payload(BOSTON, b"")
+
+
+def many_schools(n: int) -> MechanismKind:
+    """School choice over ``n`` schools, ``s0`` to ``s<n-1>``: school ``si``
+    is index ``i`` on the wire."""
+    return MechanismKind(
+        tag=MechanismTag.BOSTON, schools=tuple(SchoolSpec(f"s{i}", 1) for i in range(n))
+    )
+
+
+def test_bid_wire_codec():
+    for amount in [0, 1, 10, 1 << 40, (1 << 64) - 1]:
+        assert decode_agent_payload(FPA, encode_field(FPA, "bid", amount)) == AgentInput(bid=amount)
+    assert encode_field(FPA, "bid", 10) == b"\x00" * 7 + b"\x0a"
+    with pytest.raises(WireFormatError, match="^bid 18446744073709551616 outside unsigned 64-bit wire range$"):
+        encode_field(FPA, "bid", 1 << 64)
+    with pytest.raises(WireFormatError, match="^bid must be 8 bytes, got 7$"):
+        decode_agent_payload(FPA, b"\x00" * 7)
+    with pytest.raises(WireFormatError, match="^payload has bytes after its last field$"):
+        decode_agent_payload(FPA, b"\x00" * 9)
+
+
+def test_contribution_wire_codec():
+    for value in [0, 1, 255, 1 << 32, U64_MASK]:
+        data = encode_field(BEACON, "contribution", value)
+        assert len(data) == 8
+        assert decode_agent_payload(BEACON, data) == AgentInput(contribution=value)
+    assert encode_field(BEACON, "contribution", 1) == b"\x00" * 7 + b"\x01"
+    with pytest.raises(WireFormatError, match="^contribution must be 8 bytes, got 7$"):
+        decode_agent_payload(BEACON, b"\x00" * 7)
+    with pytest.raises(WireFormatError, match="^contribution -1 outside unsigned 64-bit wire range$"):
+        encode_field(BEACON, "contribution", -1)
+
+
+def test_ranking_wire_codec():
+    three = many_schools(3)
+    assert encode_field(three, "ranking", ()) == b"\x00"
+    assert encode_field(three, "ranking", ("s2", "s0", "s1")) == b"\x03\x02\x00\x01"
+    assert decode_agent_payload(three, b"\x03\x02\x00\x01") == AgentInput(ranking=("s2", "s0", "s1"))
+    assert decode_agent_payload(three, b"\x00") == AgentInput(ranking=())
+    every = many_schools(257)
+    with pytest.raises(WireFormatError, match="^ranking longer than 255 schools$"):
+        encode_field(every, "ranking", tuple(f"s{i}" for i in range(256)))
+    with pytest.raises(WireFormatError, match="^school index 256 outside one byte$"):
+        encode_field(every, "ranking", ("s256",))
+    with pytest.raises(WireFormatError, match="^empty ranking payload$"):
+        decode_agent_payload(three, b"")
+    with pytest.raises(WireFormatError, match="^ranking payload declares 2 entries but carries 1$"):
+        decode_agent_payload(three, b"\x02\x00")
+    with pytest.raises(WireFormatError, match="^payload has bytes after its last field$"):
+        decode_agent_payload(three, b"\x01\x00\x01")
+    with pytest.raises(WireFormatError, match="^ranking payload repeats a school index$"):
+        decode_agent_payload(three, b"\x03\x01\x00\x01")
 
 
 def test_settle_inputs_runs_the_auction():
