@@ -21,7 +21,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .auctions import EPSILON_TICKS, auction_utility, seller_revenue
-from .chain import ChainState, MessageKind, MinerPolicy
+from .chain import ChainState, MinerPolicy
 from .contract import commit_message, drive, reveal_message
 from .errors import InvariantViolation
 from .school_choice import SchoolSpec, boston, first_round_admissions, rank_utility
@@ -295,13 +295,14 @@ def execute_run(
 
     Centralized: inputs reach the operator in plaintext and settle directly.
     Decentralized: inputs travel as the scenario's truthful commitments
-    (built once per scenario, since a sealed view plans no rebid), the
-    strategy is planned against the sealed view at the commit deadline,
-    reveals follow, and the contract is driven off the chain, verifying
-    every opening. A miner policy acts only on the reveal phase, so the
-    commit phase is mined honestly and the reveal phase by the plan's miner
-    if it has one, else by the scenario's; everything else about the run is
-    identical.
+    (built once per scenario, since a sealed view plans no rebid). At the
+    commit deadline the contract is driven off the chain, and the strategy
+    is planned against the digests it recorded, the first per agent for
+    this contract. Reveals follow, and the contract is driven again,
+    verifying every opening. A miner policy acts only on the reveal phase,
+    so the commit phase is mined honestly and the reveal phase by the
+    plan's miner if it has one, else by the scenario's; everything else
+    about the run is identical.
     """
     if mode is ExecutionMode.CENTRALIZED_SEQUENTIAL:
         truthful = scenario.truthful_inputs
@@ -316,11 +317,8 @@ def execute_run(
         chain.submit(commit_message(agent, contract_id, commitment))
     chain.advance_to(scenario.schedule.commit_deadline)
 
-    digests = {
-        msg.sender: msg.payload
-        for _, msg in chain.included_with_heights(scenario.schedule.commit_deadline)
-        if msg.kind is MessageKind.COMMIT
-    }
+    sealed, _ = drive(chain, contract_id, scenario.schedule)
+    digests = {agent: commitment.digest for agent, commitment in sealed.commitments.items()}
     view = OperatorView(mode=mode, digests=MappingProxyType(digests), plaintext=None)
     plan = plan_deviation(strategy, scenario.mechanism, view)
     if plan.rebids:

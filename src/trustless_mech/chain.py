@@ -3,6 +3,10 @@
 Time is block height only. A censoring miner delays targeted reveal
 messages (it never destroys them), which is exactly the adversary a long
 enough reveal window defeats.
+
+The ledger stores each message as sent and records the block that includes
+it. ``contract.drive`` is its one reader, so any view of the chain, the
+operator's sealed view at the commit deadline included, is a contract's replay.
 """
 
 from __future__ import annotations
@@ -24,23 +28,14 @@ class PayloadTooLarge(MechSimError):
     """Submitted payload exceeds ``MAX_PAYLOAD_BYTES``."""
 
 
-class DeadlineOutOfRange(MechSimError):
-    """Queried deadline lies beyond the current chain height."""
-
-
 @dataclass(frozen=True)
 class Message:
-    """One ledger message: a commitment digest or a reveal for some contract.
-
-    ``submitted_at`` is stamped by the ledger at submission time; whatever the
-    sender put there is overwritten.
-    """
+    """One ledger message: a commitment digest or a reveal for some contract."""
 
     sender: str
     contract_id: str
     kind: MessageKind
     payload: bytes
-    submitted_at: int = -1
 
 
 @dataclass(frozen=True)
@@ -88,16 +83,14 @@ class ChainState:
         self.nonempty_blocks: list[tuple[int, list[Message]]] = []
         self.mempool: list[Message] = []
 
-    def submit(self, msg: Message) -> Message:
-        """Append ``msg`` to the mempool, stamped with the current height."""
+    def submit(self, msg: Message) -> None:
+        """Append ``msg`` to the mempool as given."""
         if len(msg.payload) > MAX_PAYLOAD_BYTES:
             raise PayloadTooLarge(
                 f"payload from {msg.sender!r} is {len(msg.payload)} bytes, "
                 f"limit {MAX_PAYLOAD_BYTES}"
             )
-        stamped = Message(msg.sender, msg.contract_id, msg.kind, msg.payload, self.height)
-        self.mempool.append(stamped)
-        return stamped
+        self.mempool.append(msg)
 
     def advance_to(self, height: int, policy: MinerPolicy | None = None) -> None:
         """Mine blocks until the chain reaches ``height``.
@@ -124,14 +117,3 @@ class ChainState:
             held = []
         self.mempool = held
         self.height = height
-
-    def included_with_heights(self, deadline: int | None = None) -> list[tuple[int, Message]]:
-        """(inclusion height, message) pairs through ``deadline`` (default: tip)."""
-        deadline = self.height if deadline is None else deadline
-        if deadline < 0 or deadline > self.height:
-            raise DeadlineOutOfRange(
-                f"deadline {deadline} outside chain height {self.height}"
-            )
-        return [
-            (h, m) for h, block in self.nonempty_blocks if h <= deadline for m in block
-        ]

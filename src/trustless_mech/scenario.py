@@ -44,6 +44,9 @@ from .settlement import (
 MAX_RATE_CHARS = 64
 MAX_RATE_EXPONENT = 400
 
+# `run` writes `<name>.report.json`, and a file name holds at most 255 bytes.
+MAX_NAME_BYTES = 255 - len(".report.json")
+
 # `_unique_keys` files an object's first repeated key under this entry: no JSON
 # key, always a string, equals it, and an object quoted whole still reads it.
 _REPEATED = ("repeated key",)
@@ -129,8 +132,10 @@ def _validate(s: Scenario) -> None:
         encode_identifier(s.name)
     except WireFormatError as exc:
         raise _fail("name", str(exc)) from exc
-    if s.name in (".", "..") or any(c in s.name for c in "/\\\0"):
-        raise _fail("name", "must be one plain path component: it names the report files")
+    if (s.name in (".", "..") or any(c in s.name for c in "/\\\0")
+            or len(s.name.encode("utf-8")) > MAX_NAME_BYTES):
+        raise _fail("name", f"must be one plain path component of at most {MAX_NAME_BYTES} "
+                    "bytes: it names the report files")
     if not 0 <= s.seed <= U64_MASK:
         raise _fail("seed", "must be an unsigned 64-bit integer")
     if not s.agents:

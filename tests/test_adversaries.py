@@ -34,6 +34,7 @@ from trustless_mech import (
     SlotCTRs,
     best_response_ranking,
     boston,
+    bundled_scenario_names,
     exact_str,
     load_bundled,
     plan_deviation,
@@ -164,6 +165,26 @@ def test_a_sealed_view_that_yields_rebids_is_an_invariant_violation(monkeypatch)
     strategy = LeakStrategy(LeakStrategyKind.FPA_TELL_TOP_THE_SECOND)
     with pytest.raises(InvariantViolation, match="sealed view produced rebids"):
         adversaries.execute_run(scenario, DECENTRAL, strategy)
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_the_sealed_view_holds_each_agents_digest_in_agent_order(name, monkeypatch):
+    # the view is what `drive` recorded at the commit deadline
+    scenario = load_bundled(name)
+    views = []
+
+    def capture(strategy, mechanism, view):
+        views.append(view)
+        return plan_deviation(strategy, mechanism, view)
+
+    monkeypatch.setattr(adversaries, "plan_deviation", capture)
+    adversaries.execute_run(scenario, DECENTRAL, scenario.adversary)
+    [view] = views
+    assert view.plaintext is None
+    assert isinstance(view.digests, MappingProxyType)
+    assert list(view.digests.items()) == [
+        (agent, commitment.digest) for agent, (_, commitment) in scenario.commitments.items()
+    ]
 
 
 def test_fpa_leak_undercuts_to_second_plus_one_tick():

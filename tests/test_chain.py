@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trustless_mech import ChainState, Message, MessageKind, MinerPolicy
-from trustless_mech.chain import MAX_PAYLOAD_BYTES, DeadlineOutOfRange, PayloadTooLarge
+from trustless_mech.chain import MAX_PAYLOAD_BYTES, PayloadTooLarge
 
 
 def commit_msg(sender: str, payload: bytes = b"\x00" * 32) -> Message:
@@ -41,15 +41,6 @@ def test_honest_miner_includes_next_block():
     assert chain.height == 1
     assert senders_by_height(chain) == [(1, ["alice", "bob"])]
     assert chain.mempool == []
-
-
-def test_submit_stamps_current_height():
-    chain = ChainState()
-    chain.advance_to(4)
-    stamped = chain.submit(commit_msg("alice"))
-    assert stamped.submitted_at == 4
-    chain.advance_to(chain.height + 1)
-    assert [(h, m.submitted_at) for h, m in chain.included_with_heights()] == [(5, 4)]
 
 
 def test_inclusion_order_is_submission_order_within_block():
@@ -89,7 +80,7 @@ def test_censorship_delays_never_drops():
         chain.submit(reveal_msg("z"))
         landing = max(submit_at, until) + 1
         chain.advance_to(landing + 2, policy)
-        heights = [h for h, m in chain.included_with_heights() if m.sender == "z"]
+        heights = [h for h, block in chain.nonempty_blocks for m in block if m.sender == "z"]
         assert heights == [landing]
 
 
@@ -126,27 +117,6 @@ def test_every_message_is_in_exactly_one_place():
         chain.advance_to(chain.height + 1, policy if rng.random() < 0.7 else None)
     in_blocks = sum(len(b) for _, b in chain.nonempty_blocks)
     assert in_blocks + len(chain.mempool) == submitted
-
-
-def test_included_with_heights_slices_by_deadline():
-    chain = ChainState()
-    chain.submit(commit_msg("a"))
-    chain.advance_to(1)
-    chain.submit(commit_msg("b"))
-    chain.advance_to(3)
-    assert [m.sender for _, m in chain.included_with_heights(1)] == ["a"]
-    assert [m.sender for _, m in chain.included_with_heights(2)] == ["a", "b"]
-    assert [m.sender for _, m in chain.included_with_heights(3)] == ["a", "b"]
-    assert chain.included_with_heights(0) == []
-
-
-def test_included_with_heights_rejects_out_of_range_deadlines():
-    chain = ChainState()
-    chain.advance_to(2)
-    with pytest.raises(DeadlineOutOfRange):
-        chain.included_with_heights(3)
-    with pytest.raises(DeadlineOutOfRange):
-        chain.included_with_heights(-1)
 
 
 def test_payload_size_limit():
@@ -195,7 +165,6 @@ def test_advance_to_mines_exactly_to_target():
     chain.advance_to(7)
     assert chain.height == 7
     assert chain.nonempty_blocks == []
-    assert chain.included_with_heights(7) == []
     chain.advance_to(7)
     assert chain.height == 7
 
@@ -213,7 +182,6 @@ def test_a_long_window_keeps_only_its_nonempty_blocks():
         (10**29 + 1, ["bob"]),
     ]
     assert chain.mempool == []
-    assert [(h, m.sender) for h, m in chain.included_with_heights(10**29)] == [(1, "alice")]
 
 
 def test_a_reveal_held_past_the_target_height_stays_in_the_mempool():
@@ -229,8 +197,7 @@ def test_included_with_heights_is_one_indexed():
     chain.advance_to(1)
     chain.submit(commit_msg("a"))
     chain.advance_to(2)
-    pairs = chain.included_with_heights()
-    assert [(h, m.sender) for h, m in pairs] == [(2, "a")]
+    assert senders_by_height(chain) == [(2, ["a"])]
 
 
 def test_honest_policy_is_the_default():
@@ -272,7 +239,8 @@ def test_a_one_block_advance_to_matches_the_two_pass_rule(plan):
     for height, (submissions, policy) in enumerate(plan):
         for i, (sender, kind) in enumerate(submissions):
             msg = Message(sender, "c", kind, bytes([height, i]))
-            mempool.append(chain.submit(msg))
+            chain.submit(msg)
+            mempool.append(msg)
         rule = policy or MinerPolicy.honest()
         blocks.append([m for m in mempool if not rule.censors(m, height + 1)])
         mempool = [m for m in mempool if rule.censors(m, height + 1)]
@@ -280,15 +248,6 @@ def test_a_one_block_advance_to_matches_the_two_pass_rule(plan):
         assert chain.height == height + 1
         assert chain.nonempty_blocks == nonempty(blocks)
         assert chain.mempool == mempool
-
-
-def test_submit_stamps_a_new_message_and_keeps_every_field():
-    chain = ChainState()
-    chain.advance_to(3)
-    sent = Message("alice", "c", MessageKind.REVEAL, b"\x05", submitted_at=99)
-    stamped = chain.submit(sent)
-    assert stamped == Message("alice", "c", MessageKind.REVEAL, b"\x05", submitted_at=3)
-    assert sent.submitted_at == 99
 
 
 class EveryBlock:
@@ -338,7 +297,8 @@ def test_advance_to_matches_the_per_block_rule(plan):
     for step, (submissions, policy, ahead, one_block) in enumerate(plan):
         for i, (sender, kind) in enumerate(submissions):
             msg = Message(sender, "c", kind, bytes([step, i]))
-            oracle.mempool.append(chain.submit(msg))
+            chain.submit(msg)
+            oracle.mempool.append(msg)
         target = chain.height + (1 if one_block else ahead)
         chain.advance_to(target, policy)
         per_block_oracle(oracle, target, policy)

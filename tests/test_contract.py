@@ -335,6 +335,22 @@ def test_drive_ignores_other_contracts():
     assert state.rejections == []
 
 
+def test_drive_at_the_commit_deadline_keeps_this_contracts_first_digest():
+    # what the operator's sealed view reads: a second commit from a sender
+    # and a commit for another contract leave the record as it was
+    first, second = opening_for("alice", b"1"), opening_for("alice", b"2")
+    chain = ChainState()
+    chain.submit(commit_message("alice", CID, make_commitment("alice", CID, first)))
+    chain.submit(commit_message("bob", "other", make_commitment("bob", "other", first)))
+    chain.advance_to(1)
+    chain.submit(commit_message("alice", CID, make_commitment("alice", CID, second)))
+    chain.advance_to(SCHEDULE.commit_deadline)
+    state, settlement = drive(chain, CID, SCHEDULE)
+    assert settlement is None
+    assert state.commitments == {"alice": make_commitment("alice", CID, first)}
+    assert state.rejections == ["height 2: 'alice' already committed; first commitment stands"]
+
+
 def test_drive_rejects_malformed_commit_digest():
     chain = ChainState()
     from trustless_mech import Message, MessageKind

@@ -76,6 +76,24 @@ def test_the_commit_reveal_layer_imports_no_mechanism(name):
     assert package <= {".chain", ".commitments", ".contract", ".errors"}
 
 
+CHAIN_STATE = {"nonempty_blocks", "mempool", "included_with_heights"}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.stem not in ("chain", "contract")],
+    ids=[p.stem for p in MODULES if p.stem not in ("chain", "contract")],
+)
+def test_only_the_contract_reads_the_chain(path):
+    # `contract.drive` is the one reader of the ledger, so every view of it,
+    # the operator's sealed view included, is a contract's own record
+    reads = [
+        f"{path.name}:{node.lineno}: {node.attr}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in CHAIN_STATE
+    ]
+    assert reads == []
+
+
 @pytest.mark.parametrize("name", ["auctions", "beacon", "school_choice"])
 def test_the_mechanism_modules_hold_no_wire_code(name):
     # settlement writes and reads every byte of a reveal, so a wire rule

@@ -467,20 +467,40 @@ def test_an_honest_miner_is_one_with_no_targets():
     assert "miner" not in scenario_to_dict(scenario)
 
 
-@pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", "..", ".", "nul\0byte"])
+@pytest.mark.parametrize("name", [
+    "../escaped", "a/b", "a\\b", "..", ".", "nul\0byte",
+    # 244 UTF-8 bytes: `<name>.report.json` would pass a 255-byte file name
+    pytest.param("é" * 122, id="244-bytes"),
+])
 def test_name_must_be_one_plain_path_component(name, tmp_path, monkeypatch, capsys):
     doc = minimal_doc()
     doc["name"] = name
     with pytest.raises(ScenarioError, match="field 'name'"):
         scenario_from_dict(doc)
-    path = tmp_path / "probe.json"
-    path.write_text(json.dumps(doc))
-    code, _, err = run_cli(
-        ["run", str(path), "--out", str(tmp_path / "out" / "r")], tmp_path, monkeypatch, capsys
+    (tmp_path / "probe.json").write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        ["run", "probe.json", "--out", str(tmp_path / "out" / "r")], tmp_path, monkeypatch, capsys
     )
-    assert code == 1
-    assert "field 'name'" in err
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: probe.json: field 'name': must be one plain path component of at most "
+        "243 bytes: it names the report files\n"
+    )
     assert not (tmp_path / "out").exists()
+
+
+def test_a_243_byte_name_writes_both_report_files(tmp_path, monkeypatch, capsys):
+    # `<name>.report.json` is then 255 bytes, the longest a file name may be
+    doc = minimal_doc()
+    doc["name"] = "n" * 243
+    (tmp_path / "long.json").write_text(json.dumps(doc))
+    code, _, err = run_cli(
+        ["run", "long.json", "--out", str(tmp_path / "out")], tmp_path, monkeypatch, capsys
+    )
+    assert (code, err) == (0, "")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        f"{'n' * 243}.report.json", f"{'n' * 243}.report.txt"
+    ]
 
 
 def test_truthful_inputs_are_deterministic_and_distinct():
@@ -697,7 +717,7 @@ def test_a_bundled_file_with_a_repeated_key_is_named_by_its_label(tmp_path, monk
 @pytest.mark.parametrize("name, out", [("probe", "taken"), ("n" * 250, "reports")])
 def test_cli_unwritable_reports_exit_1(name, out, tmp_path, monkeypatch, capsys):
     # "taken" is a file, not a directory; a 250-byte name is a valid contract
-    # id but makes a report file name longer than 255 bytes
+    # id, but its report file name would pass 255 bytes, so it is refused
     doc = minimal_doc()
     doc["name"] = name
     (tmp_path / "scenario.json").write_text(json.dumps(doc))
