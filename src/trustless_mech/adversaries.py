@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .auctions import EPSILON_TICKS, auction_utility, seller_revenue
 from .chain import ChainState, MinerPolicy
-from .contract import commit_message, drive, reveal_message
+from .contract import ContractState
 from .errors import InvariantViolation
 from .school_choice import SchoolSpec, boston, first_round_admissions, rank_utility
 from .settlement import (
@@ -294,15 +294,16 @@ def execute_run(
     is the checked entry, which passes in the scenario's own adversary.
 
     Centralized: inputs reach the operator in plaintext and settle directly.
-    Decentralized: inputs travel as the scenario's truthful commitments
-    (built once per scenario, since a sealed view plans no rebid). At the
-    commit deadline the contract is driven off the chain, and the strategy
-    is planned against the digests it recorded, the first per agent for
-    this contract. Reveals follow, and the contract is driven again,
-    verifying every opening. A miner policy acts only on the reveal phase,
-    so the commit phase is mined honestly and the reveal phase by the
-    plan's miner if it has one, else by the scenario's; everything else
-    about the run is identical.
+    Decentralized: inputs travel as the scenario's truthful commit and
+    reveal messages (built once per scenario, since a sealed view plans no
+    rebid). One contract state follows the run's chain: at the commit
+    deadline the strategy is planned against the digests it has recorded,
+    the first per agent for this contract. Reveals follow, and the same
+    state reads on to the reveal deadline, verifying every opening, and
+    settles. A miner policy acts only on the reveal phase, so the commit
+    phase is mined honestly and the reveal phase by the plan's miner if it
+    has one, else by the scenario's; everything else about the run is
+    identical.
     """
     if mode is ExecutionMode.CENTRALIZED_SEQUENTIAL:
         truthful = scenario.truthful_inputs
@@ -312,24 +313,24 @@ def execute_run(
         return settle_inputs(scenario.mechanism, inputs), plan
 
     chain = ChainState()
-    contract_id = scenario.name
-    for agent, (_, commitment) in scenario.commitments.items():
-        chain.submit(commit_message(agent, contract_id, commitment))
+    for commit, _ in scenario.messages.values():
+        chain.submit(commit)
     chain.advance_to(scenario.schedule.commit_deadline)
 
-    sealed, _ = drive(chain, contract_id, scenario.schedule)
-    digests = {agent: commitment.digest for agent, commitment in sealed.commitments.items()}
+    state = ContractState(scenario.name, scenario.schedule)
+    state.follow(chain)
+    digests = {agent: commitment.digest for agent, commitment in state.commitments.items()}
     view = OperatorView(mode=mode, digests=MappingProxyType(digests), plaintext=None)
     plan = plan_deviation(strategy, scenario.mechanism, view)
     if plan.rebids:
         raise InvariantViolation("a sealed view produced rebids; the projection leaked")
 
-    for agent, (opening, _) in scenario.commitments.items():
-        chain.submit(reveal_message(agent, contract_id, opening))
+    for _, reveal in scenario.messages.values():
+        chain.submit(reveal)
     chain.advance_to(scenario.schedule.reveal_deadline, plan.miner or scenario.miner)
 
-    _, settlement_input = drive(chain, contract_id, scenario.schedule)
-    assert settlement_input is not None
+    state.follow(chain)
+    settlement_input = state.finalize(chain.height)
     return settle(scenario.mechanism, settlement_input), plan
 
 

@@ -9,6 +9,10 @@ Deadlines are inclusive: commits are valid at heights <= T, reveals at
 T < height <= T', and a contract settles at T' or later; ``accept_commit``,
 ``accept_reveal``, ``finalize`` and ``drive`` enforce them. Exclusion is
 the only punishment; an excluded agent receives no good.
+
+``ContractState.follow`` is the one reader of the ledger: it applies the
+blocks a state has not read yet, so one state can follow a chain as it
+grows, and ``drive`` is a fresh state following the whole chain at once.
 """
 
 from __future__ import annotations
@@ -58,7 +62,8 @@ class SettlementInput:
 
 
 class ContractState:
-    """One contract's commitment map, reveal map, and exclusion set."""
+    """One contract's commitment map, reveal map, and exclusion set, plus
+    how many of a chain's non-empty blocks it has read."""
 
     def __init__(self, contract_id: str, schedule: PhaseSchedule):
         self.contract_id = contract_id
@@ -68,6 +73,30 @@ class ContractState:
         self.excluded: set[str] = set()
         self.settled = False
         self.rejections: list[str] = []
+        self.blocks_read = 0
+
+    def follow(self, chain: ChainState) -> None:
+        """Apply every message for this contract in the blocks of ``chain``
+        not read yet, in inclusion order.
+
+        The ledger only appends, in height order, so the count of blocks
+        read is the whole cursor: a state follows one chain, and following
+        it again with no new block changes nothing. Individual rejections
+        are recorded, never fatal.
+        """
+        blocks = chain.nonempty_blocks
+        for height, block in blocks[self.blocks_read:]:
+            for msg in block:
+                if msg.contract_id != self.contract_id:
+                    continue
+                try:
+                    if msg.kind is MessageKind.COMMIT:
+                        self.accept_commit(height, msg.sender, Commitment(msg.payload))
+                    else:
+                        self.accept_reveal(height, msg.sender, parse_reveal_payload(msg.payload))
+                except (ContractRejection, WireFormatError) as exc:
+                    self.rejections.append(f"height {height}: {exc}")
+        self.blocks_read = len(blocks)
 
     def accept_commit(self, height: int, agent: str, commitment: Commitment) -> None:
         if self.settled:
@@ -150,23 +179,12 @@ def drive(
     contract_id: str,
     schedule: PhaseSchedule,
 ) -> tuple[ContractState, SettlementInput | None]:
-    """Replay every included message for the contract, in inclusion order,
-    then finalize if the chain has reached the reveal deadline.
+    """A fresh state that follows the whole chain, finalized if the chain
+    has reached the reveal deadline.
 
-    Builds a fresh state each call, so driving the same chain twice is
-    idempotent. Individual rejections are recorded, never fatal.
+    Driving the same chain twice is idempotent.
     """
     state = ContractState(contract_id, schedule)
-    for height, block in chain.nonempty_blocks:
-        for msg in block:
-            if msg.contract_id != contract_id:
-                continue
-            try:
-                if msg.kind is MessageKind.COMMIT:
-                    state.accept_commit(height, msg.sender, Commitment(msg.payload))
-                else:
-                    state.accept_reveal(height, msg.sender, parse_reveal_payload(msg.payload))
-            except (ContractRejection, WireFormatError) as exc:
-                state.rejections.append(f"height {height}: {exc}")
+    state.follow(chain)
     settlement = state.finalize(chain.height) if chain.height >= schedule.reveal_deadline else None
     return state, settlement

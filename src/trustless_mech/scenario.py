@@ -25,9 +25,9 @@ from importlib import resources
 from .adversaries import STRATEGY_RULES, LeakStrategy, LeakStrategyKind, exact_str
 from .auctions import SlotCTRs
 from .beacon import DOMAIN_CONTRIBUTIONS, DOMAIN_SALTS, U64_MASK, HashStream
-from .chain import MinerPolicy
+from .chain import Message, MinerPolicy
 from .commitments import Commitment, CommitOpening, encode_identifier, make_commitment
-from .contract import PhaseSchedule
+from .contract import PhaseSchedule, commit_message, reveal_message
 from .errors import ValidationError, WireFormatError
 from .school_choice import LotteryMode, SchoolSpec
 from .settlement import (
@@ -117,6 +117,17 @@ class Scenario:
             opening = CommitOpening(payload=payload, salt=salts.salt())
             out[agent] = (opening, make_commitment(agent, self.name, opening))
         return MappingProxyType(out)
+
+    @cached_property
+    def messages(self) -> Mapping[str, tuple[Message, Message]]:
+        """agent -> (commit, reveal) ledger messages of ``commitments``, in
+        agent list order, built once per scenario like them; a message is
+        immutable, so every decentralized run submits these same ones."""
+        return MappingProxyType({
+            agent: (commit_message(agent, self.name, commitment),
+                    reveal_message(agent, self.name, opening))
+            for agent, (opening, commitment) in self.commitments.items()
+        })
 
     def __getstate__(self) -> dict:
         # the cached mappings do not pickle; they are rebuilt on first use

@@ -852,18 +852,28 @@ def test_a_run_draws_each_lottery_and_commits_each_input_once(monkeypatch, mode,
     settlement._drawn_lottery.cache_clear()
     draws = count_calls(monkeypatch, beacon, "derive_permutation")
     commitments = count_calls(monkeypatch, scenario_module, "make_commitment")
+    commits = count_calls(monkeypatch, scenario_module, "commit_message")
+    reveals = count_calls(monkeypatch, scenario_module, "reveal_message")
+    replayed = count_calls(monkeypatch, contract, "Commitment")
     verified = count_calls(monkeypatch, contract, "verify_opening")
     scenario = lottery_scenario(mode)
     n = len(scenario.agents)
 
     run_with_adversary(scenario, CENTRAL)
-    assert not commitments and not verified
+    assert not (commitments or commits or reveals or replayed or verified)
     # two settlements and the ranking-sale plan share one lottery
     assert sorted(domain for _, _, domain in draws) == domains
 
     run_with_adversary(scenario, DECENTRAL)
     assert sorted(domain for _, _, domain in draws) == domains
     assert sorted(agent for agent, _, _ in commitments) == sorted(scenario.commitments)
+    # both decentralized runs submit the messages the scenario built once
+    assert [agent for agent, _, _ in commits] == [agent for agent, _, _ in reveals]
+    assert sorted(agent for agent, _, _ in commits) == sorted(scenario.commitments)
+    # one contract state reads each commit once per run: the sealed view at
+    # T and the settlement at T' share one replay
+    digests = sorted(commitment.digest for _, commitment in scenario.commitments.values())
+    assert sorted(digest for digest, in replayed) == sorted(digests * 2)
     # the contract still checks every reveal of both decentralized runs
     assert len(verified) == 2 * n
     assert {agent for _, agent, _, _ in verified} == set(scenario.commitments)

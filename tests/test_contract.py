@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustless_mech import (
     ChainState,
@@ -382,6 +384,72 @@ def test_drive_records_a_message_of_the_wrong_size_as_a_rejection(kind, size, re
     assert state.rejections == [rejection]
     assert state.reveals == {}
     assert settlement.payloads == ()
+
+
+def ledger_message(agent: str, label: str) -> Message:
+    """One message of the kinds a replay must sort: an honest commit or
+    reveal, a second commit, a reveal that opens nothing committed, either
+    kind for another contract, and either kind at a size the wire refuses."""
+    honest, other = opening_for(agent, b"v"), opening_for(agent, b"w")
+    return {
+        "commit": lambda: commit_message(agent, CID, make_commitment(agent, CID, honest)),
+        "recommit": lambda: commit_message(agent, CID, make_commitment(agent, CID, other)),
+        "reveal": lambda: reveal_message(agent, CID, honest),
+        "forged": lambda: reveal_message(agent, CID, other),
+        "foreign commit": lambda: commit_message(
+            agent, "other", make_commitment(agent, "other", honest)),
+        "foreign reveal": lambda: reveal_message(agent, "other", honest),
+        "short commit": lambda: Message(agent, CID, MessageKind.COMMIT, bytes(31)),
+        "empty reveal": lambda: Message(agent, CID, MessageKind.REVEAL, bytes(32)),
+    }[label]()
+
+
+LEDGER_AGENTS = ("alice", "bob", "carol")
+ledger_steps = st.lists(
+    st.tuples(
+        st.lists(st.tuples(
+            st.sampled_from(LEDGER_AGENTS),
+            st.sampled_from(("commit", "recommit", "reveal", "forged", "foreign commit",
+                             "foreign reveal", "short commit", "empty reveal")),
+        ), max_size=4),
+        st.integers(0, 4),  # blocks to mine after the submissions
+    ),
+    max_size=8,
+)
+ledger_miners = st.just(MinerPolicy.honest()) | st.builds(
+    MinerPolicy.censor, st.frozensets(st.sampled_from(LEDGER_AGENTS)), st.integers(0, 12)
+)
+
+
+def record(state: ContractState) -> tuple:
+    return (dict(state.commitments), dict(state.reveals), set(state.excluded),
+            list(state.rejections), state.blocks_read)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ledger_steps, ledger_miners, st.integers(0, 12))
+def test_a_state_that_follows_each_block_ends_where_one_drive_does(steps, miner, last):
+    # commits land late once the chain passes T = 3, reveals early before it
+    # and late after T' = 8, and a censored reveal enters block until + 1
+    chain = ChainState()
+    following = ContractState(CID, SCHEDULE)
+    for submissions, blocks in steps:
+        for agent, label in submissions:
+            chain.submit(ledger_message(agent, label))
+        chain.advance_to(chain.height + blocks, miner)
+        following.follow(chain)
+        before = record(following)
+        following.follow(chain)  # no new block: nothing to read
+        assert record(following) == before
+    chain.advance_to(last, miner)
+    following.follow(chain)
+
+    driven, settlement = drive(chain, CID, SCHEDULE)
+    if chain.height >= SCHEDULE.reveal_deadline:
+        assert following.finalize(chain.height) == settlement
+    else:
+        assert settlement is None
+    assert record(following) == record(driven)
 
 
 def test_censorship_past_the_reveal_deadline_excludes():

@@ -84,7 +84,7 @@ CHAIN_STATE = {"nonempty_blocks", "mempool", "included_with_heights"}
     ids=[p.stem for p in MODULES if p.stem not in ("chain", "contract")],
 )
 def test_only_the_contract_reads_the_chain(path):
-    # `contract.drive` is the one reader of the ledger, so every view of it,
+    # `ContractState.follow` is the one reader of the ledger, so every view of it,
     # the operator's sealed view included, is a contract's own record
     reads = [
         f"{path.name}:{node.lineno}: {node.attr}"

@@ -6,10 +6,12 @@
 2. The coalition gain that `plan_deviation` names the parties of equals the
    per-strategy rule, for every strategy in both modes, under honest and
    censoring scenario miners; in decentralized mode, a strategy whose plan
-   sets no reveal-phase miner settles exactly as the honest run. A scenario
-   refuses, naming the field, an adversary that no run could act on, and
-   over every kind, mechanism and parameter case it names the first
-   faulty field in the order of a reference kept here.
+   sets no reveal-phase miner settles exactly as the honest run, and every
+   decentralized run settles and plans as a reference that builds its
+   messages per run and replays the whole chain afresh at each deadline.
+   A scenario refuses, naming the field, an adversary that no run could
+   act on, and over every kind, mechanism and parameter case it names the
+   first faulty field in the order of a reference kept here.
 3. The scenario parser answers any JSON document with a `Scenario` or a
    `ScenarioError` naming the field, never with another exception, and
    reads back every plain record the writer writes, a key left out or null
@@ -45,6 +47,7 @@ import typing
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -54,6 +57,7 @@ from trustless_mech import (
     AgentInput,
     AgentSpec,
     BeaconOutput,
+    ChainState,
     CommitOpening,
     ExecutionMode,
     LeakStrategy,
@@ -71,6 +75,7 @@ from trustless_mech import (
     WireFormatError,
     auction_utility,
     decode_agent_payload,
+    drive,
     encode_agent_payload,
     load_bundled,
     lottery_priorities,
@@ -85,7 +90,7 @@ from trustless_mech import (
 from trustless_mech.adversaries import execute_run
 from trustless_mech.cli import _json_text, main
 from trustless_mech.commitments import DIGEST_SIZE, SALT_SIZE
-from trustless_mech.contract import parse_reveal_payload, reveal_message
+from trustless_mech.contract import commit_message, parse_reveal_payload, reveal_message
 from trustless_mech.errors import ValidationError
 from trustless_mech.scenario import _ENUM_NOUNS, _read, _set_fields, bundled_scenario_names
 from trustless_mech.settlement import _drawn_lottery, encode_field, lottery_schools
@@ -317,6 +322,43 @@ def test_a_decentralized_run_without_a_reveal_miner_settles_as_the_honest_run(ru
     assume(plan.miner is None)
     report = run_with_adversary(scenario, mode)
     assert report.manipulated == report.honest
+
+
+def two_replay_run(scenario: Scenario, strategy: LeakStrategy | None):
+    """A decentralized run as it was before the contract followed the chain:
+    a fresh chain, messages built for this run, and a fresh replay of the
+    whole chain at T for the sealed view and again at T' to settle."""
+    mode = ExecutionMode.DECENTRALIZED_COMMIT_REVEAL
+    chain = ChainState()
+    for agent, (_, commitment) in scenario.commitments.items():
+        chain.submit(commit_message(agent, scenario.name, commitment))
+    chain.advance_to(scenario.schedule.commit_deadline)
+    sealed, _ = drive(chain, scenario.name, scenario.schedule)
+    digests = {agent: commitment.digest for agent, commitment in sealed.commitments.items()}
+    view = OperatorView(mode=mode, digests=MappingProxyType(digests), plaintext=None)
+    plan = plan_deviation(strategy, scenario.mechanism, view)
+    assert not plan.rebids
+    for agent, (opening, _) in scenario.commitments.items():
+        chain.submit(reveal_message(agent, scenario.name, opening))
+    chain.advance_to(scenario.schedule.reveal_deadline, plan.miner or scenario.miner)
+    _, settlement_input = drive(chain, scenario.name, scenario.schedule)
+    return settle(scenario.mechanism, settlement_input), plan
+
+
+@settings(max_examples=300, deadline=None)
+@given(adversary_runs())
+def test_a_decentralized_run_settles_as_two_fresh_replays_do(run):
+    # every mechanism and strategy kind, with an honest or a censoring
+    # miner; the second run submits the messages the first one built
+    doc, _ = run
+    scenario = scenario_of(doc)
+    if scenario is None:
+        return
+    for strategy in (None, scenario.adversary):
+        result, plan = execute_run(scenario, ExecutionMode.DECENTRALIZED_COMMIT_REVEAL, strategy)
+        expected, expected_plan = two_replay_run(scenario, strategy)
+        assert result.canonical() == expected.canonical()
+        assert plan == expected_plan
 
 
 # Words the format uses, so generated documents reach past the first check.

@@ -780,9 +780,11 @@ def test_the_reused_parser_keeps_no_state_between_calls(tmp_path, monkeypatch, c
 def test_a_scenario_that_has_run_pickles_and_deep_copies(name, tmp_path):
     scenario = load_bundled(name)
     text, paths = cli._write_reports(tmp_path / "ran", scenario, cli._run_modes(scenario, None))
-    assert {"truthful_inputs", "commitments"} <= vars(scenario).keys()
+    cached = {"truthful_inputs", "commitments", "messages"}
+    assert cached <= vars(scenario).keys()
     for how, twin in (("pickle", pickle.loads(pickle.dumps(scenario))), ("deepcopy", copy.deepcopy(scenario))):
         assert twin == scenario
+        assert not cached & vars(twin).keys()  # rebuilt on first use
         twin_text, twin_paths = cli._write_reports(tmp_path / how, twin, cli._run_modes(twin, None))
         assert twin_text == text
         assert [p.read_bytes() for p in twin_paths] == [p.read_bytes() for p in paths]
@@ -1166,10 +1168,13 @@ def pinned_run_doc() -> dict:
 # reports, each framed by its name; recompute only for a change meant to
 # alter report bytes
 RUN_OUTPUT_SHA256 = "308ae8e5efbfe6706c674117ecdd42be52f6bac484f322cac4431442d4e4c730"
+# the same for a miner that releases at height 4, so the held reveals enter
+# block 5, the reveal deadline, and every bidder settles
+RELEASED_RUN_OUTPUT_SHA256 = "b85d9d51cc656fa22e20dd83525c3b68f9b4f51c7e26b857e0679062bc71d305"
 
 
-def test_run_output_matches_the_pinned_digest(tmp_path, monkeypatch, capsys):
-    (tmp_path / "pinned.json").write_text(json.dumps(pinned_run_doc()))
+def run_output_digest(doc, tmp_path, monkeypatch, capsys) -> str:
+    (tmp_path / "pinned.json").write_text(json.dumps(doc))
     code, out, _ = run_cli(["run", "pinned.json", "--out", "out"], tmp_path, monkeypatch, capsys)
     assert code == 0
     text = (tmp_path / "out" / "pinned.report.txt").read_bytes()
@@ -1179,4 +1184,17 @@ def test_run_output_matches_the_pinned_digest(tmp_path, monkeypatch, capsys):
     digest = hashlib.sha256(b"\0stdout\0" + stdout)
     for name in ("pinned.report.json", "pinned.report.txt"):
         digest.update(b"\0" + name.encode() + b"\0" + (tmp_path / "out" / name).read_bytes())
-    assert digest.hexdigest() == RUN_OUTPUT_SHA256
+    return digest.hexdigest()
+
+
+def test_run_output_matches_the_pinned_digest(tmp_path, monkeypatch, capsys):
+    digest = run_output_digest(pinned_run_doc(), tmp_path, monkeypatch, capsys)
+    assert digest == RUN_OUTPUT_SHA256
+
+
+def test_a_run_whose_miner_releases_before_the_reveal_deadline_matches_its_pin(
+    tmp_path, monkeypatch, capsys
+):
+    doc = pinned_run_doc()
+    doc["miner"]["until"] = 4
+    assert run_output_digest(doc, tmp_path, monkeypatch, capsys) == RELEASED_RUN_OUTPUT_SHA256
