@@ -7,150 +7,102 @@ every input on arrival, or through a two-phase commit-reveal contract that
 sees only digests until the commit deadline. Manipulation strategies that
 profit in the first mode provably find nothing to act on in the second,
 and a censoring miner is defeated by a long enough reveal window.
+
+Each exported name resolves on first use (PEP 562): ``_EXPORTS`` names the
+module that defines it, which is imported then, and the value is kept in
+the package namespace so later reads are plain lookups. ``import
+trustless_mech`` therefore loads no submodule, and a command loads only the
+modules it runs.
 """
 
-from .adversaries import (
-    ExecutionMode,
-    LeakStrategy,
-    LeakStrategyKind,
-    ManipulationReport,
-    OperatorView,
-    agent_utilities,
-    best_response_ranking,
-    exact_str,
-    plan_deviation,
-    run_with_adversary,
-)
-from .auctions import (
-    EPSILON_TICKS,
-    AuctionOutcome,
-    Bid,
-    SlotCTRs,
-    auction_utility,
-    first_price,
-    gsp,
-    second_price,
-    seller_revenue,
-)
-from .beacon import (
-    BeaconOutput,
-    HashStream,
-    aggregate,
-    beacon_order,
-    chi_square_test,
-    derive_permutation,
-    uniformity_histogram,
-)
-from .chain import ChainState, Message, MessageKind, MinerPolicy
-from .commitments import (
-    Commitment,
-    CommitOpening,
-    make_commitment,
-    verify_opening,
-)
-from .contract import ContractState, PhaseSchedule, SettlementInput, drive
-from .errors import (
-    InvariantViolation,
-    MechSimError,
-    ValidationError,
-    WireFormatError,
-)
-from .scenario import (
-    AgentSpec,
-    Scenario,
-    ScenarioError,
-    bundled_scenario_names,
-    dump_scenario,
-    load_bundled,
-    load_scenario,
-    scenario_from_dict,
-    scenario_to_dict,
-)
-from .school_choice import (
-    LotteryMode,
-    Matching,
-    SchoolSpec,
-    boston,
-    lottery_priorities,
-    rank_utility,
-)
-from .settlement import (
-    AgentInput,
-    MechanismKind,
-    MechanismTag,
-    SettlementResult,
-    decode_agent_payload,
-    encode_agent_payload,
-    settle,
-    settle_inputs,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AgentInput",
-    "AgentSpec",
-    "AuctionOutcome",
-    "BeaconOutput",
-    "Bid",
-    "ChainState",
-    "CommitOpening",
-    "Commitment",
-    "ContractState",
-    "EPSILON_TICKS",
-    "ExecutionMode",
-    "HashStream",
-    "InvariantViolation",
-    "LeakStrategy",
-    "LeakStrategyKind",
-    "LotteryMode",
-    "ManipulationReport",
-    "Matching",
-    "MechSimError",
-    "MechanismKind",
-    "MechanismTag",
-    "Message",
-    "MessageKind",
-    "MinerPolicy",
-    "OperatorView",
-    "PhaseSchedule",
-    "Scenario",
-    "ScenarioError",
-    "SchoolSpec",
-    "SettlementInput",
-    "SettlementResult",
-    "SlotCTRs",
-    "ValidationError",
-    "WireFormatError",
-    "agent_utilities",
-    "aggregate",
-    "auction_utility",
-    "beacon_order",
-    "best_response_ranking",
-    "boston",
-    "bundled_scenario_names",
-    "chi_square_test",
-    "decode_agent_payload",
-    "derive_permutation",
-    "drive",
-    "dump_scenario",
-    "encode_agent_payload",
-    "exact_str",
-    "first_price",
-    "gsp",
-    "load_bundled",
-    "load_scenario",
-    "lottery_priorities",
-    "make_commitment",
-    "plan_deviation",
-    "rank_utility",
-    "run_with_adversary",
-    "scenario_from_dict",
-    "scenario_to_dict",
-    "second_price",
-    "seller_revenue",
-    "settle",
-    "settle_inputs",
-    "uniformity_histogram",
-    "verify_opening",
-]
+# every exported name, once, with the module that defines it
+_EXPORTS = {
+    "AgentInput": "settlement",
+    "AgentSpec": "scenario",
+    "AuctionOutcome": "auctions",
+    "BeaconOutput": "beacon",
+    "Bid": "auctions",
+    "ChainState": "chain",
+    "CommitOpening": "commitments",
+    "Commitment": "commitments",
+    "ContractState": "contract",
+    "EPSILON_TICKS": "auctions",
+    "ExecutionMode": "adversaries",
+    "HashStream": "beacon",
+    "InvariantViolation": "errors",
+    "LeakStrategy": "adversaries",
+    "LeakStrategyKind": "adversaries",
+    "LotteryMode": "school_choice",
+    "ManipulationReport": "adversaries",
+    "Matching": "school_choice",
+    "MechSimError": "errors",
+    "MechanismKind": "settlement",
+    "MechanismTag": "settlement",
+    "Message": "chain",
+    "MessageKind": "chain",
+    "MinerPolicy": "chain",
+    "OperatorView": "adversaries",
+    "PhaseSchedule": "contract",
+    "Scenario": "scenario",
+    "ScenarioError": "scenario",
+    "SchoolSpec": "school_choice",
+    "SettlementInput": "contract",
+    "SettlementResult": "settlement",
+    "SlotCTRs": "auctions",
+    "ValidationError": "errors",
+    "WireFormatError": "errors",
+    "agent_utilities": "adversaries",
+    "aggregate": "beacon",
+    "auction_utility": "auctions",
+    "beacon_order": "beacon",
+    "best_response_ranking": "adversaries",
+    "boston": "school_choice",
+    "bundled_scenario_names": "scenario",
+    "chi_square_test": "beacon",
+    "decode_agent_payload": "settlement",
+    "derive_permutation": "beacon",
+    "drive": "contract",
+    "dump_scenario": "scenario",
+    "encode_agent_payload": "settlement",
+    "exact_str": "adversaries",
+    "first_price": "auctions",
+    "gsp": "auctions",
+    "load_bundled": "scenario",
+    "load_scenario": "scenario",
+    "lottery_priorities": "school_choice",
+    "make_commitment": "commitments",
+    "plan_deviation": "adversaries",
+    "rank_utility": "school_choice",
+    "run_with_adversary": "adversaries",
+    "scenario_from_dict": "scenario",
+    "scenario_to_dict": "scenario",
+    "second_price": "auctions",
+    "seller_revenue": "auctions",
+    "settle": "settlement",
+    "settle_inputs": "settlement",
+    "uniformity_histogram": "beacon",
+    "verify_opening": "commitments",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Import the module that defines an exported ``name`` and keep its value.
+
+    Any other name raises ``AttributeError``, which is also how ``from
+    trustless_mech import cli`` falls through to the submodule.
+    """
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _EXPORTS.keys())

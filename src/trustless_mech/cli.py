@@ -9,9 +9,11 @@ Reports are written as JSON plus an aligned text table. They contain no
 timestamps and all numbers are exact strings, so the same scenario and seed
 always produce byte-identical files.
 
-Only the standard library and this package are imported, so no command pays
-for a heavy import: the chi-square p-value is computed exactly in
-``beacon.chi_square_test``.
+Only the standard library and this package are imported, and each
+subcommand imports only the package modules it runs: ``beacon-uniformity``
+loads the beacon alone (the chi-square p-value is computed exactly in
+``beacon.chi_square_test``), while ``run`` and ``attack-suite`` import the
+scenario loader and the adversary runner when they start.
 """
 
 from __future__ import annotations
@@ -23,27 +25,21 @@ import sys
 from functools import cache
 from itertools import repeat
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .adversaries import (
-    ExecutionMode,
-    ManipulationReport,
-    exact_str,
-    run_with_adversary,
-)
 from .beacon import U64_MASK, chi_square_test, uniformity_histogram
 from .errors import InvariantViolation, ValidationError
-from .scenario import (
-    Scenario,
-    bundled_scenario_names,
-    load_bundled,
-    load_scenario,
-)
+
+if TYPE_CHECKING:
+    from .adversaries import ManipulationReport
+    from .scenario import Scenario
 
 OUT_DIR_ENV = "TRUSTLESS_MECH_OUT"
 DEFAULT_OUT = "reports"
 SIGNIFICANCE = 0.001
-
-ALL_MODES = (ExecutionMode.CENTRALIZED_SEQUENTIAL, ExecutionMode.DECENTRALIZED_COMMIT_REVEAL)
+# the `ExecutionMode` values, spelled out so that building the parser imports
+# no adversary code; a tier-1 test holds the two equal
+ALL_MODES = ("centralized", "decentralized")
 
 
 def _out_dir(arg: str | None) -> Path:
@@ -51,8 +47,10 @@ def _out_dir(arg: str | None) -> Path:
 
 
 def _run_modes(scenario: Scenario, mode_arg: str | None) -> dict[str, ManipulationReport]:
-    modes = ALL_MODES if mode_arg is None else (ExecutionMode(mode_arg),)
-    return {mode.value: run_with_adversary(scenario, mode) for mode in modes}
+    from .adversaries import ExecutionMode, run_with_adversary
+
+    modes = ALL_MODES if mode_arg is None else (mode_arg,)
+    return {mode: run_with_adversary(scenario, ExecutionMode(mode)) for mode in modes}
 
 
 def _format_table(header: list[str], rows: list[list[str]]) -> str:
@@ -171,12 +169,17 @@ def _echo(text: str, paths: tuple[Path, Path]) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .scenario import load_scenario
+
     scenario = load_scenario(args.scenario)
     _echo(*_write_reports(_out_dir(args.out), scenario, _run_modes(scenario, args.mode)))
     return 0
 
 
 def cmd_attack_suite(args: argparse.Namespace) -> int:
+    from .adversaries import exact_str
+    from .scenario import bundled_scenario_names, load_bundled
+
     out_dir = _out_dir(args.out)
     summary_rows = []
     for name in bundled_scenario_names():
@@ -239,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("scenario", help="path to a scenario JSON file")
     p_run.add_argument(
         "--mode",
-        choices=[m.value for m in ALL_MODES],
+        choices=ALL_MODES,
         default=None,
         help="restrict to one execution mode (default: run both)",
     )

@@ -1,7 +1,11 @@
-"""The package's hand-kept export list, and the imports of each module."""
+"""The package's export table, and the imports of each module."""
 
 import ast
+import hashlib
 import importlib.util
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -21,12 +25,64 @@ def test_all_is_sorted_unique_and_names_every_public_binding():
     exported = trustless_mech.__all__
     assert exported == sorted(exported)
     assert len(set(exported)) == len(exported)
+    assert exported == sorted(trustless_mech._EXPORTS)
+    # each name resolves, on first access, to the object its module defines
+    for name, module in trustless_mech._EXPORTS.items():
+        defining = importlib.import_module(f"trustless_mech.{module}")
+        assert getattr(trustless_mech, name) is getattr(defining, name), name
+    # once resolved, the namespace binds exactly the exported names
     public = {
         name
         for name, value in vars(trustless_mech).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(exported) == public
+    assert set(exported) <= set(dir(trustless_mech))
+    with pytest.raises(AttributeError, match="no_such_export"):
+        trustless_mech.no_such_export
+    star: dict = {}
+    exec("from trustless_mech import *", star)
+    assert sorted(star.keys() - {"__builtins__"}) == exported
+    assert len(exported) == 65
+
+
+# Runs in a fresh interpreter and prints, after each step, the package
+# modules loaded so far; `dir` lists the exports before any is resolved.
+IMPORT_FOOTPRINT = """
+import sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "trustless_mech")
+
+import trustless_mech
+assert set(trustless_mech.__all__) <= set(dir(trustless_mech))
+print(loaded(), file=sys.stderr)
+from trustless_mech import cli
+cli.main(["beacon-uniformity", "--trials", "1025", "--seed", "7"])
+print(loaded(), file=sys.stderr)
+"""
+
+
+def test_beacon_uniformity_imports_only_the_beacon():
+    # a bare import loads no submodule, and the beacon check loads only what
+    # it runs, so a stray module-level import fails here rather than showing
+    # only as a slower start-up
+    src = Path(trustless_mech.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_FOOTPRINT],
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    bare, beacon = done.stderr.splitlines()
+    assert bare == str(["trustless_mech"])
+    assert beacon == str(
+        ["trustless_mech", "trustless_mech.beacon", "trustless_mech.cli", "trustless_mech.errors"]
+    )
+    # the output the installed-package CI job pins for these arguments
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == (
+        "4b0c9d06c76e00f5ba349b2e993a679ae2276ec5399d51193db8c57b2321e282"
+    )
 
 
 def _annotations(tree: ast.Module):

@@ -20,6 +20,7 @@ import trustless_mech.scenario as scenario_module
 from trustless_mech import (
     AgentInput,
     AgentSpec,
+    ExecutionMode,
     InvariantViolation,
     LeakStrategy,
     MechanismTag,
@@ -846,6 +847,16 @@ def test_cli_usage_error_exits_2_with_usage_and_no_traceback(argv, tmp_path):
     assert done.stdout == ""
     assert done.stderr.startswith("usage:")
     assert "Traceback" not in done.stderr
+
+
+def test_cli_mode_choices_are_the_execution_modes_in_order():
+    # the parser spells the modes as strings so that building it imports no
+    # adversary code; they must stay the enum's values, in its order
+    run_parser = next(
+        action for action in cli.build_parser()._actions if action.dest == "command"
+    ).choices["run"]
+    (mode,) = [action for action in run_parser._actions if action.dest == "mode"]
+    assert list(mode.choices) == [m.value for m in ExecutionMode]
 
 
 # sha256 of `beacon-uniformity --trials 20000 --seed S` stdout, the op the
