@@ -10,15 +10,16 @@ from trustless_mech import (
     AgentInput,
     ChainState,
     CommitOpening,
+    ContractState,
     HashStream,
     MechanismKind,
     MechanismTag,
     PhaseSchedule,
-    drive,
     encode_agent_payload,
     make_commitment,
     settle,
 )
+from trustless_mech.beacon import DOMAIN_SALTS
 from trustless_mech.contract import commit_message, reveal_message
 
 CONTRACT = "sealed-fpa"
@@ -29,7 +30,8 @@ TRUE_BIDS = {"alice": 120, "bob": 95, "carol": 140, "mallory": 60}
 
 
 def main() -> None:
-    salts = HashStream(seed=2024, domain=1)
+    # salts come from the seed's salt stream, as a scenario draws them
+    salts = HashStream(seed=2024, domain=DOMAIN_SALTS)
     chain = ChainState()
 
     print(f"schedule: commits through height {SCHEDULE.commit_deadline}, "
@@ -62,9 +64,11 @@ def main() -> None:
     print(f"height {chain.height}  mallory  reveals bid 150 (committed 60)")
     chain.advance_to(SCHEDULE.reveal_deadline)
 
-    # settlement: replay the chain, verify every opening, run the auction
-    state, settlement_input = drive(chain, CONTRACT, SCHEDULE)
-    result = settle(MECHANISM, settlement_input)
+    # settlement: the contract replays the chain, verifies every opening,
+    # and settles at the reveal deadline; the auction reads what it verified
+    state = ContractState(CONTRACT, SCHEDULE)
+    state.follow(chain)
+    result = settle(MECHANISM, state.finalize(chain.height))
 
     print()
     print(f"verified reveals: {', '.join(sorted(state.reveals))}")

@@ -65,7 +65,6 @@ _EXPORTS = {
     "chi_square_test": "beacon",
     "decode_agent_payload": "settlement",
     "derive_permutation": "beacon",
-    "drive": "contract",
     "dump_scenario": "scenario",
     "encode_agent_payload": "settlement",
     "exact_str": "adversaries",

@@ -7,9 +7,8 @@ enough reveal window defeats.
 The ledger stores each message as sent and records the block that includes
 it, appending blocks in height order only. ``ContractState.follow`` in
 ``contract`` is its one reader: a state reads the blocks appended since it
-last followed, and ``contract.drive`` is a fresh state following the whole
-chain. So any view of the chain, the operator's sealed view at the commit
-deadline included, is a contract's replay.
+last followed. So any view of the chain, the operator's sealed view at the
+commit deadline included, is a contract's replay.
 """
 
 from __future__ import annotations

@@ -7,12 +7,12 @@ hands the verified payloads on as opaque bytes. Only
 
 Deadlines are inclusive: commits are valid at heights <= T, reveals at
 T < height <= T', and a contract settles at T' or later; ``accept_commit``,
-``accept_reveal``, ``finalize`` and ``drive`` enforce them. Exclusion is
-the only punishment; an excluded agent receives no good.
+``accept_reveal`` and ``finalize`` enforce them. Exclusion is the only
+punishment; an excluded agent receives no good.
 
 ``ContractState.follow`` is the one reader of the ledger: it applies the
 blocks a state has not read yet, so one state can follow a chain as it
-grows, and ``drive`` is a fresh state following the whole chain at once.
+grows, and a state settles by ``finalize`` once the chain reaches T'.
 """
 
 from __future__ import annotations
@@ -173,18 +173,3 @@ def reveal_message(agent: str, contract_id: str, opening: CommitOpening) -> Mess
 def parse_reveal_payload(data: bytes) -> CommitOpening:
     return CommitOpening(payload=data[SALT_SIZE:], salt=data[:SALT_SIZE])
 
-
-def drive(
-    chain: ChainState,
-    contract_id: str,
-    schedule: PhaseSchedule,
-) -> tuple[ContractState, SettlementInput | None]:
-    """A fresh state that follows the whole chain, finalized if the chain
-    has reached the reveal deadline.
-
-    Driving the same chain twice is idempotent.
-    """
-    state = ContractState(contract_id, schedule)
-    state.follow(chain)
-    settlement = state.finalize(chain.height) if chain.height >= schedule.reveal_deadline else None
-    return state, settlement

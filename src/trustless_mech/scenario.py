@@ -26,7 +26,7 @@ from .adversaries import STRATEGY_RULES, LeakStrategy, LeakStrategyKind, exact_s
 from .auctions import SlotCTRs
 from .beacon import DOMAIN_CONTRIBUTIONS, DOMAIN_SALTS, U64_MASK, HashStream
 from .chain import Message, MinerPolicy
-from .commitments import Commitment, CommitOpening, encode_identifier, make_commitment
+from .commitments import CommitOpening, encode_identifier, make_commitment
 from .contract import PhaseSchedule, commit_message, reveal_message
 from .errors import ValidationError, WireFormatError
 from .school_choice import LotteryMode, SchoolSpec
@@ -100,34 +100,25 @@ class Scenario:
         return MappingProxyType(out)
 
     @cached_property
-    def commitments(self) -> Mapping[str, tuple[CommitOpening, Commitment]]:
-        """agent -> (opening, commitment) of the truthful input, in agent list
-        order, under the contract id ``name``.
+    def messages(self) -> Mapping[str, tuple[Message, Message]]:
+        """agent -> (commit, reveal) ledger messages of the truthful input, in
+        agent list order, under the contract id ``name``.
 
         Salts come from the seed's salt stream, one per agent in agent list
         order, so each agent's salt is independent of the others' fields.
-        Built once per scenario: a sealed operator view plans no rebid, so
-        every decentralized run commits and reveals exactly these openings.
-        The contract still verifies each one on every run.
+        Built once per scenario: a sealed operator view plans no rebid and a
+        message is immutable, so every decentralized run submits these same
+        ones. The contract still verifies each opening on every run.
         """
         salts = HashStream(self.seed, DOMAIN_SALTS)
-        out: dict[str, tuple[CommitOpening, Commitment]] = {}
+        out: dict[str, tuple[Message, Message]] = {}
         for agent, inp in self.truthful_inputs.items():
             payload = encode_agent_payload(self.mechanism, inp)
             opening = CommitOpening(payload=payload, salt=salts.salt())
-            out[agent] = (opening, make_commitment(agent, self.name, opening))
+            commitment = make_commitment(agent, self.name, opening)
+            out[agent] = (commit_message(agent, self.name, commitment),
+                          reveal_message(agent, self.name, opening))
         return MappingProxyType(out)
-
-    @cached_property
-    def messages(self) -> Mapping[str, tuple[Message, Message]]:
-        """agent -> (commit, reveal) ledger messages of ``commitments``, in
-        agent list order, built once per scenario like them; a message is
-        immutable, so every decentralized run submits these same ones."""
-        return MappingProxyType({
-            agent: (commit_message(agent, self.name, commitment),
-                    reveal_message(agent, self.name, opening))
-            for agent, (opening, commitment) in self.commitments.items()
-        })
 
     def __getstate__(self) -> dict:
         # the cached mappings do not pickle; they are rebuilt on first use

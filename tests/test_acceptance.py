@@ -463,7 +463,7 @@ sys.exit(0 if codes == [0, 0] else f"exit codes {codes}")
 
 def test_the_benchmark_tracer_installs_and_keeps_the_report_bytes(tmp_path):
     # the traced benchmark wraps names the package must keep, such as
-    # HashStream.randbelow, and reads the return shape of contract.drive
+    # HashStream.randbelow
     done = subprocess.run(
         [sys.executable, "-c", TRACED_CLI, str(ROOT / "bench"), str(ROOT / "src"), "suite"],
         cwd=tmp_path,

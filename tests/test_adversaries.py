@@ -169,7 +169,7 @@ def test_a_sealed_view_that_yields_rebids_is_an_invariant_violation(monkeypatch)
 
 @pytest.mark.parametrize("name", bundled_scenario_names())
 def test_the_sealed_view_holds_each_agents_digest_in_agent_order(name, monkeypatch):
-    # the view is what `drive` recorded at the commit deadline
+    # the view is what the run's contract state recorded at the commit deadline
     scenario = load_bundled(name)
     views = []
 
@@ -183,7 +183,7 @@ def test_the_sealed_view_holds_each_agents_digest_in_agent_order(name, monkeypat
     assert view.plaintext is None
     assert isinstance(view.digests, MappingProxyType)
     assert list(view.digests.items()) == [
-        (agent, commitment.digest) for agent, (_, commitment) in scenario.commitments.items()
+        (agent, commit.payload) for agent, (commit, _) in scenario.messages.items()
     ]
 
 
@@ -866,14 +866,14 @@ def test_a_run_draws_each_lottery_and_commits_each_input_once(monkeypatch, mode,
 
     run_with_adversary(scenario, DECENTRAL)
     assert sorted(domain for _, _, domain in draws) == domains
-    assert sorted(agent for agent, _, _ in commitments) == sorted(scenario.commitments)
+    assert sorted(agent for agent, _, _ in commitments) == sorted(scenario.messages)
     # both decentralized runs submit the messages the scenario built once
     assert [agent for agent, _, _ in commits] == [agent for agent, _, _ in reveals]
-    assert sorted(agent for agent, _, _ in commits) == sorted(scenario.commitments)
+    assert sorted(agent for agent, _, _ in commits) == sorted(scenario.messages)
     # one contract state reads each commit once per run: the sealed view at
     # T and the settlement at T' share one replay
-    digests = sorted(commitment.digest for _, commitment in scenario.commitments.values())
+    digests = sorted(commit.payload for commit, _ in scenario.messages.values())
     assert sorted(digest for digest, in replayed) == sorted(digests * 2)
     # the contract still checks every reveal of both decentralized runs
     assert len(verified) == 2 * n
-    assert {agent for _, agent, _, _ in verified} == set(scenario.commitments)
+    assert {agent for _, agent, _, _ in verified} == set(scenario.messages)

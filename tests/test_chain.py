@@ -127,7 +127,7 @@ def test_payload_size_limit():
     assert [m.payload for m in chain.mempool] == [bytes(MAX_PAYLOAD_BYTES)]
 
 
-def test_canonical_bytes_deterministic_and_history_sensitive():
+def test_the_ledger_state_is_deterministic_and_history_sensitive():
     def build(order):
         chain = ChainState()
         for name in order:
@@ -144,7 +144,7 @@ def test_canonical_bytes_deterministic_and_history_sensitive():
     assert state(a) != state(c)
 
 
-def test_canonical_bytes_distinguishes_block_boundaries():
+def test_the_ledger_state_distinguishes_block_boundaries():
     # same messages, different block placement
     one = ChainState()
     one.submit(commit_msg("a"))
@@ -192,7 +192,7 @@ def test_a_reveal_held_past_the_target_height_stays_in_the_mempool():
     assert [m.sender for m in chain.mempool] == ["bob"]
 
 
-def test_included_with_heights_is_one_indexed():
+def test_a_message_is_recorded_at_the_height_of_its_block():
     chain = ChainState()
     chain.advance_to(1)
     chain.submit(commit_msg("a"))

@@ -17,7 +17,6 @@ from trustless_mech import (
     MinerPolicy,
     PhaseSchedule,
     SchoolSpec,
-    drive,
     make_commitment,
 )
 from trustless_mech.contract import (
@@ -94,7 +93,7 @@ def test_phase_boundaries():
     assert state.finalize(8).excluded == frozenset()
 
 
-def test_settled_contract_reports_settled_phase_everywhere():
+def test_a_settled_contract_refuses_every_call_at_every_height():
     state, openings = committed_contract({"alice": b"a"})
     state.finalize(8)
     for height in (1, 3, 4, 8, 9):
@@ -283,7 +282,9 @@ def test_drive_matches_manual_replay():
     openings = {a: opening_for(a, p) for a, p in
                 {"alice": b"10", "bob": b"20", "carol": b"30"}.items()}
     chain = build_chain(openings, {"alice": 3, "bob": 4, "carol": 5})
-    driven, settlement = drive(chain, CID, SCHEDULE)
+    replayed = ContractState(CID, SCHEDULE)
+    replayed.follow(chain)
+    settlement = replayed.finalize(chain.height)
 
     manual = ContractState(CID, SCHEDULE)
     for agent, opening in openings.items():
@@ -294,22 +295,25 @@ def test_drive_matches_manual_replay():
     expected = manual.finalize(8)
 
     assert settlement == expected
-    assert driven.rejections == []
+    assert replayed.rejections == []
 
 
 def test_drive_is_idempotent():
     openings = {"alice": opening_for("alice", b"1")}
     chain = build_chain(openings, {"alice": 4})
-    first = drive(chain, CID, SCHEDULE)[1]
-    second = drive(chain, CID, SCHEDULE)[1]
-    assert first == second
+    first, second = ContractState(CID, SCHEDULE), ContractState(CID, SCHEDULE)
+    first.follow(chain)
+    second.follow(chain)
+    assert first.finalize(chain.height) == second.finalize(chain.height)
 
 
 def test_drive_before_the_deadline_returns_no_settlement():
     openings = {"alice": opening_for("alice", b"1")}
     chain = build_chain(openings, {"alice": 4}, through=7)
-    state, settlement = drive(chain, CID, SCHEDULE)
-    assert settlement is None
+    state = ContractState(CID, SCHEDULE)
+    state.follow(chain)
+    with pytest.raises(ContractRejection, match="finalize at height 7"):
+        state.finalize(chain.height)
     assert "alice" in state.reveals
 
 
@@ -320,7 +324,9 @@ def test_drive_records_late_commit_as_rejection():
     opening = opening_for("alice", b"1")
     chain.submit(commit_message("alice", CID, make_commitment("alice", CID, opening)))
     chain.advance_to(8)
-    state, settlement = drive(chain, CID, SCHEDULE)
+    state = ContractState(CID, SCHEDULE)
+    state.follow(chain)
+    settlement = state.finalize(chain.height)
     assert state.commitments == {}
     assert settlement.payloads == ()
     assert len(state.rejections) == 1
@@ -332,7 +338,8 @@ def test_drive_ignores_other_contracts():
     opening = opening_for("alice", b"1")
     chain.submit(commit_message("alice", "other", make_commitment("alice", "other", opening)))
     chain.advance_to(8)
-    state, settlement = drive(chain, CID, SCHEDULE)
+    state = ContractState(CID, SCHEDULE)
+    state.follow(chain)
     assert state.commitments == {}
     assert state.rejections == []
 
@@ -347,8 +354,10 @@ def test_drive_at_the_commit_deadline_keeps_this_contracts_first_digest():
     chain.advance_to(1)
     chain.submit(commit_message("alice", CID, make_commitment("alice", CID, second)))
     chain.advance_to(SCHEDULE.commit_deadline)
-    state, settlement = drive(chain, CID, SCHEDULE)
-    assert settlement is None
+    state = ContractState(CID, SCHEDULE)
+    state.follow(chain)
+    with pytest.raises(ContractRejection, match="finalize at height 3"):
+        state.finalize(chain.height)
     assert state.commitments == {"alice": make_commitment("alice", CID, first)}
     assert state.rejections == ["height 2: 'alice' already committed; first commitment stands"]
 
@@ -358,7 +367,8 @@ def test_drive_rejects_malformed_commit_digest():
     from trustless_mech import Message, MessageKind
     chain.submit(Message("alice", CID, MessageKind.COMMIT, b"short"))
     chain.advance_to(8)
-    state, _ = drive(chain, CID, SCHEDULE)
+    state = ContractState(CID, SCHEDULE)
+    state.follow(chain)
     assert state.commitments == {}
     assert len(state.rejections) == 1
 
@@ -380,7 +390,9 @@ def test_drive_records_a_message_of_the_wrong_size_as_a_rejection(kind, size, re
         chain.advance_to(4)
         chain.submit(Message("alice", CID, kind, bytes(size)))
     chain.advance_to(8)
-    state, settlement = drive(chain, CID, SCHEDULE)
+    state = ContractState(CID, SCHEDULE)
+    state.follow(chain)
+    settlement = state.finalize(chain.height)
     assert state.rejections == [rejection]
     assert state.reveals == {}
     assert settlement.payloads == ()
@@ -444,12 +456,60 @@ def test_a_state_that_follows_each_block_ends_where_one_drive_does(steps, miner,
     chain.advance_to(last, miner)
     following.follow(chain)
 
-    driven, settlement = drive(chain, CID, SCHEDULE)
+    # the reference: a fresh state that reads the whole chain at once
+    replayed = ContractState(CID, SCHEDULE)
+    replayed.follow(chain)
     if chain.height >= SCHEDULE.reveal_deadline:
-        assert following.finalize(chain.height) == settlement
+        assert following.finalize(chain.height) == replayed.finalize(chain.height)
     else:
-        assert settlement is None
-    assert record(following) == record(driven)
+        with pytest.raises(ContractRejection, match="finalize at height"):
+            replayed.finalize(chain.height)
+    assert record(following) == record(replayed)
+
+
+def settled_contract() -> tuple[ContractState, ChainState, dict[str, CommitOpening]]:
+    """A state that has followed a chain to T' and settled: alice revealed,
+    bob never did and is excluded."""
+    openings = {"alice": opening_for("alice", b"1"), "bob": opening_for("bob", b"2")}
+    chain = build_chain(openings, {"alice": 4})
+    state = ContractState(CID, SCHEDULE)
+    state.follow(chain)
+    state.finalize(chain.height)
+    return state, chain, openings
+
+
+def test_a_settled_contract_refuses_a_new_block_for_it_and_records_nothing():
+    state, chain, openings = settled_contract()
+    before = record(state)
+    chain.submit(reveal_message("bob", "other", openings["bob"]))
+    chain.submit(reveal_message("bob", CID, openings["bob"]))
+    chain.advance_to(chain.height + 1)
+    with pytest.raises(AlreadySettled):
+        state.follow(chain)
+    assert record(state) == before
+    assert state.excluded == {"bob"}
+
+
+def test_a_settled_contract_following_no_new_block_changes_nothing():
+    state, chain, _ = settled_contract()
+    before = record(state)
+    chain.advance_to(chain.height + 3)  # empty blocks leave no entry
+    state.follow(chain)
+    assert record(state) == before
+
+
+def test_a_settled_contract_skips_a_new_block_of_other_contracts_messages():
+    state, chain, openings = settled_contract()
+    before = record(state)
+    chain.submit(commit_message("carol", "other",
+                                make_commitment("carol", "other", openings["alice"])))
+    chain.submit(reveal_message("bob", "other", openings["bob"]))
+    chain.advance_to(chain.height + 1)
+    state.follow(chain)
+    # nothing is recorded; only the count of blocks read moves past the block
+    commitments, reveals, excluded, rejections, blocks_read = record(state)
+    assert (commitments, reveals, excluded, rejections) == before[:4]
+    assert blocks_read == before[4] + 1 == len(chain.nonempty_blocks)
 
 
 def test_censorship_past_the_reveal_deadline_excludes():
@@ -458,7 +518,9 @@ def test_censorship_past_the_reveal_deadline_excludes():
     openings = {"alice": opening_for("alice", b"1"), "bob": opening_for("bob", b"2")}
     policy = MinerPolicy.censor({"alice"}, until=8)
     chain = build_chain(openings, {"alice": 3, "bob": 3}, policy=policy, through=10)
-    state, settlement = drive(chain, CID, SCHEDULE)
+    state = ContractState(CID, SCHEDULE)
+    state.follow(chain)
+    settlement = state.finalize(chain.height)
     assert settlement.excluded == frozenset({"alice"})
     assert [a for a, _ in settlement.payloads] == ["bob"]
 
@@ -468,7 +530,9 @@ def test_censorship_inside_the_window_only_delays():
     openings = {"alice": opening_for("alice", b"1")}
     policy = MinerPolicy.censor({"alice"}, until=7)
     chain = build_chain(openings, {"alice": 3}, policy=policy, through=10)
-    state, settlement = drive(chain, CID, SCHEDULE)
+    state = ContractState(CID, SCHEDULE)
+    state.follow(chain)
+    settlement = state.finalize(chain.height)
     assert settlement.excluded == frozenset()
     assert [a for a, _ in settlement.payloads] == ["alice"]
 

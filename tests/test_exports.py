@@ -43,7 +43,7 @@ def test_all_is_sorted_unique_and_names_every_public_binding():
     star: dict = {}
     exec("from trustless_mech import *", star)
     assert sorted(star.keys() - {"__builtins__"}) == exported
-    assert len(exported) == 65
+    assert len(exported) == 64
 
 
 # Runs in a fresh interpreter and prints, after each step, the package

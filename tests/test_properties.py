@@ -2,7 +2,8 @@
 
 1. A centralized honest run and a decentralized honest run of the same
    scenario settle identically, for every mechanism, with and without a
-   beacon, under every school priority mode.
+   beacon, under every school priority mode; and each agent's commit and
+   reveal messages, in agent list order, open to its truthful input.
 2. The coalition gain that `plan_deviation` names the parties of equals the
    per-strategy rule, for every strategy in both modes, under honest and
    censoring scenario miners; in decentralized mode, a strategy whose plan
@@ -59,12 +60,16 @@ from trustless_mech import (
     BeaconOutput,
     ChainState,
     CommitOpening,
+    Commitment,
+    ContractState,
     ExecutionMode,
+    HashStream,
     LeakStrategy,
     LeakStrategyKind,
     LotteryMode,
     MechanismKind,
     MechanismTag,
+    MessageKind,
     OperatorView,
     PhaseSchedule,
     Scenario,
@@ -75,10 +80,10 @@ from trustless_mech import (
     WireFormatError,
     auction_utility,
     decode_agent_payload,
-    drive,
     encode_agent_payload,
     load_bundled,
     lottery_priorities,
+    make_commitment,
     plan_deviation,
     run_with_adversary,
     scenario_from_dict,
@@ -88,6 +93,7 @@ from trustless_mech import (
     verify_opening,
 )
 from trustless_mech.adversaries import execute_run
+from trustless_mech.beacon import DOMAIN_SALTS
 from trustless_mech.cli import _json_text, main
 from trustless_mech.commitments import DIGEST_SIZE, SALT_SIZE
 from trustless_mech.contract import commit_message, parse_reveal_payload, reveal_message
@@ -158,6 +164,24 @@ def test_honest_runs_settle_identically_in_both_modes(doc):
     centralized, _ = execute_run(scenario, ExecutionMode.CENTRALIZED_SEQUENTIAL)
     decentralized, _ = execute_run(scenario, ExecutionMode.DECENTRALIZED_COMMIT_REVEAL)
     assert centralized.canonical() == decentralized.canonical()
+
+
+@settings(max_examples=200, deadline=None)
+@given(honest_scenarios())
+def test_each_agents_messages_commit_to_and_reveal_its_truthful_input(doc):
+    # the (commit, reveal) pair is an agent's one ledger record: the reveal
+    # opens the commit's digest, under this contract id, to the truthful input
+    scenario = scenario_from_dict(doc)
+    assert list(scenario.messages) == [spec.agent for spec in scenario.agents]
+    for agent, (commit, reveal) in scenario.messages.items():
+        assert (commit.sender, commit.contract_id, commit.kind) == (
+            agent, scenario.name, MessageKind.COMMIT)
+        assert (reveal.sender, reveal.contract_id, reveal.kind) == (
+            agent, scenario.name, MessageKind.REVEAL)
+        opening = parse_reveal_payload(reveal.payload)
+        assert verify_opening(Commitment(commit.payload), agent, scenario.name, opening)
+        assert decode_agent_payload(scenario.mechanism, opening.payload) == (
+            scenario.truthful_inputs[agent])
 
 
 K = LeakStrategyKind
@@ -326,23 +350,35 @@ def test_a_decentralized_run_without_a_reveal_miner_settles_as_the_honest_run(ru
 
 def two_replay_run(scenario: Scenario, strategy: LeakStrategy | None):
     """A decentralized run as it was before the contract followed the chain:
-    a fresh chain, messages built for this run, and a fresh replay of the
-    whole chain at T for the sealed view and again at T' to settle."""
+    a fresh chain, openings and messages built for this run from the seed's
+    salt stream, and a fresh replay of the whole chain at T for the sealed
+    view and again at T' to settle."""
     mode = ExecutionMode.DECENTRALIZED_COMMIT_REVEAL
+    name, schedule = scenario.name, scenario.schedule
+    salts = HashStream(scenario.seed, DOMAIN_SALTS)
+    openings = {
+        spec.agent: CommitOpening(
+            payload=encode_agent_payload(scenario.mechanism, scenario.truthful_inputs[spec.agent]),
+            salt=salts.salt(),
+        )
+        for spec in scenario.agents
+    }
     chain = ChainState()
-    for agent, (_, commitment) in scenario.commitments.items():
-        chain.submit(commit_message(agent, scenario.name, commitment))
-    chain.advance_to(scenario.schedule.commit_deadline)
-    sealed, _ = drive(chain, scenario.name, scenario.schedule)
+    for agent, opening in openings.items():
+        chain.submit(commit_message(agent, name, make_commitment(agent, name, opening)))
+    chain.advance_to(schedule.commit_deadline)
+    sealed = ContractState(name, schedule)
+    sealed.follow(chain)
     digests = {agent: commitment.digest for agent, commitment in sealed.commitments.items()}
     view = OperatorView(mode=mode, digests=MappingProxyType(digests), plaintext=None)
     plan = plan_deviation(strategy, scenario.mechanism, view)
     assert not plan.rebids
-    for agent, (opening, _) in scenario.commitments.items():
-        chain.submit(reveal_message(agent, scenario.name, opening))
-    chain.advance_to(scenario.schedule.reveal_deadline, plan.miner or scenario.miner)
-    _, settlement_input = drive(chain, scenario.name, scenario.schedule)
-    return settle(scenario.mechanism, settlement_input), plan
+    for agent, opening in openings.items():
+        chain.submit(reveal_message(agent, name, opening))
+    chain.advance_to(schedule.reveal_deadline, plan.miner or scenario.miner)
+    settling = ContractState(name, schedule)
+    settling.follow(chain)
+    return settle(scenario.mechanism, settling.finalize(chain.height)), plan
 
 
 @settings(max_examples=300, deadline=None)
@@ -606,12 +642,13 @@ def test_the_kept_lottery_is_a_fresh_immutable_draw(keys, picks):
 def test_a_renamed_scenario_commits_fresh_digests():
     scenario = load_bundled("fpa_leak")
     renamed = dataclasses.replace(scenario, name="fpa_leak_renamed")
-    assert list(renamed.commitments) == list(scenario.commitments)
-    for agent, (opening, commitment) in renamed.commitments.items():
-        old_opening, old_commitment = scenario.commitments[agent]
-        assert opening == old_opening
-        assert commitment != old_commitment
-        assert verify_opening(commitment, agent, renamed.name, opening)
+    assert list(renamed.messages) == list(scenario.messages)
+    for agent, (commit, reveal) in renamed.messages.items():
+        old_commit, old_reveal = scenario.messages[agent]
+        opening = parse_reveal_payload(reveal.payload)
+        assert opening == parse_reveal_payload(old_reveal.payload)
+        assert commit.payload != old_commit.payload
+        assert verify_opening(Commitment(commit.payload), agent, renamed.name, opening)
     honest, _ = execute_run(renamed, ExecutionMode.DECENTRALIZED_COMMIT_REVEAL)
     assert honest == execute_run(scenario, ExecutionMode.DECENTRALIZED_COMMIT_REVEAL)[0]
 

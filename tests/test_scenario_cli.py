@@ -38,6 +38,7 @@ from trustless_mech import (
 )
 from trustless_mech import cli
 from trustless_mech.cli import OUT_DIR_ENV, main
+from trustless_mech.contract import parse_reveal_payload
 
 
 def minimal_doc() -> dict:
@@ -509,8 +510,8 @@ def test_truthful_inputs_are_deterministic_and_distinct():
     again = scenario_from_dict(minimal_doc())
     assert scenario.truthful_inputs == again.truthful_inputs
     assert scenario.truthful_inputs["ann"].bid == 9
-    salts = [opening.salt for opening, _ in scenario.commitments.values()]
-    assert salts == [opening.salt for opening, _ in again.commitments.values()]
+    salts = [parse_reveal_payload(reveal.payload).salt for _, reveal in scenario.messages.values()]
+    assert salts == [parse_reveal_payload(reveal.payload).salt for _, reveal in again.messages.values()]
     assert len(set(salts)) == len(salts)
     assert all(len(s) == 32 for s in salts)
 
@@ -781,7 +782,7 @@ def test_the_reused_parser_keeps_no_state_between_calls(tmp_path, monkeypatch, c
 def test_a_scenario_that_has_run_pickles_and_deep_copies(name, tmp_path):
     scenario = load_bundled(name)
     text, paths = cli._write_reports(tmp_path / "ran", scenario, cli._run_modes(scenario, None))
-    cached = {"truthful_inputs", "commitments", "messages"}
+    cached = {"truthful_inputs", "messages"}
     assert cached <= vars(scenario).keys()
     for how, twin in (("pickle", pickle.loads(pickle.dumps(scenario))), ("deepcopy", copy.deepcopy(scenario))):
         assert twin == scenario
